@@ -189,6 +189,28 @@ def hamiltonian(sys: PHSystem, x) -> float:
     return 0.5 * float(v @ sys.E @ v)
 
 
+# Rows per block of quadratic_forms: the block products stay a few hundred
+# kilobytes however long the trajectory is.
+_FORM_BLOCK_ROWS = 512
+
+
+def quadratic_forms(M, *columns) -> np.ndarray:
+    """``z_k^T M z_k`` for every row z_k of the column blocks stacked side by side.
+
+    ``columns`` are arrays with one row per sample, such as a trajectory's
+    ``x`` and ``u``; ``quadratic_forms(sys.E, traj.x)`` is twice the energy
+    of every sample.  Rows are processed in blocks, so no product as long as
+    the trajectory is formed.
+    """
+    K = columns[0].shape[0]
+    out = np.empty(K)
+    for start in range(0, K, _FORM_BLOCK_ROWS):
+        rows = slice(start, start + _FORM_BLOCK_ROWS)
+        Z = np.hstack([c[rows] for c in columns])
+        out[rows] = np.einsum("ki,ki->k", Z @ M, Z)
+    return out
+
+
 def apply_feedback(sys: PHSystem, F) -> PHSystem:
     """Closed loop under proportional state feedback ``u = F x + v``.
 
@@ -229,10 +251,8 @@ def power_balance_residual(sys: PHSystem, traj: Trajectory) -> float:
     residual of an exact solution shrinks with the square of the step.
     """
     _check_trajectory(sys, traj)
-    W = dissipation_matrix(sys)
-    H = np.array([hamiltonian(sys, xi) for xi in traj.x])
-    z = np.hstack([traj.x, traj.u])
-    quad = np.einsum("ki,ij,kj->k", z, W, z)
+    H = 0.5 * quadratic_forms(sys.E, traj.x)
+    quad = quadratic_forms(dissipation_matrix(sys), traj.x, traj.u)
     supply = np.einsum("ki,ki->k", traj.y, traj.u)
     dHdt = (H[2:] - H[:-2]) / (traj.t[2:] - traj.t[:-2])
     res = np.abs(dHdt + quad[1:-1] - supply[1:-1])
@@ -252,14 +272,12 @@ def dissipation_inequality_check(
     first-order discretization error of sampled trajectories.
     """
     _check_trajectory(sys, traj)
-    H = np.array([hamiltonian(sys, xi) for xi in traj.x])
+    H = 0.5 * quadratic_forms(sys.E, traj.x)
     supply = np.einsum("ki,ki->k", traj.y, traj.u)
     dt = np.diff(traj.t)
     cumulative = np.concatenate([[0.0], np.cumsum(0.5 * dt * (supply[1:] + supply[:-1]))])
     if slack is None:
-        W = dissipation_matrix(sys)
-        z = np.hstack([traj.x, traj.u])
-        quad = np.einsum("ki,ij,kj->k", z, W, z)
+        quad = quadratic_forms(dissipation_matrix(sys), traj.x, traj.u)
         peak = float(np.max(np.abs(quad) + np.abs(supply))) if quad.size else 0.0
         span = float(traj.t[-1] - traj.t[0])
         slack = 10.0 * float(dt.max()) * max(1.0, peak) * max(1.0, span)

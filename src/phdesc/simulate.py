@@ -16,10 +16,14 @@ import scipy.linalg as sla
 
 from .errors import NotIndexOne, ShapeMismatch, SolveFailure
 from .linalg import DEFAULT_TOL, ToleranceConfig, nullspace_basis, pseudo_inverse
-from .model import PHSystem, Trajectory, apply_feedback, hamiltonian
+from .model import PHSystem, Trajectory, apply_feedback, quadratic_forms
 from .pencil import pencil_report
 
 logger = logging.getLogger(__name__)
+
+# Rows formatted per write: enough to amortize the per-block calls, few
+# enough that the text of one block stays small next to the trajectory.
+_CSV_BLOCK_ROWS = 64
 
 
 def _require_index_one(sys_closed: PHSystem, tol: ToleranceConfig):
@@ -45,6 +49,11 @@ def consistent_projection(
     unchanged.
     """
     _require_index_one(sys_closed, tol)
+    return _project_consistent(sys_closed, x0, tol, u0)
+
+
+def _project_consistent(sys_closed: PHSystem, x0, tol: ToleranceConfig, u0) -> np.ndarray:
+    """:func:`consistent_projection` for a loop already known to be index one."""
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     if x0.shape[0] != sys_closed.n:
         raise ShapeMismatch(f"x0 has length {x0.shape[0]}, expected {sys_closed.n}")
@@ -105,7 +114,7 @@ def simulate_closed_loop(
     if x.shape[0] != n:
         raise ShapeMismatch(f"x0 has length {x.shape[0]}, expected {n}")
     u_first = u_steps[0] if m else None
-    x_proj = consistent_projection(closed, x, tol, u0=u_first)
+    x_proj = _project_consistent(closed, x, tol, u_first)
     shift = float(np.linalg.norm(x_proj - x))
     if shift > 1e-9 * max(1.0, float(np.linalg.norm(x))):
         logger.info("initial state projected onto the constraint set (moved %.3e)", shift)
@@ -120,16 +129,26 @@ def simulate_closed_loop(
     if diag.size and diag.min() <= 1e-14 * max(1.0, diag.max()):
         raise SolveFailure("step matrix numerically singular", t=0.0)
 
-    Bin = closed.B
+    # LAPACK getrs straight on the factors: the same solve lu_solve makes,
+    # without its per-call argument checks.
+    getrs, = sla.get_lapack_funcs(("getrs",), (lu,))
+    E, Bin = closed.E, closed.B
     X = np.empty((K + 1, n))
     X[0] = x
-    for k in range(K):
-        rhs = closed.E @ X[k]
-        if m:
-            rhs = rhs + dt * (Bin @ u_steps[k])
-        X[k + 1] = sla.lu_solve((lu, piv), rhs)
-        if not np.all(np.isfinite(X[k + 1])):
-            raise SolveFailure("non-finite state", t=(k + 1) * dt)
+    # A state that blows up keeps stepping until the loop ends, where the
+    # first non-finite sample is reported; its inf/nan arithmetic is silenced.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(K):
+            rhs = E @ X[k]
+            if m:
+                rhs += dt * (Bin @ u_steps[k])
+            X[k + 1], info = getrs(lu, piv, rhs, overwrite_b=True)
+            if info:
+                raise SolveFailure(f"step solve failed (LAPACK info {info})", t=(k + 1) * dt)
+    finite = np.isfinite(X[1:]).all(axis=1)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise SolveFailure("non-finite state", t=(k + 1) * dt)
 
     t = np.arange(K + 1) * dt
     U = np.zeros((K + 1, m))
@@ -152,9 +171,12 @@ def write_trajectory_csv(path, traj: Trajectory, sys: PHSystem) -> None:
               + [f"u{i + 1}" for i in range(m)]
               + [f"y{i + 1}" for i in range(m)]
               + ["H"])
+    H = 0.5 * quadratic_forms(sys.E, traj.x)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        for k in range(traj.t.shape[0]):
-            row = [traj.t[k], *traj.x[k], *traj.u[k], *traj.y[k],
-                   hamiltonian(sys, traj.x[k])]
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        for start in range(0, H.shape[0], _CSV_BLOCK_ROWS):
+            rows = slice(start, start + _CSV_BLOCK_ROWS)
+            block = np.column_stack([traj.t[rows], traj.x[rows], traj.u[rows],
+                                     traj.y[rows], H[rows]])
+            # repr of a Python float is its shortest round-trip text.
+            fh.write("".join(",".join(map(repr, row)) + "\n" for row in block.tolist()))

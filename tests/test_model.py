@@ -12,8 +12,10 @@ from phdesc.model import (
     apply_feedback,
     dissipation_inequality_check,
     dissipation_matrix,
+    _FORM_BLOCK_ROWS,
     hamiltonian,
     power_balance_residual,
+    quadratic_forms,
     validate,
 )
 
@@ -79,6 +81,22 @@ class TestHamiltonian:
             for _ in range(10):
                 x = rng.normal(size=5)
                 assert hamiltonian(sys, x) >= -DEFAULT_TOL.psd_tol * float(x @ x)
+
+
+class TestQuadraticForms:
+    @pytest.mark.parametrize("K", [0, 1, _FORM_BLOCK_ROWS - 1, 3 * _FORM_BLOCK_ROWS + 5])
+    def test_matches_per_row_formula(self, rng, K):
+        sys = random_ph(6, 3, 2)
+        x = rng.normal(size=(K, 6))
+        u = rng.normal(size=(K, 3))
+        W = dissipation_matrix(sys)
+        energies = quadratic_forms(sys.E, x)
+        supplies = quadratic_forms(W, x, u)
+        assert energies.shape == supplies.shape == (K,)
+        expected_e = np.array([2.0 * hamiltonian(sys, xk) for xk in x])
+        expected_s = np.array([zk @ W @ zk for zk in np.hstack([x, u])])
+        np.testing.assert_allclose(energies, expected_e, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(supplies, expected_s, rtol=1e-12, atol=0.0)
 
 
 class TestApplyFeedback:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from phdesc.certify import certify_closed_loop
-from phdesc.errors import NotIndexOne, ShapeMismatch
+from phdesc.errors import NotIndexOne, ShapeMismatch, SolveFailure
 from phdesc.generators import random_ph
 from phdesc.model import (
     PHSystem,
@@ -80,6 +80,13 @@ class TestSimulateClosedLoop:
         with pytest.raises(NotIndexOne):
             simulate_closed_loop(sys, np.zeros((0, 1)), [1.0])
 
+    def test_blow_up_reports_first_non_finite_sample(self):
+        # x_{k+1} = x_k / (1 - 0.999) = 1000 x_k overflows on step 103.
+        sys = scalar_system(E=1, G=1)
+        with pytest.raises(SolveFailure, match="non-finite") as exc:
+            simulate_closed_loop(sys, [[999.0]], [1.0], T=1.0, dt=1e-3)
+        assert exc.value.t == 103 * 1e-3
+
     def test_bad_input_shape(self):
         sys = scalar_system(E=1, G=1)
         with pytest.raises(ShapeMismatch):
@@ -146,3 +153,23 @@ class TestTrajectoryCsv:
         assert np.array_equal(data[:, 1], traj.x[:, 0])
         H = np.array([hamiltonian(closed, x) for x in traj.x])
         assert np.array_equal(data[:, 4], H)
+
+    def test_fields_pinned_on_multi_state_loop(self, tmp_path, rng):
+        sys = random_ph(5, 2, 11)
+        F, _ = synthesize_stabilizing(sys)
+        cert = certify_closed_loop(sys, F)
+        assert cert.overall
+        closed = cert.closed_loop
+        u = rng.normal(size=(200, 2))
+        traj = simulate_closed_loop(sys, F, rng.normal(size=5), u=u, T=0.2, dt=1e-3)
+        path = tmp_path / "traj.csv"
+        write_trajectory_csv(path, traj, closed)
+        lines = path.read_text().splitlines()
+        assert lines[0] == "t,x1,x2,x3,x4,x5,u1,u2,y1,y2,H"
+        assert len(lines) == traj.t.shape[0] + 1
+        for k, line in enumerate(lines[1:]):
+            fields = line.split(",")
+            values = [traj.t[k], *traj.x[k], *traj.u[k], *traj.y[k]]
+            assert fields[:-1] == [repr(float(v)) for v in values]
+            H = hamiltonian(closed, traj.x[k])
+            assert abs(float(fields[-1]) - H) <= 1e-12 * abs(H)
