@@ -35,7 +35,6 @@ from .linalg import (
     nullspace_basis,
     numerical_rank,
     pseudo_inverse,
-    psd_sqrt,
     range_basis,
     spectral_norm,
     sym_skew_split,

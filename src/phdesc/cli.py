@@ -27,15 +27,17 @@ from .errors import (
     ToleranceBreakdown,
 )
 from .fileio import (
+    _matrix_to_lists,
     load_feedback,
     load_system,
     report_to_json,
     save_feedback,
     save_system,
+    system_to_dict,
     write_report,
 )
 from .generators import random_ph
-from .linalg import DEFAULT_TOL, ToleranceConfig
+from .linalg import DEFAULT_TOL, ToleranceConfig, nullspace_basis, structural_tol
 from .model import (
     apply_feedback,
     dissipation_inequality_check,
@@ -100,15 +102,6 @@ def _parse_vector(text: str | None, length: int, name: str) -> np.ndarray:
     return vec
 
 
-def _tol_dict(tol: ToleranceConfig) -> dict:
-    return {
-        "rank_rtol": tol.rank_rtol,
-        "psd_tol": tol.psd_tol,
-        "axis_tol": tol.axis_tol,
-        "stability_margin": tol.stability_margin,
-    }
-
-
 def _conditions_dict(sys, tol) -> dict:
     stab, witnesses = stabilizability_rank_condition(sys, tol)
     return {
@@ -143,7 +136,6 @@ def _cmd_gen(args) -> int:
         save_system(args.output, sys_, metadata)
         _say(f"wrote system (n={sys_.n}, m={sys_.m}) to {args.output}")
     else:
-        from .fileio import system_to_dict
         _sys.stdout.write(json.dumps(system_to_dict(sys_, metadata), indent=2) + "\n")
     return 0
 
@@ -164,15 +156,14 @@ def _cmd_analyze(args) -> int:
     singular = bool(singular_common_nullspace(sys_, tol))
     doc = {
         "kind": "analysis",
-        "tolerances": _tol_dict(tol),
+        "tolerances": dataclasses.asdict(tol),
         "pencil": rep.to_dict(),
         "singular_common_nullspace": singular,
         "conditions": _conditions_dict(sys_, tol),
     }
     if singular:
-        from .linalg import nullspace_basis, structural_tol
         basis = nullspace_basis(np.vstack([sys_.E, sys_.J, sys_.R]), structural_tol(tol))
-        doc["common_nullspace_basis"] = [[float(v) for v in row] for row in basis]
+        doc["common_nullspace_basis"] = _matrix_to_lists(basis)
     _emit(args, doc)
     _say(f"pencil: {rep.stability_class.value}, index {rep.index}")
     return 0
@@ -201,7 +192,7 @@ def _synthesize_and_certify(args, goal: str) -> int:
         save_feedback(args.output, F)
         doc["feedback_file"] = args.output
     else:
-        doc["feedback"] = [[float(v) for v in row] for row in F]
+        doc["feedback"] = _matrix_to_lists(F)
     _emit(args, doc)
     _say(f"{goal}: certification {'PASS' if cert.overall else 'FAIL'}")
     return 0 if cert.overall else 1
@@ -238,7 +229,7 @@ def _cmd_simulate(args) -> int:
     dissipative = dissipation_inequality_check(closed, traj, tol)
     doc = {
         "kind": "simulation",
-        "tolerances": _tol_dict(tol),
+        "tolerances": dataclasses.asdict(tol),
         "trajectory_file": args.output,
         "steps": int(traj.t.shape[0] - 1),
         "dt": args.dt,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotPSD, NotSquare, NotSymmetric
+from .errors import NotSquare
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -213,25 +213,3 @@ def classify_definiteness(M, tol: ToleranceConfig = DEFAULT_TOL) -> Definiteness
     else:
         kind = DefinitenessKind.INDEFINITE
     return Definiteness(kind, lo, hi)
-
-
-def psd_sqrt(M, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """Symmetric PSD square root, with eigenvalues clipped at zero.
-
-    Raises NotSymmetric or NotPSD when the input violates either property
-    beyond the ``psd_tol`` band.
-    """
-    A = as_matrix(M)
-    _require_square(A)
-    if A.shape[0] == 0:
-        return np.zeros((0, 0))
-    scale = max(1.0, spectral_norm(A))
-    if spectral_norm(A - A.T) > tol.psd_tol * scale:
-        raise NotSymmetric("psd_sqrt requires a symmetric matrix")
-    H = (A + A.T) / 2.0
-    w, V = np.linalg.eigh(H)
-    if w[0] < -tol.psd_tol * scale:
-        raise NotPSD(f"minimum eigenvalue {w[0]:.3e} below the PSD band")
-    root = np.sqrt(np.clip(w, 0.0, None))
-    X = (V * root) @ V.T
-    return (X + X.T) / 2.0

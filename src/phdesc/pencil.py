@@ -19,7 +19,6 @@ import enum
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import (
     HypothesisViolated,
@@ -41,6 +40,14 @@ from .linalg import (
     structural_tol,
 )
 from .model import PHSystem
+
+# The SVD-scaled standard eigenproblem drifts from QZ about in step with
+# cond(E_reg) (near axis_tol at 1e8); above this sigma_max / sigma_min of
+# E_reg, QZ decides instead.
+_QZ_COND = 1e4
+
+# Relative distance within which two computed eigenvalues count as one.
+_CLUSTER_RTOL = 1e-8
 
 
 class StabilityClass(enum.Enum):
@@ -134,16 +141,21 @@ def _deflate_right_and_infinite(A, E, thr_a, thr_e, stage):
     that kernel), then deflates to the trailing subpencil.  Terminates with
     E of full column rank.  Thresholds are anchored at the original pencil
     norms so that later stages keep a consistent notion of "zero".
+
+    Also returns the full SVD ``(U, s, Vh)`` of the final E taken at the
+    step that found it of full column rank, or None when no columns remain.
     """
     nu, ss = [], []
     Ac, Ec = A, E
     step = 1
+    svd_final = None
     while Ec.shape[1] > 0:
         q = Ec.shape[1]
-        _, s_e, vh_e = np.linalg.svd(Ec)
+        u_e, s_e, vh_e = np.linalg.svd(Ec)
         r_e = _decide_rank(s_e, thr_e, f"{stage}: E-compression, step {step}")
         k = q - r_e
         if k == 0:
+            svd_final = (u_e, s_e, vh_e)
             break
         V = np.hstack([vh_e[r_e:, :].T, vh_e[:r_e, :].T])
         An, En = Ac @ V, Ec @ V
@@ -154,7 +166,7 @@ def _deflate_right_and_infinite(A, E, thr_a, thr_e, stage):
         nu.append(k)
         ss.append(r_a)
         step += 1
-    return nu, ss, Ac, Ec
+    return nu, ss, Ac, Ec, svd_final
 
 
 def _minimal_and_infinite(nu, ss, stage):
@@ -182,6 +194,24 @@ def _minimal_and_infinite(nu, ss, stage):
     return minimal, sizes
 
 
+def _regular_eigenvalues(A_reg, E_reg, svd_e2t) -> np.ndarray:
+    """Eigenvalues of ``s E_reg - A_reg`` with E_reg invertible.
+
+    With ``E_reg^T = U diag(sigma) Vh`` (the left pass's last SVD),
+    ``s E_reg - A_reg = Vh^T (s diag(sigma) - Vh A_reg U) U^T``, so the
+    spectrum is that of ``sigma^{-1/2} (Vh A_reg U) sigma^{-1/2}``.  QZ
+    takes over when E_reg is too ill-conditioned for that scaling.
+    """
+    u, sigma, vh = svd_e2t
+    if sigma[0] > _QZ_COND * sigma[-1]:
+        import scipy.linalg
+
+        return scipy.linalg.eigvals(A_reg, E_reg)
+    d = 1.0 / np.sqrt(sigma)
+    M = (vh @ A_reg @ u) * d[:, None] * d[None, :]
+    return np.linalg.eigvals(M).astype(complex)
+
+
 def kronecker_staircase(A, E, tol: ToleranceConfig = DEFAULT_TOL) -> KroneckerSummary:
     """Kronecker block data of the pencil ``s E - A`` (rectangular allowed)."""
     A = as_matrix(A)
@@ -194,10 +224,11 @@ def kronecker_staircase(A, E, tol: ToleranceConfig = DEFAULT_TOL) -> KroneckerSu
     thr_e = rtol * maxdim * spectral_norm(E)
     thr_a = rtol * maxdim * spectral_norm(A)
 
-    nu_r, ss_r, A1, E1 = _deflate_right_and_infinite(A, E, thr_a, thr_e, "right pass")
+    nu_r, ss_r, A1, E1, _ = _deflate_right_and_infinite(A, E, thr_a, thr_e, "right pass")
     right_minimal, infinite_sizes = _minimal_and_infinite(nu_r, ss_r, "right pass")
 
-    nu_l, ss_l, A2t, E2t = _deflate_right_and_infinite(A1.T, E1.T, thr_a, thr_e, "left pass")
+    nu_l, ss_l, A2t, E2t, svd_e2t = _deflate_right_and_infinite(
+        A1.T, E1.T, thr_a, thr_e, "left pass")
     left_minimal, leftover = _minimal_and_infinite(nu_l, ss_l, "left pass")
     if leftover:
         raise NumericalBreakdown("left pass uncovered infinite structure; "
@@ -207,7 +238,7 @@ def kronecker_staircase(A, E, tol: ToleranceConfig = DEFAULT_TOL) -> KroneckerSu
     if A_reg.shape[0] != A_reg.shape[1]:
         raise NumericalBreakdown("regular part is not square after deflation")
     if A_reg.shape[0]:
-        finite = sla.eigvals(A_reg, E_reg)
+        finite = _regular_eigenvalues(A_reg, E_reg, svd_e2t)
         if not np.all(np.isfinite(finite)):
             raise NumericalBreakdown("non-finite eigenvalues in the deflated regular part")
     else:
@@ -229,8 +260,8 @@ def kronecker_staircase(A, E, tol: ToleranceConfig = DEFAULT_TOL) -> KroneckerSu
     return summary
 
 
-def _cluster_multiplicity(evs: np.ndarray, lam: complex, rtol: float = 1e-8) -> int:
-    return int(np.sum(np.abs(evs - lam) <= rtol * max(1.0, abs(lam))))
+def _cluster_multiplicity(evs: np.ndarray, lam: complex) -> int:
+    return int(np.sum(np.abs(evs - lam) <= _CLUSTER_RTOL * max(1.0, abs(lam))))
 
 
 def _axis_eigenvalues_semisimple(summary: KroneckerSummary, tol: ToleranceConfig) -> bool:
@@ -239,7 +270,7 @@ def _axis_eigenvalues_semisimple(summary: KroneckerSummary, tol: ToleranceConfig
     axis = evs[np.abs(evs.real) <= tol.axis_tol]
     seen: list[complex] = []
     for lam in axis:
-        if any(abs(lam - mu) <= 1e-8 * max(1.0, abs(mu)) for mu in seen):
+        if any(abs(lam - mu) <= _CLUSTER_RTOL * max(1.0, abs(mu)) for mu in seen):
             continue
         seen.append(complex(lam))
         alg = _cluster_multiplicity(evs, lam)

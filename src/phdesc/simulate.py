@@ -12,7 +12,6 @@ from __future__ import annotations
 import logging
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import NotIndexOne, ShapeMismatch, SolveFailure
 from .linalg import DEFAULT_TOL, ToleranceConfig, nullspace_basis, pseudo_inverse
@@ -119,6 +118,8 @@ def simulate_closed_loop(
     if shift > 1e-9 * max(1.0, float(np.linalg.norm(x))):
         logger.info("initial state projected onto the constraint set (moved %.3e)", shift)
     x = x_proj
+
+    import scipy.linalg as sla
 
     step_matrix = closed.E - dt * closed.A
     try:

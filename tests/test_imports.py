@@ -1,0 +1,44 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import phdesc
+
+# Runs the analysis commands in a fresh interpreter, records which scipy
+# modules they loaded, then simulates the stabilized loop.
+_SCRIPT = """
+import json, sys
+import numpy as np
+from phdesc.cli import main
+from phdesc.fileio import load_feedback, load_system
+from phdesc.simulate import simulate_closed_loop
+
+d = sys.argv[1]
+codes = [
+    main(["gen", "--n", "6", "--m", "2", "--seed", "4", "--output", d + "/sys.json"]),
+    main(["analyze", "--input", d + "/sys.json", "--report", d + "/analysis.json"]),
+    main(["stabilize", "--input", d + "/sys.json", "--output", d + "/F.json",
+          "--report", d + "/synthesis.json"]),
+]
+scipy_after_analysis = sorted(k for k in sys.modules if k.split(".")[0] == "scipy")
+traj = simulate_closed_loop(load_system(d + "/sys.json"), load_feedback(d + "/F.json"),
+                            np.ones(6), T=0.05, dt=1e-3)
+print(json.dumps({"codes": codes, "scipy_after_analysis": scipy_after_analysis,
+                  "samples": int(traj.t.shape[0]),
+                  "finite": bool(np.isfinite(traj.x).all())}))
+"""
+
+
+def test_analysis_commands_do_not_load_scipy(tmp_path):
+    src = str(Path(phdesc.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", _SCRIPT, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.splitlines()[-1])
+    assert out["codes"] == [0, 0, 0]
+    assert out["scipy_after_analysis"] == []
+    assert out["samples"] == 51 and out["finite"]

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from phdesc.errors import NotPSD, NotSquare, NotSymmetric
+from phdesc.errors import NotSquare
 from phdesc.linalg import (
     DEFAULT_TOL,
     DefinitenessKind,
@@ -12,7 +12,6 @@ from phdesc.linalg import (
     nullspace_basis,
     numerical_rank,
     pseudo_inverse,
-    psd_sqrt,
     range_basis,
     spectral_norm,
     sym_skew_split,
@@ -122,36 +121,6 @@ class TestPseudoInverse:
             scale = max(1.0, spectral_norm(M))
             assert spectral_norm(M @ Mp @ M - M) <= 1e-10 * scale
             assert spectral_norm(Mp @ M @ Mp - Mp) <= 1e-10 * max(1.0, spectral_norm(Mp))
-
-
-class TestPsdSqrt:
-    def test_identity(self):
-        assert np.allclose(psd_sqrt(np.eye(2)), np.eye(2))
-
-    def test_diagonal(self):
-        assert np.allclose(psd_sqrt(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]))
-
-    def test_scalar(self):
-        assert np.allclose(psd_sqrt([[4.0]]), [[2.0]])
-
-    def test_not_symmetric(self):
-        with pytest.raises(NotSymmetric):
-            psd_sqrt([[1.0, 1.0], [0.0, 1.0]])
-
-    def test_not_psd(self):
-        with pytest.raises(NotPSD):
-            psd_sqrt([[-1.0]])
-
-    def test_square_reconstruction(self, rng):
-        for _ in range(30):
-            n = int(rng.integers(1, 7))
-            r = int(rng.integers(0, n + 1))
-            L = rng.normal(size=(n, r)) if r else np.zeros((n, 1)) * 0
-            M = L @ L.T if r else np.zeros((n, n))
-            X = psd_sqrt(M)
-            assert np.allclose(X, X.T)
-            assert np.linalg.eigvalsh(X)[0] >= -1e-12 * max(1.0, spectral_norm(X))
-            assert spectral_norm(X @ X - M) <= 1e-10 * max(1.0, spectral_norm(M))
 
 
 class TestClassifyDefiniteness:

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
+from phdesc import pencil
 from phdesc.errors import HypothesisViolated, ToleranceBreakdown
 from phdesc.generators import brute_force_rank_on_axis, random_ph
 from phdesc.linalg import DEFAULT_TOL, numerical_rank, structural_tol
@@ -93,6 +95,36 @@ class TestStaircase:
         E = np.diag([1.0, 5e-13, 5e-14])
         with pytest.raises(ToleranceBreakdown):
             kronecker_staircase(np.eye(3), E)
+
+
+class TestRegularEigenvalues:
+    def test_match_qz(self, rng):
+        for _ in range(40):
+            n = int(rng.integers(1, 13))
+            E, J, R, _ = random_dissipative_pencil(rng, n, 0)
+            s = kronecker_staircase(J - R, E)
+            if s.n_regular == 0:
+                continue
+            qz = scipy.linalg.eigvals(s.regular_A, s.regular_E)
+            assert_spectra_match(s.finite_eigenvalues, qz, atol=1e-10)
+
+    @pytest.mark.parametrize("factor, qz_calls", [(0.99, 0), (1.01, 1)])
+    def test_qz_only_above_the_cutoff(self, monkeypatch, factor, qz_calls):
+        c = factor * pencil._QZ_COND
+        E = np.diag([1.0, 0.5, 1.0 / c])
+        A = -np.diag([1.0, 2.0, 3.0])
+        calls = []
+        eigvals = scipy.linalg.eigvals
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return eigvals(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "eigvals", counting)
+        s = kronecker_staircase(A, E)
+        assert len(calls) == qz_calls
+        assert s.finite_eigenvalues.dtype == complex
+        assert_spectra_match(s.finite_eigenvalues, [-1.0, -4.0, -3.0 * c], atol=1e-12)
 
 
 class TestPencilReport:
