@@ -18,14 +18,13 @@ from .errors import (
     NotPSD,
     NotSkew,
     NotSquare,
-    NotSymmetric,
     NumericalBreakdown,
     PhdescError,
     ShapeMismatch,
     SolveFailure,
     ToleranceBreakdown,
 )
-from .generators import brute_force_rank_on_axis, random_ph
+from .generators import random_ph
 from .linalg import (
     DEFAULT_TOL,
     Definiteness,

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .fileio import complex_pairs
 from .linalg import DEFAULT_TOL, ToleranceConfig, classify_definiteness
 from .model import PHSystem, apply_feedback, dissipation_matrix
 from .pencil import PencilReport, StabilityClass, pencil_report
@@ -65,7 +66,7 @@ class CertReport:
                     "tolerance": self.psd_tol,
                 },
             },
-            "spectrum": [[float(l.real), float(l.imag)] for l in self.spectrum],
+            "spectrum": complex_pairs(self.spectrum),
         }
 
 

@@ -28,6 +28,7 @@ from .errors import (
 )
 from .fileio import (
     _matrix_to_lists,
+    complex_pairs,
     load_feedback,
     load_system,
     report_to_json,
@@ -107,7 +108,7 @@ def _conditions_dict(sys, tol) -> dict:
     return {
         "stabilizability": {
             "holds": bool(stab),
-            "witnesses": [[w.real, w.imag] for w in witnesses],
+            "witnesses": complex_pairs(witnesses),
         },
         "index_reducibility": {"holds": bool(index_reduction_rank_condition(sys, tol))},
         "strict_passifiability": {"holds": bool(strict_passifiability_condition(sys, tol))},
@@ -181,7 +182,7 @@ def _synthesize_and_certify(args, goal: str) -> int:
     except ConditionsNotMet as exc:
         doc["conditions_met"] = False
         doc["reason"] = str(exc)
-        doc["witnesses"] = [[w.real, w.imag] for w in exc.witnesses]
+        doc["witnesses"] = complex_pairs(exc.witnesses)
         _emit(args, doc)
         _say(f"refused: {exc}")
         return 1

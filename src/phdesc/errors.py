@@ -15,10 +15,6 @@ class NotSquare(ShapeMismatch):
     """A square matrix was required."""
 
 
-class NotSymmetric(PhdescError, ValueError):
-    """Symmetry violation beyond tolerance."""
-
-
 class NotSkew(PhdescError, ValueError):
     """Skew-symmetry violation beyond tolerance."""
 

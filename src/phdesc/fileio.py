@@ -21,6 +21,11 @@ def _matrix_to_lists(M: np.ndarray) -> list[list[float]]:
     return [[float(v) for v in row] for row in np.asarray(M)]
 
 
+def complex_pairs(values) -> list[list[float]]:
+    """Complex numbers as ``[[re, im], ...]``, the report encoding."""
+    return [[float(z.real), float(z.imag)] for z in values]
+
+
 def _matrix_from_lists(data, rows: int, cols: int, name: str) -> np.ndarray:
     try:
         M = np.asarray(data, dtype=float)

@@ -23,7 +23,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InfeasibleKnobs
-from .linalg import DEFAULT_TOL, ToleranceConfig, as_matrix, numerical_rank, structural_tol
 from .model import PHSystem
 
 
@@ -131,23 +130,3 @@ def _blockdiag(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     out[: A.shape[0], : A.shape[1]] = A
     out[A.shape[0] :, A.shape[1] :] = B
     return out
-
-
-def brute_force_rank_on_axis(E, A, B, omega_grid,
-                             tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    """Sampling oracle: SVD rank of ``[i w E - A, B]`` at every grid point.
-
-    True when the rank is n everywhere on the grid.  Complements the
-    eigenvalue-based decision in tests; it can only ever refute at sampled
-    points.
-    """
-    E = as_matrix(E)
-    A = as_matrix(A)
-    B = as_matrix(B) if B is not None else np.zeros((E.shape[0], 0))
-    n = E.shape[0]
-    stol = structural_tol(tol)
-    for omega in np.asarray(omega_grid, dtype=float):
-        M = np.hstack([1j * omega * E - A, B])
-        if numerical_rank(M, stol) < n:
-            return False
-    return True

@@ -123,6 +123,13 @@ def _rank_threshold(s: np.ndarray, shape: tuple[int, int], tol: ToleranceConfig)
     return tol.rank_rtol * float(s[0]) * max(shape)
 
 
+def singular_value_rank(s: np.ndarray, shape: tuple[int, int], tol: ToleranceConfig) -> int:
+    """Number of entries of the descending values s above the relative
+    cutoff ``rank_rtol * s[0] * max(shape)``; the one rank rule of the toolkit
+    outside the staircase."""
+    return int(np.sum(s > _rank_threshold(s, shape, tol)))
+
+
 def numerical_rank(M, tol: ToleranceConfig = DEFAULT_TOL) -> int:
     """Number of singular values above the relative cutoff.
 
@@ -131,8 +138,7 @@ def numerical_rank(M, tol: ToleranceConfig = DEFAULT_TOL) -> int:
     A = as_matrix(M)
     if min(A.shape) == 0:
         return 0
-    s = np.linalg.svd(A, compute_uv=False)
-    return int(np.sum(s > _rank_threshold(s, A.shape, tol)))
+    return singular_value_rank(np.linalg.svd(A, compute_uv=False), A.shape, tol)
 
 
 def nullspace_basis(M, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
@@ -144,8 +150,7 @@ def nullspace_basis(M, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     if A.shape[0] == 0:
         return np.eye(q)
     _, s, vh = np.linalg.svd(A)
-    r = int(np.sum(s > _rank_threshold(s, A.shape, tol)))
-    return vh[r:, :].conj().T
+    return vh[singular_value_rank(s, A.shape, tol):, :].conj().T
 
 
 def range_basis(M, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
@@ -154,8 +159,7 @@ def range_basis(M, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     if min(A.shape) == 0:
         return np.zeros((A.shape[0], 0))
     u, s, _ = np.linalg.svd(A)
-    r = int(np.sum(s > _rank_threshold(s, A.shape, tol)))
-    return u[:, :r]
+    return u[:, :singular_value_rank(s, A.shape, tol)]
 
 
 def pseudo_inverse(M, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:

@@ -27,6 +27,7 @@ from .errors import (
     ShapeMismatch,
     ToleranceBreakdown,
 )
+from .fileio import complex_pairs
 from .linalg import (
     DEFAULT_TOL,
     ToleranceConfig,
@@ -115,8 +116,7 @@ class PencilReport:
             "index": self.index,
             "rank_E": int(self.rank_E),
             "stability_class": self.stability_class.value,
-            "finite_eigenvalues": [[float(l.real), float(l.imag)]
-                                   for l in self.finite_eigenvalues],
+            "finite_eigenvalues": complex_pairs(self.finite_eigenvalues),
             "spectral_abscissa": self.spectral_abscissa,
             "axis_distance": self.axis_distance,
             "infinite_block_sizes": list(self.summary.infinite_block_sizes),
@@ -439,10 +439,7 @@ def index_reduction_rank_condition(sys: PHSystem, tol: ToleranceConfig = DEFAULT
     """Existence condition for regularity and index at most one under
     structure-preserving feedback: ``[E, (J-R) Z_E, B1, B3]`` has rank n,
     with Z_E an orthonormal nullspace basis of E."""
-    B1, B3 = input_range_blocks(sys, tol)
-    Z_E = nullspace_basis(sys.E, tol)
-    stacked = np.hstack([sys.E, sys.A @ Z_E, B1, B3])
-    return numerical_rank(stacked, structural_tol(tol)) == sys.n
+    return index_one_rank_condition(sys.E, sys.A, np.hstack(input_range_blocks(sys, tol)), tol)
 
 
 def strict_passifiability_condition(sys: PHSystem, tol: ToleranceConfig = DEFAULT_TOL) -> bool:

@@ -20,8 +20,8 @@ The feedback is assembled block-wise: the m1-part injects dissipation
 through the definite feedthrough, the m2-part is zero, and the m3-part acts
 through the feedthrough kernel with a free diagonal gain ``-2*beta*I`` on
 the mu1 block, where beta absorbs any indefiniteness plus the requested
-margin.  Every intermediate object is recorded in a :class:`SynthesisTrace`
-so the construction can be audited numerically.
+margin.  The blocks that audit the construction numerically are recorded in
+a :class:`SynthesisTrace`.
 """
 
 from __future__ import annotations
@@ -39,13 +39,15 @@ from .linalg import (
     nullspace_basis,
     numerical_rank,
     range_basis,
+    singular_value_rank,
     spectral_norm,
     structural_tol,
 )
 from .model import PHSystem
 from .pencil import (
-    index_reduction_rank_condition,
-    stabilizability_rank_condition,
+    imaginary_axis_full_rank,
+    index_one_rank_condition,
+    input_range_blocks,
     strict_passifiability_condition,
 )
 
@@ -83,7 +85,6 @@ class DCompression:
     @property
     def dhat(self) -> np.ndarray:
         """Nonsingular right factor: the leading group bordered by identity."""
-        m = self.m1 + self.m2 + self.m3
         T = self.block_form
         T[self.m1 + self.m2 :, self.m1 + self.m2 :] = np.eye(self.m3)
         return T
@@ -91,42 +92,26 @@ class DCompression:
 
 @dataclass
 class SynthesisTrace:
-    """Every intermediate object of the stabilizing construction."""
+    """The blocks of the stabilizing construction that its identities
+    (transformed P, block form of the closed-loop dissipation) are checked on."""
 
     compression: DCompression
     B1: np.ndarray
-    B2: np.ndarray
     B3: np.ndarray
-    P1: np.ndarray
     P2: np.ndarray
     P3: np.ndarray
     F1: np.ndarray
-    F2: np.ndarray
     Z: np.ndarray
-    V1: np.ndarray
-    V3: np.ndarray
     mu: tuple[int, int, int, int]
     R11: np.ndarray
-    R12: np.ndarray
     R22: np.ndarray
     B12: np.ndarray
-    P11: np.ndarray
     P12: np.ndarray
     P13: np.ndarray
     P14: np.ndarray
     Phat11: np.ndarray
-    Phat12: np.ndarray
-    Phat13: np.ndarray
     Phat14: np.ndarray
     F31: np.ndarray
-    F32: np.ndarray
-    F33: np.ndarray
-    F34: np.ndarray
-    beta: float
-    F3: np.ndarray
-    F: np.ndarray
-    dhat_condition: float = np.nan
-    z_condition: float = np.nan
 
 
 def compress_feedthrough(S, N, tol: ToleranceConfig = DEFAULT_TOL) -> DCompression:
@@ -180,14 +165,6 @@ def _pd_sqrt_invsqrt(S11: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (V * np.sqrt(w)) @ V.T, (V / np.sqrt(w)) @ V.T
 
 
-def _svd_rank(s: np.ndarray, shape, tol: ToleranceConfig) -> int:
-    if s.size == 0:
-        return 0
-    # The compressed blocks are products of pseudo-inverse and orthogonal
-    # factors, so the rank cutoff uses the structural policy.
-    return int(np.sum(s > structural_tol(tol).rank_rtol * s[0] * max(shape)))
-
-
 def _state_compression(B3, B1_shalf, R, tol):
     """Nonsingular Z and orthogonal V3, V1 staircasing (B3, B1*S11^(1/2), R).
 
@@ -208,14 +185,16 @@ def _state_compression(B3, B1_shalf, R, tol):
     n = R.shape[0]
     m3 = B3.shape[1]
     m1 = B1_shalf.shape[1]
+    # The compressed blocks are products of pseudo-inverse and orthogonal
+    # factors, so every cutoff here uses the structural policy.
+    stol = structural_tol(tol)
 
     if m3 > 0:
         u, s, vh = np.linalg.svd(B3)
-        mu1 = _svd_rank(s, B3.shape, tol)
+        mu1 = singular_value_rank(s, B3.shape, stol)
         V3 = vh.T
         Za = u.T.copy()
-        if mu1:
-            Za[:mu1, :] /= s[:mu1, None]
+        Za[:mu1, :] /= s[:mu1, None]
     else:
         mu1 = 0
         V3 = np.zeros((0, 0))
@@ -225,15 +204,12 @@ def _state_compression(B3, B1_shalf, R, tol):
     T_top, T_rest = T[:mu1, :], T[mu1:, :]
     if m1 > 0 and T_rest.shape[0] > 0:
         uc, sc, vch = np.linalg.svd(T_rest)
-        mu2 = _svd_rank(sc, T_rest.shape, tol)
+        mu2 = singular_value_rank(sc, T_rest.shape, stol)
         V1 = vch.T
         Y = uc.T.copy()
-        if mu2:
-            Y[:mu2, :] /= sc[:mu2, None]
-        T1 = (T_top @ V1)[:, :mu2]
+        Y[:mu2, :] /= sc[:mu2, None]
         Xc = np.zeros((mu1, T_rest.shape[0]))
-        if mu2:
-            Xc[:, :mu2] = -T1 / sc[:mu2]
+        Xc[:, :mu2] = -(T_top @ V1)[:, :mu2] / sc[:mu2]
         X = Xc @ uc.T
     else:
         mu2 = 0
@@ -254,16 +230,11 @@ def _state_compression(B3, B1_shalf, R, tol):
         w, Q = np.linalg.eigh(R_rr)
         order = np.argsort(-w)
         w, Q = w[order], Q[:, order]
-        wmax = max(float(w[0]), 0.0)
-        rtol = structural_tol(tol).rank_rtol
-        mu3 = int(np.sum(w > rtol * wmax * r)) if wmax > 0 else 0
+        # w[0] <= 0 puts the cutoff at or above w[0] (rank_rtol * r < 1): mu3 = 0.
+        mu3 = singular_value_rank(w, R_rr.shape, stol)
         Yc = Q.T.copy()
-        if mu3:
-            Yc[:mu3, :] /= np.sqrt(w[:mu3, None])
-        if mu3:
-            Rrr_pinv = (Q[:, :mu3] / w[:mu3]) @ Q[:, :mu3].T
-        else:
-            Rrr_pinv = np.zeros((r, r))
+        Yc[:mu3, :] /= np.sqrt(w[:mu3, None])
+        Rrr_pinv = (Q[:, :mu3] / w[:mu3]) @ Q[:, :mu3].T
         Xc2 = -R_kr @ Rrr_pinv
     else:
         mu3 = 0
@@ -293,13 +264,11 @@ def build_stabilizing_feedback(
     except np.linalg.LinAlgError as exc:
         raise NumericalBreakdown("feedthrough block group is numerically singular") from exc
     B1 = B_blocks[:, :m1]
-    B2 = B_blocks[:, m1 : m1 + m2]
     B3 = B_blocks[:, m1 + m2 :]
     PU = sys.P @ U
     P1, P2, P3 = PU[:, :m1], PU[:, m1 : m1 + m2], PU[:, m1 + m2 :]
 
     F1 = -2.0 * (B1 @ dc.S11 + P1).T
-    F2 = np.zeros((m2, n))
 
     S11_half, S11_invhalf = _pd_sqrt_invsqrt(dc.S11)
     Z, V3, V1, mu, B12 = _state_compression(B3, B1 @ S11_half, sys.R, tol)
@@ -332,20 +301,13 @@ def build_stabilizing_feedback(
     ])
     F3 = V3 @ np.linalg.solve(Z, F3_rows.T).T
 
-    stacked = np.vstack([F1, F2, F3])
+    stacked = np.vstack([F1, np.zeros((m2, n)), F3])
     F = U @ np.linalg.solve(dhat, stacked) if m else np.zeros((0, n))
 
     trace = SynthesisTrace(
-        compression=dc,
-        B1=B1, B2=B2, B3=B3, P1=P1, P2=P2, P3=P3,
-        F1=F1, F2=F2, Z=Z, V1=V1, V3=V3, mu=mu,
-        R11=R11, R12=R12, R22=R22, B12=B12,
-        P11=P11, P12=P12, P13=P13, P14=P14,
-        Phat11=Phat11, Phat12=Phat12, Phat13=Phat13, Phat14=Phat14,
-        F31=F31, F32=F32, F33=F33, F34=F34,
-        beta=beta, F3=F3, F=F,
-        dhat_condition=float(np.linalg.cond(dhat)) if m else 1.0,
-        z_condition=float(np.linalg.cond(Z)) if n else 1.0,
+        compression=dc, B1=B1, B3=B3, P2=P2, P3=P3, F1=F1, Z=Z, mu=mu,
+        R11=R11, R22=R22, B12=B12, P12=P12, P13=P13, P14=P14,
+        Phat11=Phat11, Phat14=Phat14, F31=F31,
     )
     return F, trace
 
@@ -362,8 +324,10 @@ def synthesize_stabilizing(
     points) when the feedback-existence conditions fail, since no feedback
     can then achieve all four properties.
     """
-    ok_axis, witnesses = stabilizability_rank_condition(sys, tol)
-    ok_index = index_reduction_rank_condition(sys, tol)
+    # stabilizability_rank_condition and index_reduction_rank_condition on one [B1, B3].
+    B_in = np.hstack(input_range_blocks(sys, tol))
+    ok_axis, witnesses = imaginary_axis_full_rank(sys.E, sys.A, B_in, tol)
+    ok_index = index_one_rank_condition(sys.E, sys.A, B_in, tol)
     if not (ok_axis and ok_index):
         failed = []
         if not ok_axis:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from phdesc.linalg import pseudo_inverse
+from phdesc.linalg import DEFAULT_TOL, as_matrix, numerical_rank, pseudo_inverse, structural_tol
 
 settings.register_profile("suite", deadline=None, max_examples=50, derandomize=True)
 settings.load_profile("suite")
@@ -63,6 +63,24 @@ def assert_spectra_match(e1, e2, atol=1e-8):
         j = int(np.argmin(dists)) if dists else -1
         assert dists and dists[j] <= atol * max(1.0, abs(lam)), (lam, e2)
         e2.pop(j)
+
+
+def brute_force_rank_on_axis(E, A, B, omega_grid, tol=DEFAULT_TOL):
+    """Sampling oracle: SVD rank of ``[i w E - A, B]`` at every grid point.
+
+    True when the rank is n everywhere on the grid.  Complements the
+    eigenvalue-based decision; it can only ever refute at sampled points.
+    """
+    E = as_matrix(E)
+    A = as_matrix(A)
+    B = as_matrix(B) if B is not None else np.zeros((E.shape[0], 0))
+    n = E.shape[0]
+    stol = structural_tol(tol)
+    for omega in np.asarray(omega_grid, dtype=float):
+        M = np.hstack([1j * omega * E - A, B])
+        if numerical_rank(M, stol) < n:
+            return False
+    return True
 
 
 @pytest.fixture

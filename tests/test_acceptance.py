@@ -12,7 +12,7 @@ import numpy as np
 from phdesc.certify import certify_closed_loop
 from phdesc.cli import main as cli_main
 from phdesc.fileio import load_feedback, save_system
-from phdesc.generators import brute_force_rank_on_axis, random_ph
+from phdesc.generators import random_ph
 from phdesc.linalg import DEFAULT_TOL, numerical_rank, spectral_norm, structural_tol
 from phdesc.model import (
     PHSystem,
@@ -42,7 +42,11 @@ from phdesc.synthesis import (
     synthesize_passifying,
     synthesize_stabilizing,
 )
-from conftest import random_admissible_feedback, random_dissipative_pencil
+from conftest import (
+    brute_force_rank_on_axis,
+    random_admissible_feedback,
+    random_dissipative_pencil,
+)
 
 
 def _verdict(name, ok, detail=""):

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from phdesc.errors import InfeasibleKnobs
-from phdesc.generators import brute_force_rank_on_axis, random_ph
+from phdesc.generators import random_ph
 from phdesc.linalg import classify_definiteness, numerical_rank
 from phdesc.model import validate
 from phdesc.pencil import singular_common_nullspace, stabilizability_rank_condition
+from conftest import brute_force_rank_on_axis
 
 
 class TestRandomPH:

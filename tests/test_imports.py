@@ -1,3 +1,5 @@
+import ast
+import importlib
 import json
 import os
 import subprocess
@@ -5,6 +7,7 @@ import sys
 from pathlib import Path
 
 import phdesc
+import phdesc.cli
 
 # Runs the analysis commands in a fresh interpreter, records which scipy
 # modules they loaded, then simulates the stabilized loop.
@@ -42,3 +45,39 @@ def test_analysis_commands_do_not_load_scipy(tmp_path):
     assert out["codes"] == [0, 0, 0]
     assert out["scipy_after_analysis"] == []
     assert out["samples"] == 51 and out["finite"]
+
+
+_REPO = Path(__file__).resolve().parents[1]
+_WORKLOADS = ast.parse((_REPO / "bench" / "workloads.py").read_text(encoding="utf-8"))
+
+
+def test_benchmark_imports_from_phdesc_exist():
+    imported = [(node.module, alias.name) for node in ast.walk(_WORKLOADS)
+                if isinstance(node, ast.ImportFrom) and node.module
+                and node.module.split(".")[0] == "phdesc"
+                for alias in node.names]
+    assert imported
+    missing = [f"{mod}.{name}" for mod, name in imported
+               if not hasattr(importlib.import_module(mod), name)]
+    assert missing == []
+
+
+def test_traced_cli_attributes_exist():
+    # bench/run.py --trace 1 wraps these phdesc.cli attributes by name
+    instrument = next(node for node in ast.walk(_WORKLOADS)
+                      if isinstance(node, ast.FunctionDef) and node.name == "instrument_cli")
+    wraps = next(node.value for node in ast.walk(instrument)
+                 if isinstance(node, ast.Assign) and isinstance(node.value, ast.Dict))
+    attrs = [ast.literal_eval(key) for key in wraps.keys]
+    assert attrs
+    assert [a for a in attrs if not hasattr(phdesc.cli, a)] == []
+
+
+def test_demo_script_runs(tmp_path):
+    env = dict(os.environ)
+    src = str(Path(phdesc.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, str(_REPO / "scripts" / "demo_closed_loop.py"),
+                           "--out", str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

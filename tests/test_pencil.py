@@ -4,7 +4,7 @@ import scipy.linalg
 
 from phdesc import pencil
 from phdesc.errors import HypothesisViolated, ToleranceBreakdown
-from phdesc.generators import brute_force_rank_on_axis, random_ph
+from phdesc.generators import random_ph
 from phdesc.linalg import DEFAULT_TOL, numerical_rank, structural_tol
 from phdesc.model import PHSystem
 from phdesc.pencil import (
@@ -21,7 +21,7 @@ from phdesc.pencil import (
     undamped_block_nonsingularity_condition,
     undamped_block_stability_condition,
 )
-from conftest import assert_spectra_match, random_dissipative_pencil
+from conftest import assert_spectra_match, brute_force_rank_on_axis, random_dissipative_pencil
 
 ONE = np.array([[1.0]])
 ZERO = np.array([[0.0]])

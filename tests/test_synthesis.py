@@ -187,6 +187,56 @@ class TestSynthesizeStabilizing:
             assert certify_closed_loop(sys, F, goal="stabilize").overall
 
 
+FAMILIES = {
+    "plain": {},
+    "s-definite": {"s_definite": True},
+    "axis-mode": {"force_axis_modes": True},
+    "singular": {"force_singular": True},
+}
+
+
+def _family_system(family, seed):
+    srng = np.random.default_rng(seed)
+    n, m = int(srng.integers(4, 9)), int(srng.integers(1, 3))
+    knobs = dict(FAMILIES[family])
+    if seed % 2:
+        # low-rank E and W, so that the index-reduction condition fails too
+        axis = 2 if knobs.get("force_axis_modes") else 0
+        core = n - axis - (1 if knobs.get("force_singular") else 0)
+        knobs["rank_e"] = axis + int(srng.integers(0, core // 2 + 1))
+        knobs["rank_w"] = int(srng.integers(0, 2))
+    return random_ph(n, m, seed, **knobs)
+
+
+def _synthesis_agrees_with_conditions(sys):
+    """Refusal exactly when a public condition fails, carrying its witnesses."""
+    ok_axis, witnesses = stabilizability_rank_condition(sys)
+    ok_index = index_reduction_rank_condition(sys)
+    if ok_axis and ok_index:
+        F, _ = synthesize_stabilizing(sys)
+        assert F.shape == (sys.m, sys.n)
+    else:
+        with pytest.raises(ConditionsNotMet) as exc:
+            synthesize_stabilizing(sys)
+        assert exc.value.witnesses == witnesses
+        assert ("stabilizability" in str(exc.value)) == (not ok_axis)
+        assert ("index-reduction" in str(exc.value)) == (not ok_index)
+    return ok_axis, ok_index
+
+
+class TestSynthesisAgreesWithConditions:
+    def test_generator_families(self):
+        outcomes = set()
+        for family in FAMILIES:
+            for seed in range(16):
+                outcomes.add(_synthesis_agrees_with_conditions(_family_system(family, seed)))
+        assert outcomes == {(True, True), (False, True), (False, False)}
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_narrow_axis_mode(self, seed):
+        _synthesis_agrees_with_conditions(random_ph(60, 1, seed, force_axis_modes=True))
+
+
 class TestSynthesizePassifying:
     def test_scalar_example(self):
         sys = scalar_system(E=1, R=1, G=1, S=1)
