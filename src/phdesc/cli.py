@@ -38,7 +38,7 @@ from .fileio import (
     write_report,
 )
 from .generators import random_ph
-from .linalg import DEFAULT_TOL, ToleranceConfig, nullspace_basis, structural_tol
+from .linalg import DEFAULT_TOL, ToleranceConfig
 from .model import (
     apply_feedback,
     dissipation_inequality_check,
@@ -46,9 +46,9 @@ from .model import (
     validate,
 )
 from .pencil import (
+    common_nullspace_basis,
     index_reduction_rank_condition,
     pencil_report,
-    singular_common_nullspace,
     stabilizability_rank_condition,
     strict_passifiability_condition,
 )
@@ -154,7 +154,8 @@ def _cmd_analyze(args) -> int:
     sys_ = load_system(args.input)
     tol = _tol_from_args(args)
     rep = pencil_report(sys_.E, sys_.A, tol)
-    singular = bool(singular_common_nullspace(sys_, tol))
+    basis = common_nullspace_basis(sys_, tol)
+    singular = basis.shape[1] > 0
     doc = {
         "kind": "analysis",
         "tolerances": dataclasses.asdict(tol),
@@ -163,7 +164,6 @@ def _cmd_analyze(args) -> int:
         "conditions": _conditions_dict(sys_, tol),
     }
     if singular:
-        basis = nullspace_basis(np.vstack([sys_.E, sys_.J, sys_.R]), structural_tol(tol))
         doc["common_nullspace_basis"] = _matrix_to_lists(basis)
     _emit(args, doc)
     _say(f"pencil: {rep.stability_class.value}, index {rep.index}")

@@ -4,13 +4,18 @@ The workhorse is a staircase reduction with orthogonal transformations that
 deflates a (possibly rectangular, possibly singular) pencil into its
 Kronecker constituents: right/left minimal indices, infinite elementary
 divisors, and a square regular part with invertible E whose generalized
-eigenvalues are the finite spectrum.
+eigenvalues are the finite spectrum.  Pencil reports and the generic
+"full row rank on the whole imaginary axis" decisions go through this
+reduction: the rank of ``[s E - A, B]`` drops below its normal value exactly
+at the finite eigenvalues of the regular part of the augmented pencil.
 
-All "full rank on the whole imaginary axis" questions are decided through
-this reduction: the rank of ``[s E - A, B]`` drops below its normal value
-exactly at the finite eigenvalues of the regular part of the augmented
-pencil, so the decision is a finite check on those eigenvalues instead of a
-sampling sweep.
+The feedback-existence condition on port-Hamiltonian data takes a shorter
+route.  A rank drop of ``[s E - (J - R), B]`` at ``s = i w`` needs a left
+null vector y with ``R y = 0``, ``B^T y = 0`` and ``(i w E - J) y = 0``, so
+only the kernel Z of ``[R; B^T]`` can carry one.  That kernel is usually
+empty; otherwise the candidate points are the eigenvalues of the small
+pencil ``(Z^T E Z, Z^T J Z)``, and each is decided by a
+Popov-Belevitch-Hautus (PBH) rank test on ``[i w E - A, B]``.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ from .linalg import (
     numerical_rank,
     pseudo_inverse,
     range_basis,
+    singular_value_rank,
     spectral_norm,
     structural_tol,
 )
@@ -44,7 +50,8 @@ from .model import PHSystem
 
 # The SVD-scaled standard eigenproblem drifts from QZ about in step with
 # cond(E_reg) (near axis_tol at 1e8); above this sigma_max / sigma_min of
-# E_reg, QZ decides instead.
+# E_reg, QZ decides instead.  The PBH route scales Z^T E Z the same way and
+# leaves the decision to the staircase above the same cutoff.
 _QZ_COND = 1e4
 
 # Relative distance within which two computed eigenvalues count as one.
@@ -134,13 +141,14 @@ def _decide_rank(s: np.ndarray, thr: float, stage: str) -> int:
     return r
 
 
-def _deflate_right_and_infinite(A, E, thr_a, thr_e, stage):
+def _deflate_right_and_infinite(A, E, thr_a, thr_e, stage, svd_e=None):
     """Alternating kernel-column / row compressions of ``s E - A``.
 
     Per step j records nu_j (kernel width of E) and s_j (row rank of A on
     that kernel), then deflates to the trailing subpencil.  Terminates with
     E of full column rank.  Thresholds are anchored at the original pencil
     norms so that later stages keep a consistent notion of "zero".
+    ``svd_e``, when given, is the full SVD of E and serves as step 1's.
 
     Also returns the full SVD ``(U, s, Vh)`` of the final E taken at the
     step that found it of full column rank, or None when no columns remain.
@@ -151,7 +159,8 @@ def _deflate_right_and_infinite(A, E, thr_a, thr_e, stage):
     svd_final = None
     while Ec.shape[1] > 0:
         q = Ec.shape[1]
-        u_e, s_e, vh_e = np.linalg.svd(Ec)
+        u_e, s_e, vh_e = np.linalg.svd(Ec) if svd_e is None else svd_e
+        svd_e = None
         r_e = _decide_rank(s_e, thr_e, f"{stage}: E-compression, step {step}")
         k = q - r_e
         if k == 0:
@@ -214,6 +223,12 @@ def _regular_eigenvalues(A_reg, E_reg, svd_e2t) -> np.ndarray:
 
 def kronecker_staircase(A, E, tol: ToleranceConfig = DEFAULT_TOL) -> KroneckerSummary:
     """Kronecker block data of the pencil ``s E - A`` (rectangular allowed)."""
+    return _staircase(A, E, tol)[0]
+
+
+def _staircase(A, E, tol: ToleranceConfig) -> tuple[KroneckerSummary, np.ndarray]:
+    """:func:`kronecker_staircase` plus the singular values of E, taken from
+    the right pass's first SVD."""
     A = as_matrix(A)
     E = as_matrix(E)
     if A.shape != E.shape:
@@ -221,10 +236,13 @@ def kronecker_staircase(A, E, tol: ToleranceConfig = DEFAULT_TOL) -> KroneckerSu
     p, q = A.shape
     maxdim = max(p, q, 1)
     rtol = structural_tol(tol).rank_rtol
-    thr_e = rtol * maxdim * spectral_norm(E)
+    svd_e = np.linalg.svd(E) if q else None
+    s_e = svd_e[1] if q else np.zeros(0)
+    thr_e = rtol * maxdim * (float(s_e[0]) if s_e.size else 0.0)
     thr_a = rtol * maxdim * spectral_norm(A)
 
-    nu_r, ss_r, A1, E1, _ = _deflate_right_and_infinite(A, E, thr_a, thr_e, "right pass")
+    nu_r, ss_r, A1, E1, _ = _deflate_right_and_infinite(
+        A, E, thr_a, thr_e, "right pass", svd_e)
     right_minimal, infinite_sizes = _minimal_and_infinite(nu_r, ss_r, "right pass")
 
     nu_l, ss_l, A2t, E2t, svd_e2t = _deflate_right_and_infinite(
@@ -257,7 +275,7 @@ def kronecker_staircase(A, E, tol: ToleranceConfig = DEFAULT_TOL) -> KroneckerSu
     )
     if summary.dimension_accounting() != (p, q):
         raise NumericalBreakdown("staircase block sizes do not account for the pencil shape")
-    return summary
+    return summary, s_e
 
 
 def _cluster_multiplicity(evs: np.ndarray, lam: complex) -> int:
@@ -287,7 +305,7 @@ def pencil_report(E, A, tol: ToleranceConfig = DEFAULT_TOL) -> PencilReport:
     A = as_matrix(A)
     if E.shape[0] != E.shape[1] or A.shape != E.shape:
         raise NotSquare("pencil_report requires square E and A of equal shape")
-    summary = kronecker_staircase(A, E, tol)
+    summary, s_e = _staircase(A, E, tol)
     evs = summary.finite_eigenvalues
     re = evs.real
     abscissa = float(re.max()) if evs.size else None
@@ -308,7 +326,7 @@ def pencil_report(E, A, tol: ToleranceConfig = DEFAULT_TOL) -> PencilReport:
         regular=summary.is_regular,
         index=summary.index,
         finite_eigenvalues=evs,
-        rank_E=numerical_rank(E, tol),
+        rank_E=singular_value_rank(s_e, E.shape, tol),
         stability_class=cls,
         spectral_abscissa=abscissa,
         axis_distance=axis_dist,
@@ -316,11 +334,15 @@ def pencil_report(E, A, tol: ToleranceConfig = DEFAULT_TOL) -> PencilReport:
     )
 
 
+def common_nullspace_basis(sys: PHSystem, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+    """Orthonormal basis (n x k) of the common nullspace of E, J and R."""
+    return nullspace_basis(np.vstack([sys.E, sys.J, sys.R]), structural_tol(tol))
+
+
 def singular_common_nullspace(sys: PHSystem, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """True when E, J, R share a nullspace direction, which for valid
     port-Hamiltonian data is equivalent to ``s E - (J - R)`` being singular."""
-    stacked = np.vstack([sys.E, sys.J, sys.R])
-    return numerical_rank(stacked, structural_tol(tol)) < sys.n
+    return common_nullspace_basis(sys, tol).shape[1] > 0
 
 
 def _axis_full_row_rank(M, K, tol: ToleranceConfig) -> tuple[bool, list[complex]]:
@@ -359,6 +381,66 @@ def imaginary_axis_full_rank(E, A, B, tol: ToleranceConfig = DEFAULT_TOL) -> tup
     M = np.hstack([E, np.zeros((n, B.shape[1]))])
     K = np.hstack([A, B])
     return _axis_full_row_rank(M, K, tol)
+
+
+def _pbh_deficiency(E, A, B, omega: float, stol: ToleranceConfig) -> int:
+    """Rank deficiency of ``[i w E - A, B]``, decided with a tenfold margin
+    on both sides of the structural threshold or refused."""
+    M = np.hstack([1j * omega * E - A, B]) if omega else np.hstack([-A, B])
+    s = np.linalg.svd(M, compute_uv=False)
+    thr = stol.rank_rtol * (float(s[0]) if s.size else 0.0) * max(M.shape)
+    near = (s > thr / 10.0) & (s < 10.0 * thr)
+    if near.any():
+        kept, dropped = s[s > thr], s[s <= thr]
+        raise ToleranceBreakdown(f"PBH test, s = {omega:.6g}i", thr,
+                                 float(kept[-1]) if kept.size else np.inf,
+                                 float(dropped[0]) if dropped.size else 0.0)
+    return E.shape[0] - int(np.sum(s > thr))
+
+
+def _ph_axis_full_rank(sys: PHSystem, B_in, tol: ToleranceConfig) -> tuple[bool, list[complex]]:
+    """:func:`imaginary_axis_full_rank` of ``(E, J - R, B_in)`` for
+    port-Hamiltonian data (E symmetric, J skew, R positive semidefinite).
+
+    A left null vector y of ``[i w E - A, B_in]`` has ``y^H R y = 0`` (the
+    real part of ``y^H (i w E - A) y``), hence ``R y = 0``,
+    ``B_in^T y = 0`` and ``(i w E - J) y = 0``.  So y lies in
+    ``Z = ker [R; B_in^T]``, and ``i w`` is an eigenvalue of
+    ``(Z^T E Z, Z^T J Z)``, whose spectrum is imaginary when ``Z^T E Z`` is
+    definite.  Each such candidate pair is decided by a PBH test; the
+    staircase decides instead when ``Z^T E Z`` is numerically singular or
+    too ill-conditioned to place the candidates.
+    """
+    stol = structural_tol(tol)
+    E, n = sys.E, sys.n
+    u, s, _ = np.linalg.svd(np.hstack([sys.R.T, B_in]), full_matrices=False)
+    Z = u[:, singular_value_rank(s, (n, n + B_in.shape[1]), stol):]
+    if Z.shape[1] == 0:
+        return True, []
+    Ed = Z.T @ E @ Z
+    lam, V = np.linalg.eigh((Ed + Ed.T) / 2.0)
+    # The Frobenius norm bounds ||E||_2 from above, so this errs toward the staircase.
+    if (lam[0] <= stol.rank_rtol * n * np.linalg.norm(E)
+            or lam[-1] > _QZ_COND * lam[0]):
+        return imaginary_axis_full_rank(E, sys.A, B_in, tol)
+    d = V / np.sqrt(lam)
+    K = d.T @ (Z.T @ sys.J @ Z) @ d
+    # K is skew: its eigenvalues i w pair up, and i K is Hermitian with eigenvalues -w.
+    candidates = np.sort(np.abs(np.linalg.eigvalsh(1j * K)))
+    # One PBH test per cluster of |w|; a rank drop at i w recurs at -i w.
+    witnesses: list[complex] = []
+    decided = -np.inf
+    for c in candidates:
+        if c - decided <= _CLUSTER_RTOL * max(1.0, c):
+            continue
+        decided = c
+        omega = float(c) if c > _CLUSTER_RTOL else 0.0
+        k = _pbh_deficiency(E, sys.A, B_in, omega, stol)
+        witnesses += [complex(0.0, omega)] * k
+        if omega:
+            witnesses += [complex(0.0, -omega)] * k
+    witnesses.sort(key=lambda z: (z.imag, z.real))
+    return not witnesses, witnesses
 
 
 def undamped_block_stability_condition(E, J, R, n1: int,
@@ -429,10 +511,11 @@ def stabilizability_rank_condition(sys: PHSystem, tol: ToleranceConfig = DEFAULT
     """Existence condition for a structure-preserving stabilizing feedback:
     ``[s E - (J - R), B1, B3]`` must keep full row rank on the imaginary axis.
 
-    Returns the verdict and the offending axis points when it fails.
+    Decided by PBH tests on the kernel of ``[R; B1^T; B3^T]``, with a
+    :class:`ToleranceBreakdown` when a test has no tenfold margin.  Returns
+    the verdict and the offending axis points when it fails.
     """
-    B1, B3 = input_range_blocks(sys, tol)
-    return imaginary_axis_full_rank(sys.E, sys.A, np.hstack([B1, B3]), tol)
+    return _ph_axis_full_rank(sys, np.hstack(input_range_blocks(sys, tol)), tol)
 
 
 def index_reduction_rank_condition(sys: PHSystem, tol: ToleranceConfig = DEFAULT_TOL) -> bool:

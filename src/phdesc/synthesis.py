@@ -45,7 +45,7 @@ from .linalg import (
 )
 from .model import PHSystem
 from .pencil import (
-    imaginary_axis_full_rank,
+    _ph_axis_full_rank,
     index_one_rank_condition,
     input_range_blocks,
     strict_passifiability_condition,
@@ -326,7 +326,7 @@ def synthesize_stabilizing(
     """
     # stabilizability_rank_condition and index_reduction_rank_condition on one [B1, B3].
     B_in = np.hstack(input_range_blocks(sys, tol))
-    ok_axis, witnesses = imaginary_axis_full_rank(sys.E, sys.A, B_in, tol)
+    ok_axis, witnesses = _ph_axis_full_rank(sys, B_in, tol)
     ok_index = index_one_rank_condition(sys.E, sys.A, B_in, tol)
     if not (ok_axis and ok_index):
         failed = []

@@ -52,6 +52,12 @@ class TestGenValidateAnalyze:
         doc = json.loads(report.read_text())
         assert doc["singular_common_nullspace"] is True
         assert doc["pencil"]["stability_class"] == "singular"
+        sys_ = load_system(sys_path)
+        basis = np.array(doc["common_nullspace_basis"])
+        assert basis.shape == (4, 1)
+        assert np.allclose(basis.T @ basis, np.eye(1), atol=1e-12)
+        for M in (sys_.E, sys_.J, sys_.R):
+            assert np.linalg.norm(M @ basis) < 1e-12
 
     def test_malformed_input_exit_two(self, tmp_path):
         bad = tmp_path / "bad.json"

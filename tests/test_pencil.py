@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 
 from phdesc import pencil
-from phdesc.errors import HypothesisViolated, ToleranceBreakdown
+from phdesc.errors import ConditionsNotMet, HypothesisViolated, ToleranceBreakdown
 from phdesc.generators import random_ph
 from phdesc.linalg import DEFAULT_TOL, numerical_rank, structural_tol
 from phdesc.model import PHSystem
@@ -21,6 +21,7 @@ from phdesc.pencil import (
     undamped_block_nonsingularity_condition,
     undamped_block_stability_condition,
 )
+from phdesc.synthesis import synthesize_stabilizing
 from conftest import assert_spectra_match, brute_force_rank_on_axis, random_dissipative_pencil
 
 ONE = np.array([[1.0]])
@@ -305,3 +306,85 @@ class TestFeedbackExistenceConditions:
         assert index_one_rank_condition(np.eye(2), np.zeros((2, 2)), np.zeros((2, 0)))
         assert index_one_rank_condition(ZERO, ZERO, ONE)
         assert not index_one_rank_condition(ZERO, ZERO, ZERO)
+
+
+def _transformed(sys, Q, c):
+    """The system in the state basis Q, with every coefficient scaled by c."""
+    return PHSystem(E=c * Q.T @ sys.E @ Q, J=c * Q.T @ sys.J @ Q, R=c * Q.T @ sys.R @ Q,
+                    G=c * Q.T @ sys.G, P=c * Q.T @ sys.P, S=c * sys.S, N=c * sys.N)
+
+
+def _coupled_oscillator(eps):
+    """Undamped oscillator at s = 1.5i, coupled by eps to a damped state and
+    to no input; rank [1.5i E - A] drops by about eps^2."""
+    J = np.zeros((3, 3))
+    J[0, 1], J[0, 2] = 1.5, eps
+    return PHSystem(E=np.eye(3), J=J - J.T, R=np.diag([0.0, 0.0, 1.0]),
+                    G=np.zeros((3, 0)), P=np.zeros((3, 0)),
+                    S=np.zeros((0, 0)), N=np.zeros((0, 0)))
+
+
+class TestStabilizabilityPBH:
+    # Axis-mode systems whose oscillator no input reaches, which the
+    # augmented staircase of [sE - A, B1, B3] wrongly accepts.
+    NARROW = ([(60, 1, seed) for seed in range(12)]
+              + [(8, 3, 8310), (10, 1, 2), (11, 3, 7), (12, 1, 8)])
+
+    @pytest.mark.parametrize("n, m, seed", NARROW)
+    def test_unreachable_oscillator_refused(self, n, m, seed):
+        sys = random_ph(n, m, seed, force_axis_modes=True)
+        ok, wit = stabilizability_rank_condition(sys)
+        assert not ok
+        assert len(wit) == 2 and wit[0] == wit[1].conjugate()
+        assert wit[0].real == 0.0 and wit[1].imag > 0
+        B = np.hstack(input_range_blocks(sys))
+        for w in wit:
+            M = np.hstack([w * sys.E - sys.A, B])
+            s = np.linalg.svd(M, compute_uv=False)
+            thr = structural_tol(DEFAULT_TOL).rank_rtol * s[0] * max(M.shape)
+            assert s[n - 1] <= thr / 10
+        with pytest.raises(ConditionsNotMet) as info:
+            synthesize_stabilizing(sys)
+        assert info.value.witnesses == wit
+
+    # rank_w = 0 leaves R = 0, so Z^T E Z can be singular and the staircase decides.
+    @pytest.mark.parametrize("family", [{}, {"s_definite": True},
+                                        {"force_axis_modes": True}, {"force_singular": True},
+                                        {"rank_w": 0}])
+    @pytest.mark.parametrize("seed", [3, 14, 15])
+    def test_invariant_under_state_change_and_scaling(self, family, seed):
+        srng = np.random.default_rng(seed)
+        n, m = int(srng.integers(4, 13)), int(srng.integers(1, 5))
+        sys = random_ph(n, m, seed, **family)
+        ok, wit = stabilizability_rank_condition(sys)
+        Q, _ = np.linalg.qr(srng.normal(size=(n, n)))
+        for c in (1.0, 1e-6, 1e6):
+            ok_c, wit_c = stabilizability_rank_condition(_transformed(sys, Q, c))
+            assert ok_c == ok and len(wit_c) == len(wit), c
+            assert_spectra_match(wit_c, wit, atol=1e-8)
+
+    @pytest.mark.parametrize("eps, outcome", [(1e-4, True), (1e-6, None), (1e-9, False)])
+    def test_near_threshold_refused_not_flipped(self, eps, outcome):
+        sys = _coupled_oscillator(eps)
+        if outcome is None:
+            with pytest.raises(ToleranceBreakdown, match="PBH"):
+                stabilizability_rank_condition(sys)
+        else:
+            ok, wit = stabilizability_rank_condition(sys)
+            assert ok == outcome
+            assert wit == ([] if ok else [-1.5j, 1.5j])
+
+    def test_svd_count(self, monkeypatch):
+        # the augmented staircase of [sE - A, b] takes one SVD per compression
+        # step, over a hundred here
+        sys = random_ph(60, 1, 1, force_axis_modes=True)
+        calls = []
+        svd = np.linalg.svd
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        stabilizability_rank_condition(sys)
+        assert len(calls) <= 6, calls
