@@ -53,7 +53,6 @@ from .pencil import (
     KroneckerSummary,
     PencilReport,
     StabilityClass,
-    common_nullspace_basis,
     imaginary_axis_full_rank,
     index_one_rank_condition,
     index_reduction_rank_condition,

@@ -38,7 +38,7 @@ from .fileio import (
     write_report,
 )
 from .generators import random_ph
-from .linalg import DEFAULT_TOL, ToleranceConfig
+from .linalg import DEFAULT_TOL, ToleranceConfig, nullspace_basis, structural_tol
 from .model import (
     apply_feedback,
     dissipation_inequality_check,
@@ -46,7 +46,6 @@ from .model import (
     validate,
 )
 from .pencil import (
-    common_nullspace_basis,
     index_reduction_rank_condition,
     pencil_report,
     stabilizability_rank_condition,
@@ -154,7 +153,7 @@ def _cmd_analyze(args) -> int:
     sys_ = load_system(args.input)
     tol = _tol_from_args(args)
     rep = pencil_report(sys_.E, sys_.A, tol)
-    basis = common_nullspace_basis(sys_, tol)
+    basis = nullspace_basis(np.vstack([sys_.E, sys_.J, sys_.R]), structural_tol(tol))
     singular = basis.shape[1] > 0
     doc = {
         "kind": "analysis",

@@ -12,10 +12,12 @@ at the finite eigenvalues of the regular part of the augmented pencil.
 The feedback-existence condition on port-Hamiltonian data takes a shorter
 route.  A rank drop of ``[s E - (J - R), B]`` at ``s = i w`` needs a left
 null vector y with ``R y = 0``, ``B^T y = 0`` and ``(i w E - J) y = 0``, so
-only the kernel Z of ``[R; B^T]`` can carry one.  That kernel is usually
-empty; otherwise the candidate points are the eigenvalues of the small
-pencil ``(Z^T E Z, Z^T J Z)``, and each is decided by a
-Popov-Belevitch-Hautus (PBH) rank test on ``[i w E - A, B]``.
+only the kernel Z of ``[R; B^T]`` can carry one (widened to the directions
+that R damps by less than axis_tol, where weakly damped modes live).  That
+space is usually empty; otherwise the candidate points are the eigenvalues
+of the small pencil ``(Z^T E Z, Z^T J Z)``, and each is decided by a
+Popov-Belevitch-Hautus (PBH) rank test on ``[i w E - A, B]``.  Near-axis
+modes and ill-conditioned ``Z^T E Z`` go back to the staircase.
 """
 
 from __future__ import annotations
@@ -50,8 +52,7 @@ from .model import PHSystem
 
 # The SVD-scaled standard eigenproblem drifts from QZ about in step with
 # cond(E_reg) (near axis_tol at 1e8); above this sigma_max / sigma_min of
-# E_reg, QZ decides instead.  The PBH route scales Z^T E Z the same way and
-# leaves the decision to the staircase above the same cutoff.
+# E_reg, QZ decides instead.
 _QZ_COND = 1e4
 
 # Relative distance within which two computed eigenvalues count as one.
@@ -334,15 +335,11 @@ def pencil_report(E, A, tol: ToleranceConfig = DEFAULT_TOL) -> PencilReport:
     )
 
 
-def common_nullspace_basis(sys: PHSystem, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis (n x k) of the common nullspace of E, J and R."""
-    return nullspace_basis(np.vstack([sys.E, sys.J, sys.R]), structural_tol(tol))
-
-
 def singular_common_nullspace(sys: PHSystem, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """True when E, J, R share a nullspace direction, which for valid
     port-Hamiltonian data is equivalent to ``s E - (J - R)`` being singular."""
-    return common_nullspace_basis(sys, tol).shape[1] > 0
+    stacked = np.vstack([sys.E, sys.J, sys.R])
+    return numerical_rank(stacked, structural_tol(tol)) < sys.n
 
 
 def _axis_full_row_rank(M, K, tol: ToleranceConfig) -> tuple[bool, list[complex]]:
@@ -383,9 +380,13 @@ def imaginary_axis_full_rank(E, A, B, tol: ToleranceConfig = DEFAULT_TOL) -> tup
     return _axis_full_row_rank(M, K, tol)
 
 
-def _pbh_deficiency(E, A, B, omega: float, stol: ToleranceConfig) -> int:
-    """Rank deficiency of ``[i w E - A, B]``, decided with a tenfold margin
-    on both sides of the structural threshold or refused."""
+def _pbh_deficiency(E, A, B, omega: float, stol: ToleranceConfig,
+                    axis_band: float) -> tuple[int, float, bool]:
+    """Rank deficiency of ``[i w E - A, B]``, its structural threshold thr,
+    and whether a singular value above thr is at most ``axis_band``.
+
+    A singular value within a factor of ten of thr has no margin and raises.
+    """
     M = np.hstack([1j * omega * E - A, B]) if omega else np.hstack([-A, B])
     s = np.linalg.svd(M, compute_uv=False)
     thr = stol.rank_rtol * (float(s[0]) if s.size else 0.0) * max(M.shape)
@@ -395,51 +396,91 @@ def _pbh_deficiency(E, A, B, omega: float, stol: ToleranceConfig) -> int:
         raise ToleranceBreakdown(f"PBH test, s = {omega:.6g}i", thr,
                                  float(kept[-1]) if kept.size else np.inf,
                                  float(dropped[0]) if dropped.size else 0.0)
-    return E.shape[0] - int(np.sum(s > thr))
+    return int(np.sum(s <= thr)), thr, bool(np.any((s > thr) & (s <= axis_band)))
 
 
 def _ph_axis_full_rank(sys: PHSystem, B_in, tol: ToleranceConfig) -> tuple[bool, list[complex]]:
     """:func:`imaginary_axis_full_rank` of ``(E, J - R, B_in)`` for
     port-Hamiltonian data (E symmetric, J skew, R positive semidefinite).
 
-    A left null vector y of ``[i w E - A, B_in]`` has ``y^H R y = 0`` (the
-    real part of ``y^H (i w E - A) y``), hence ``R y = 0``,
-    ``B_in^T y = 0`` and ``(i w E - J) y = 0``.  So y lies in
-    ``Z = ker [R; B_in^T]``, and ``i w`` is an eigenvalue of
-    ``(Z^T E Z, Z^T J Z)``, whose spectrum is imaginary when ``Z^T E Z`` is
-    definite.  Each such candidate pair is decided by a PBH test; the
-    staircase decides instead when ``Z^T E Z`` is numerically singular or
-    too ill-conditioned to place the candidates.
+    A left null vector y of ``[lam E - A, B_in]`` has ``B_in^T y = 0`` and
+    ``Re lam = -y^H R y / y^H E y``.  A mode on the axis thus has
+    ``R y = 0``, and one within axis_tol of it has ``y^H R y`` at most
+    ``axis_tol ||E||``.  So y lies in the span Z of the directions of
+    ``ker B_in^T`` whose R Rayleigh quotient is that small, and ``Im lam``
+    is near an eigenvalue of ``(Z^T E Z, Z^T J Z)``, whose spectrum is
+    imaginary when ``Z^T E Z`` is definite.  Both cutoffs are taken ten
+    times above their thresholds: a wider Z only adds candidates.
+
+    Each candidate point is decided by a PBH test.  Exact drops and full
+    rank are read off it directly.  A singular value above the threshold
+    but within ``10 axis_tol ||E Z||`` may belong to a weakly damped mode
+    (``sigma_n([i w E - A, B_in]) <= |i w - lam| ||E y||``); its real part
+    decides, so the staircase does.  The staircase also decides when
+    ``Z^T E Z`` is too ill-conditioned to place the candidates within the
+    PBH resolution.
     """
     stol = structural_tol(tol)
-    E, n = sys.E, sys.n
-    u, s, _ = np.linalg.svd(np.hstack([sys.R.T, B_in]), full_matrices=False)
-    Z = u[:, singular_value_rank(s, (n, n + B_in.shape[1]), stol):]
-    if Z.shape[1] == 0:
+    E, A, n, k = sys.E, sys.A, sys.n, B_in.shape[1]
+    # Frobenius norms bound the 2-norms from above, so every cutoff below
+    # errs toward a wider Z or toward the staircase.
+    e_norm = np.linalg.norm(E)
+    W = np.eye(n)
+    if k:
+        u, s, _ = np.linalg.svd(B_in)
+        b_cut = 10.0 * stol.rank_rtol * (n + k) * np.hypot(np.linalg.norm(A), s[0])
+        W = u[:, int(np.sum(s > b_cut)):]
+    mu, U = np.linalg.eigh(W.T @ sys.R @ W)
+    r_cut = 10.0 * max(tol.axis_tol * e_norm, stol.rank_rtol * n * np.linalg.norm(sys.R))
+    Z = W @ U[:, mu <= r_cut]
+    d = Z.shape[1]
+    if d == 0:
         return True, []
     Ed = Z.T @ E @ Z
     lam, V = np.linalg.eigh((Ed + Ed.T) / 2.0)
-    # The Frobenius norm bounds ||E||_2 from above, so this errs toward the staircase.
-    if (lam[0] <= stol.rank_rtol * n * np.linalg.norm(E)
-            or lam[-1] > _QZ_COND * lam[0]):
-        return imaginary_axis_full_rank(E, sys.A, B_in, tol)
-    d = V / np.sqrt(lam)
-    K = d.T @ (Z.T @ sys.J @ Z) @ d
-    # K is skew: its eigenvalues i w pair up, and i K is Hermitian with eigenvalues -w.
-    candidates = np.sort(np.abs(np.linalg.eigvalsh(1j * K)))
-    # One PBH test per cluster of |w|; a rank drop at i w recurs at -i w.
+    EZ = E @ Z
+    ez_norm = np.sqrt(np.linalg.eigvalsh(EZ.T @ EZ)[-1])
+    # A computed candidate is off by about eps (||J|| + |w| ||E||) / lam_min
+    # and moves sigma_n by that times ||E Z||.  The PBH threshold is
+    # 256 eps (n + k) sigma_1 with sigma_1 >= max(||J||, |w| ||E||), so while
+    # ||E Z|| < 10 (n + k) lam_min an exact drop still reads below a tenth of it.
+    if 10.0 * (n + k) * lam[0] <= ez_norm:
+        return imaginary_axis_full_rank(E, A, B_in, tol)
+    axis_band = 10.0 * tol.axis_tol * ez_norm
+    T = V / np.sqrt(lam)
+    Jd = Z.T @ sys.J @ Z
+    K = T.T @ ((Jd - Jd.T) / 2.0) @ T
+    # K is real skew: i K is Hermitian with eigenvalues +-w in exact pairs,
+    # plus one 0 when d is odd.  Each pair is decided at its w >= 0; a point
+    # carries the number of eigenvalues of K it stands for.
+    w = np.linalg.eigvalsh(1j * K)
+    points = sorted(([(0.0, 1)] if d % 2 else [])
+                    + [(abs(float(x)), 2) for x in w[(d + 1) // 2:]])
     witnesses: list[complex] = []
-    decided = -np.inf
-    for c in candidates:
-        if c - decided <= _CLUSTER_RTOL * max(1.0, c):
-            continue
-        decided = c
-        omega = float(c) if c > _CLUSTER_RTOL else 0.0
-        k = _pbh_deficiency(E, sys.A, B_in, omega, stol)
-        witnesses += [complex(0.0, omega)] * k
-        if omega:
-            witnesses += [complex(0.0, -omega)] * k
+    near_axis = False
+    i = 0
+    while i < len(points):
+        omega = points[i][0]
+        drops, thr, near = _pbh_deficiency(E, A, B_in, omega, stol, axis_band)
+        near_axis |= near
+        # Points closer than the PBH resolution in w are one point: a
+        # computed multiple eigenvalue, or a +-w pair at s = 0.
+        resolution = thr / (10.0 * e_norm)
+        j = i + 1
+        while j < len(points) and points[j][0] - omega <= resolution:
+            j += 1
+        if omega <= resolution:
+            witnesses += [0j] * min(drops, sum(c for _, c in points[i:j]))
+        else:
+            witnesses += [complex(0.0, omega), complex(0.0, -omega)] * min(drops, j - i)
+        i = j
     witnesses.sort(key=lambda z: (z.imag, z.real))
+    if near_axis:
+        ok, axis_witnesses = imaginary_axis_full_rank(E, A, B_in, tol)
+        # A drop that PBH read below a tenth of its threshold stands even
+        # where the staircase misses it.
+        if not ok or not witnesses:
+            return ok, axis_witnesses
     return not witnesses, witnesses
 
 
@@ -512,8 +553,9 @@ def stabilizability_rank_condition(sys: PHSystem, tol: ToleranceConfig = DEFAULT
     ``[s E - (J - R), B1, B3]`` must keep full row rank on the imaginary axis.
 
     Decided by PBH tests on the kernel of ``[R; B1^T; B3^T]``, with a
-    :class:`ToleranceBreakdown` when a test has no tenfold margin.  Returns
-    the verdict and the offending axis points when it fails.
+    :class:`ToleranceBreakdown` when a test has no tenfold margin; a mode
+    within ``tol.axis_tol`` of the axis fails it, as in :func:`pencil_report`.
+    Returns the verdict and the offending axis points when it fails.
     """
     return _ph_axis_full_rank(sys, np.hstack(input_range_blocks(sys, tol)), tol)
 

@@ -5,7 +5,7 @@ import scipy.linalg
 from phdesc import pencil
 from phdesc.errors import ConditionsNotMet, HypothesisViolated, ToleranceBreakdown
 from phdesc.generators import random_ph
-from phdesc.linalg import DEFAULT_TOL, numerical_rank, structural_tol
+from phdesc.linalg import DEFAULT_TOL, ToleranceConfig, numerical_rank, structural_tol
 from phdesc.model import PHSystem
 from phdesc.pencil import (
     StabilityClass,
@@ -316,12 +316,27 @@ def _transformed(sys, Q, c):
 
 def _coupled_oscillator(eps):
     """Undamped oscillator at s = 1.5i, coupled by eps to a damped state and
-    to no input; rank [1.5i E - A] drops by about eps^2."""
+    to no input; the pair moves off the axis by about eps^2 / 6.5."""
     J = np.zeros((3, 3))
     J[0, 1], J[0, 2] = 1.5, eps
     return PHSystem(E=np.eye(3), J=J - J.T, R=np.diag([0.0, 0.0, 1.0]),
                     G=np.zeros((3, 0)), P=np.zeros((3, 0)),
                     S=np.zeros((0, 0)), N=np.zeros((0, 0)))
+
+
+def _port_hamiltonian(J, R, G):
+    """E = I, no feedthrough dissipation, S = I."""
+    n, m = G.shape
+    return PHSystem(E=np.eye(n), J=J, R=R, G=G, P=np.zeros((n, m)),
+                    S=np.eye(m), N=np.zeros((m, m)))
+
+
+def _weakly_damped_oscillator(r):
+    """Oscillator at s = 1.5i damped by r, beside a damped state that the one
+    input reaches; the pair sits at about -r/2 +- 1.5i."""
+    J = np.zeros((3, 3))
+    J[0, 1] = 1.5
+    return _port_hamiltonian(J - J.T, np.diag([r, 0.0, 1.0]), np.array([[0.0], [0.0], [1.0]]))
 
 
 class TestStabilizabilityPBH:
@@ -363,16 +378,59 @@ class TestStabilizabilityPBH:
             assert ok_c == ok and len(wit_c) == len(wit), c
             assert_spectra_match(wit_c, wit, atol=1e-8)
 
-    @pytest.mark.parametrize("eps, outcome", [(1e-4, True), (1e-6, None), (1e-9, False)])
+    @pytest.mark.parametrize("eps, outcome", [(1e-2, True), (2e-4, False), (1e-4, False),
+                                              (1e-6, None), (1e-9, False)])
     def test_near_threshold_refused_not_flipped(self, eps, outcome):
+        # 1e-2 leaves the pair 1.5e-5 off the axis; 2e-4 and 1e-4 leave it
+        # within axis_tol; at 1e-6 sigma_n has no tenfold margin; 1e-9 is a drop.
         sys = _coupled_oscillator(eps)
         if outcome is None:
             with pytest.raises(ToleranceBreakdown, match="PBH"):
                 stabilizability_rank_condition(sys)
-        else:
-            ok, wit = stabilizability_rank_condition(sys)
-            assert ok == outcome
-            assert wit == ([] if ok else [-1.5j, 1.5j])
+            return
+        ok, wit = stabilizability_rank_condition(sys)
+        assert ok == outcome
+        if eps == 1e-9:
+            assert wit == [-1.5j, 1.5j]
+        elif not ok:
+            assert len(wit) == 2 and wit[0] == wit[1].conjugate()
+            assert all(abs(w.real) <= DEFAULT_TOL.axis_tol and abs(abs(w.imag) - 1.5) < 1e-7
+                       for w in wit)
+
+    @pytest.mark.parametrize("r", [1e-10, 5e-9, 1e-8])
+    def test_weakly_damped_unreachable_mode_refused(self, r):
+        # R = r on the oscillator is far above the rank threshold of R, but the
+        # pair's real part -r/2 is within axis_tol: the condition fails, as
+        # pencil_report and certification read the axis.
+        sys = _weakly_damped_oscillator(r)
+        ok, wit = stabilizability_rank_condition(sys)
+        assert not ok and len(wit) == 2
+        assert_spectra_match(wit, [-r / 2 + 1.5j, -r / 2 - 1.5j], atol=1e-12)
+        with pytest.raises(ConditionsNotMet):
+            synthesize_stabilizing(sys)
+        # With a tighter axis_tol the same pair counts as damped.
+        tight = ToleranceConfig(axis_tol=r / 10, stability_margin=r / 10)
+        assert stabilizability_rank_condition(sys, tight) == (True, [])
+        assert stabilizability_rank_condition(_weakly_damped_oscillator(1e-6)) == (True, [])
+
+    def test_slow_drop_tested_at_its_own_point(self):
+        # an unreachable oscillator at +-5e-9 i is a drop there, not at s = 0
+        J = np.zeros((3, 3))
+        J[0, 1] = 5e-9
+        ok, wit = stabilizability_rank_condition(_port_hamiltonian(
+            J - J.T, np.diag([0.0, 0.0, 1.0]), np.array([[0.0], [0.0], [1.0]])))
+        assert not ok and wit == [-5e-9j, 5e-9j]
+
+    def test_close_candidate_does_not_shadow_drop(self):
+        # an unreachable oscillator at s = i and a reachable one 5e-9 below it
+        J = np.zeros((5, 5))
+        J[0, 1], J[2, 3], J[3, 4] = 1.0, 1.0 - 5e-9, 1.0
+        G = np.zeros((5, 1))
+        G[4, 0] = 1.0
+        ok, wit = stabilizability_rank_condition(
+            _port_hamiltonian(J - J.T, np.diag([0.0, 0.0, 0.0, 0.0, 1.0]), G))
+        assert not ok
+        assert_spectra_match(wit, [-1j, 1j], atol=1e-12)
 
     def test_svd_count(self, monkeypatch):
         # the augmented staircase of [sE - A, b] takes one SVD per compression
