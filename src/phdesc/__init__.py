@@ -59,7 +59,6 @@ from .pencil import (
     input_range_blocks,
     kronecker_staircase,
     pencil_report,
-    singular_common_nullspace,
     stabilizability_rank_condition,
     strict_passifiability_condition,
     undamped_block_nonsingularity_condition,

@@ -38,7 +38,7 @@ from .fileio import (
     write_report,
 )
 from .generators import random_ph
-from .linalg import DEFAULT_TOL, ToleranceConfig, nullspace_basis, structural_tol
+from .linalg import DEFAULT_TOL, ToleranceConfig, nullspace_basis
 from .model import (
     apply_feedback,
     dissipation_inequality_check,
@@ -57,7 +57,8 @@ from .synthesis import synthesize_passifying, synthesize_stabilizing
 
 def _add_tol_args(p: argparse.ArgumentParser):
     p.add_argument("--tol", type=float, default=None, metavar="X",
-                   help="override rank_rtol (relative singular value cutoff)")
+                   help="override rank_rtol, the relative singular value "
+                        "cutoff of every rank decision")
     p.add_argument("--axis-tol", type=float, default=None, metavar="X",
                    help="override the imaginary-axis classification band")
     p.add_argument("--psd-tol", type=float, default=None, metavar="X",
@@ -153,7 +154,7 @@ def _cmd_analyze(args) -> int:
     sys_ = load_system(args.input)
     tol = _tol_from_args(args)
     rep = pencil_report(sys_.E, sys_.A, tol)
-    basis = nullspace_basis(np.vstack([sys_.E, sys_.J, sys_.R]), structural_tol(tol))
+    basis = nullspace_basis(np.vstack([sys_.E, sys_.J, sys_.R]), tol)
     singular = basis.shape[1] > 0
     doc = {
         "kind": "analysis",

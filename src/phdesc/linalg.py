@@ -2,14 +2,15 @@
 
 Every operation in the toolkit routes its rank, nullspace, and definiteness
 decisions through this module so that a single :class:`ToleranceConfig`
-governs all of them.  Matrices are plain ``numpy.ndarray`` values; matrices
-with zero rows or columns are first-class and propagate through every
-operation.
+governs all of them.  There is one rank rule: a singular value sigma counts
+when ``sigma > rank_rtol * sigma_1 * max(rows, cols)``, the same cutoff in
+a one-shot rank test, a staircase compression or an existence condition.
+Matrices are plain ``numpy.ndarray`` values; matrices with zero rows or
+columns are first-class and propagate through every operation.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 from dataclasses import dataclass
 
@@ -19,21 +20,18 @@ from .errors import NotSquare
 
 _EPS = float(np.finfo(np.float64).eps)
 
-# Structural decisions (staircase compressions, feedback-existence rank
-# tests) work on products of several orthogonal and pseudo-inverse factors,
-# whose "exact zeros" land well above machine epsilon.  They scale the
-# configured rank_rtol by this factor so that transform roundoff stays
-# below threshold while genuine rank information stays above it.
-STRUCTURAL_RANK_SAFETY = 256.0
-
 
 @dataclass(frozen=True)
 class ToleranceConfig:
     """Numerical policy for rank, definiteness, and stability decisions.
 
     rank_rtol
-        Relative singular-value cutoff: sigma is counted as nonzero when
-        ``sigma > rank_rtol * sigma_max * max(rows, cols)``.
+        Relative singular-value cutoff of every rank decision: sigma is
+        counted as nonzero when ``sigma > rank_rtol * sigma_max * max(rows, cols)``.
+        The default, 256 eps, sits above the roundoff of the products of
+        orthogonal and pseudo-inverse factors that the staircase and the
+        feedback constructions compress, whose "exact zeros" land well
+        above eps.
     psd_tol
         Absolute eigenvalue threshold for (semi)definiteness decisions,
         applied after scaling by ``max(1, ||M||_2)``.
@@ -43,7 +41,7 @@ class ToleranceConfig:
         Required ``-Re(lambda)`` for an "asymptotically stable" verdict.
     """
 
-    rank_rtol: float = _EPS
+    rank_rtol: float = 256.0 * _EPS
     psd_tol: float = 1e-10
     axis_tol: float = 1e-8
     stability_margin: float = 1e-8
@@ -55,14 +53,6 @@ class ToleranceConfig:
 
 
 DEFAULT_TOL = ToleranceConfig()
-
-
-def structural_tol(tol: ToleranceConfig) -> ToleranceConfig:
-    """Rank policy for multi-stage structural decisions; see
-    :data:`STRUCTURAL_RANK_SAFETY`."""
-    return dataclasses.replace(
-        tol, rank_rtol=min(tol.rank_rtol * STRUCTURAL_RANK_SAFETY, 1e-6)
-    )
 
 
 class DefinitenessKind(enum.Enum):
@@ -117,17 +107,18 @@ def spectral_norm(M) -> float:
     return float(np.linalg.svd(A, compute_uv=False)[0])
 
 
-def _rank_threshold(s: np.ndarray, shape: tuple[int, int], tol: ToleranceConfig) -> float:
+def rank_threshold(s: np.ndarray, shape: tuple[int, int], tol: ToleranceConfig) -> float:
+    """The cutoff ``rank_rtol * s[0] * max(shape)`` for the descending
+    singular values s of a matrix of that shape; 0.0 when s is empty."""
     if s.size == 0:
         return 0.0
     return tol.rank_rtol * float(s[0]) * max(shape)
 
 
 def singular_value_rank(s: np.ndarray, shape: tuple[int, int], tol: ToleranceConfig) -> int:
-    """Number of entries of the descending values s above the relative
-    cutoff ``rank_rtol * s[0] * max(shape)``; the one rank rule of the toolkit
-    outside the staircase."""
-    return int(np.sum(s > _rank_threshold(s, shape, tol)))
+    """Number of entries of the descending values s above
+    :func:`rank_threshold`."""
+    return int(np.sum(s > rank_threshold(s, shape, tol)))
 
 
 def numerical_rank(M, tol: ToleranceConfig = DEFAULT_TOL) -> int:
@@ -169,7 +160,7 @@ def pseudo_inverse(M, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     if min(p, q) == 0:
         return np.zeros((q, p))
     u, s, vh = np.linalg.svd(A, full_matrices=False)
-    thr = _rank_threshold(s, A.shape, tol)
+    thr = rank_threshold(s, A.shape, tol)
     inv = np.where(s > thr, 1.0 / np.where(s > thr, s, 1.0), 0.0)
     return (vh.conj().T * inv) @ u.conj().T
 

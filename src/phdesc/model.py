@@ -160,9 +160,8 @@ def validate(sys: PHSystem, tol: ToleranceConfig = DEFAULT_TOL) -> ValidationRep
     """Check the structure constraints and report a margin per constraint."""
 
     def violation(name, M):
-        scale = max(1.0, spectral_norm(M))
         v = spectral_norm(M)
-        band = tol.psd_tol * scale
+        band = tol.psd_tol * max(1.0, v)
         return CheckResult(name, v <= band, v, band, "violation_norm")
 
     def psd(name, M):

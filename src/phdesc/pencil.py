@@ -44,9 +44,8 @@ from .linalg import (
     numerical_rank,
     pseudo_inverse,
     range_basis,
-    singular_value_rank,
+    rank_threshold,
     spectral_norm,
-    structural_tol,
 )
 from .model import PHSystem
 
@@ -224,23 +223,16 @@ def _regular_eigenvalues(A_reg, E_reg, svd_e2t) -> np.ndarray:
 
 def kronecker_staircase(A, E, tol: ToleranceConfig = DEFAULT_TOL) -> KroneckerSummary:
     """Kronecker block data of the pencil ``s E - A`` (rectangular allowed)."""
-    return _staircase(A, E, tol)[0]
-
-
-def _staircase(A, E, tol: ToleranceConfig) -> tuple[KroneckerSummary, np.ndarray]:
-    """:func:`kronecker_staircase` plus the singular values of E, taken from
-    the right pass's first SVD."""
     A = as_matrix(A)
     E = as_matrix(E)
     if A.shape != E.shape:
         raise ShapeMismatch(f"pencil blocks differ in shape: {A.shape} vs {E.shape}")
     p, q = A.shape
     maxdim = max(p, q, 1)
-    rtol = structural_tol(tol).rank_rtol
     svd_e = np.linalg.svd(E) if q else None
     s_e = svd_e[1] if q else np.zeros(0)
-    thr_e = rtol * maxdim * (float(s_e[0]) if s_e.size else 0.0)
-    thr_a = rtol * maxdim * spectral_norm(A)
+    thr_e = tol.rank_rtol * maxdim * (float(s_e[0]) if s_e.size else 0.0)
+    thr_a = tol.rank_rtol * maxdim * spectral_norm(A)
 
     nu_r, ss_r, A1, E1, _ = _deflate_right_and_infinite(
         A, E, thr_a, thr_e, "right pass", svd_e)
@@ -276,7 +268,7 @@ def _staircase(A, E, tol: ToleranceConfig) -> tuple[KroneckerSummary, np.ndarray
     )
     if summary.dimension_accounting() != (p, q):
         raise NumericalBreakdown("staircase block sizes do not account for the pencil shape")
-    return summary, s_e
+    return summary
 
 
 def _cluster_multiplicity(evs: np.ndarray, lam: complex) -> int:
@@ -294,7 +286,7 @@ def _axis_eigenvalues_semisimple(summary: KroneckerSummary, tol: ToleranceConfig
         seen.append(complex(lam))
         alg = _cluster_multiplicity(evs, lam)
         shifted = lam * summary.regular_E - summary.regular_A
-        geo = summary.n_regular - numerical_rank(shifted, structural_tol(tol))
+        geo = summary.n_regular - numerical_rank(shifted, tol)
         if geo < alg:
             return False
     return True
@@ -306,7 +298,7 @@ def pencil_report(E, A, tol: ToleranceConfig = DEFAULT_TOL) -> PencilReport:
     A = as_matrix(A)
     if E.shape[0] != E.shape[1] or A.shape != E.shape:
         raise NotSquare("pencil_report requires square E and A of equal shape")
-    summary, s_e = _staircase(A, E, tol)
+    summary = kronecker_staircase(A, E, tol)
     evs = summary.finite_eigenvalues
     re = evs.real
     abscissa = float(re.max()) if evs.size else None
@@ -327,19 +319,15 @@ def pencil_report(E, A, tol: ToleranceConfig = DEFAULT_TOL) -> PencilReport:
         regular=summary.is_regular,
         index=summary.index,
         finite_eigenvalues=evs,
-        rank_E=singular_value_rank(s_e, E.shape, tol),
+        # Each infinite and each right singular block leaves one kernel
+        # column of E, so this is the staircase's own first E-compression.
+        rank_E=(summary.cols - len(summary.infinite_block_sizes)
+                - len(summary.right_minimal_indices)),
         stability_class=cls,
         spectral_abscissa=abscissa,
         axis_distance=axis_dist,
         summary=summary,
     )
-
-
-def singular_common_nullspace(sys: PHSystem, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    """True when E, J, R share a nullspace direction, which for valid
-    port-Hamiltonian data is equivalent to ``s E - (J - R)`` being singular."""
-    stacked = np.vstack([sys.E, sys.J, sys.R])
-    return numerical_rank(stacked, structural_tol(tol)) < sys.n
 
 
 def _axis_full_row_rank(M, K, tol: ToleranceConfig) -> tuple[bool, list[complex]]:
@@ -380,16 +368,16 @@ def imaginary_axis_full_rank(E, A, B, tol: ToleranceConfig = DEFAULT_TOL) -> tup
     return _axis_full_row_rank(M, K, tol)
 
 
-def _pbh_deficiency(E, A, B, omega: float, stol: ToleranceConfig,
+def _pbh_deficiency(E, A, B, omega: float, tol: ToleranceConfig,
                     axis_band: float) -> tuple[int, float, bool]:
-    """Rank deficiency of ``[i w E - A, B]``, its structural threshold thr,
+    """Rank deficiency of ``[i w E - A, B]``, its rank threshold thr,
     and whether a singular value above thr is at most ``axis_band``.
 
     A singular value within a factor of ten of thr has no margin and raises.
     """
     M = np.hstack([1j * omega * E - A, B]) if omega else np.hstack([-A, B])
     s = np.linalg.svd(M, compute_uv=False)
-    thr = stol.rank_rtol * (float(s[0]) if s.size else 0.0) * max(M.shape)
+    thr = rank_threshold(s, M.shape, tol)
     near = (s > thr / 10.0) & (s < 10.0 * thr)
     if near.any():
         kept, dropped = s[s > thr], s[s <= thr]
@@ -420,7 +408,6 @@ def _ph_axis_full_rank(sys: PHSystem, B_in, tol: ToleranceConfig) -> tuple[bool,
     ``Z^T E Z`` is too ill-conditioned to place the candidates within the
     PBH resolution.
     """
-    stol = structural_tol(tol)
     E, A, n, k = sys.E, sys.A, sys.n, B_in.shape[1]
     # Frobenius norms bound the 2-norms from above, so every cutoff below
     # errs toward a wider Z or toward the staircase.
@@ -428,10 +415,10 @@ def _ph_axis_full_rank(sys: PHSystem, B_in, tol: ToleranceConfig) -> tuple[bool,
     W = np.eye(n)
     if k:
         u, s, _ = np.linalg.svd(B_in)
-        b_cut = 10.0 * stol.rank_rtol * (n + k) * np.hypot(np.linalg.norm(A), s[0])
+        b_cut = 10.0 * tol.rank_rtol * (n + k) * np.hypot(np.linalg.norm(A), s[0])
         W = u[:, int(np.sum(s > b_cut)):]
     mu, U = np.linalg.eigh(W.T @ sys.R @ W)
-    r_cut = 10.0 * max(tol.axis_tol * e_norm, stol.rank_rtol * n * np.linalg.norm(sys.R))
+    r_cut = 10.0 * max(tol.axis_tol * e_norm, tol.rank_rtol * n * np.linalg.norm(sys.R))
     Z = W @ U[:, mu <= r_cut]
     d = Z.shape[1]
     if d == 0:
@@ -442,8 +429,9 @@ def _ph_axis_full_rank(sys: PHSystem, B_in, tol: ToleranceConfig) -> tuple[bool,
     ez_norm = np.sqrt(np.linalg.eigvalsh(EZ.T @ EZ)[-1])
     # A computed candidate is off by about eps (||J|| + |w| ||E||) / lam_min
     # and moves sigma_n by that times ||E Z||.  The PBH threshold is
-    # 256 eps (n + k) sigma_1 with sigma_1 >= max(||J||, |w| ||E||), so while
-    # ||E Z|| < 10 (n + k) lam_min an exact drop still reads below a tenth of it.
+    # rank_rtol (n + k) sigma_1 with sigma_1 >= max(||J||, |w| ||E||), so at
+    # the default rank_rtol of 256 eps, while ||E Z|| < 10 (n + k) lam_min,
+    # an exact drop still reads below a tenth of it.
     if 10.0 * (n + k) * lam[0] <= ez_norm:
         return imaginary_axis_full_rank(E, A, B_in, tol)
     axis_band = 10.0 * tol.axis_tol * ez_norm
@@ -461,7 +449,7 @@ def _ph_axis_full_rank(sys: PHSystem, B_in, tol: ToleranceConfig) -> tuple[bool,
     i = 0
     while i < len(points):
         omega = points[i][0]
-        drops, thr, near = _pbh_deficiency(E, A, B_in, omega, stol, axis_band)
+        drops, thr, near = _pbh_deficiency(E, A, B_in, omega, tol, axis_band)
         near_axis |= near
         # Points closer than the PBH resolution in w are one point: a
         # computed multiple eigenvalue, or a +-w pair at s = 0.
@@ -529,7 +517,7 @@ def undamped_block_nonsingularity_condition(J, n1: int,
     if n2 == 0:
         return True
     M = np.hstack([-J[:n1, n1:].T, J[n1:, n1:]])
-    return numerical_rank(M, structural_tol(tol)) == n2
+    return numerical_rank(M, tol) == n2
 
 
 def input_range_blocks(sys: PHSystem, tol: ToleranceConfig = DEFAULT_TOL
@@ -589,4 +577,4 @@ def index_one_rank_condition(E, A, B, tol: ToleranceConfig = DEFAULT_TOL) -> boo
     if E.shape != (n, n) or A.shape != (n, n) or B.shape[0] != n:
         raise ShapeMismatch("index_one_rank_condition expects n x n pencils and n x k B")
     Z_E = nullspace_basis(E, tol)
-    return numerical_rank(np.hstack([E, A @ Z_E, B]), structural_tol(tol)) == n
+    return numerical_rank(np.hstack([E, A @ Z_E, B]), tol) == n

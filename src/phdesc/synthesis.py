@@ -41,7 +41,6 @@ from .linalg import (
     range_basis,
     singular_value_rank,
     spectral_norm,
-    structural_tol,
 )
 from .model import PHSystem
 from .pencil import (
@@ -185,13 +184,9 @@ def _state_compression(B3, B1_shalf, R, tol):
     n = R.shape[0]
     m3 = B3.shape[1]
     m1 = B1_shalf.shape[1]
-    # The compressed blocks are products of pseudo-inverse and orthogonal
-    # factors, so every cutoff here uses the structural policy.
-    stol = structural_tol(tol)
-
     if m3 > 0:
         u, s, vh = np.linalg.svd(B3)
-        mu1 = singular_value_rank(s, B3.shape, stol)
+        mu1 = singular_value_rank(s, B3.shape, tol)
         V3 = vh.T
         Za = u.T.copy()
         Za[:mu1, :] /= s[:mu1, None]
@@ -204,7 +199,7 @@ def _state_compression(B3, B1_shalf, R, tol):
     T_top, T_rest = T[:mu1, :], T[mu1:, :]
     if m1 > 0 and T_rest.shape[0] > 0:
         uc, sc, vch = np.linalg.svd(T_rest)
-        mu2 = singular_value_rank(sc, T_rest.shape, stol)
+        mu2 = singular_value_rank(sc, T_rest.shape, tol)
         V1 = vch.T
         Y = uc.T.copy()
         Y[:mu2, :] /= sc[:mu2, None]
@@ -231,7 +226,7 @@ def _state_compression(B3, B1_shalf, R, tol):
         order = np.argsort(-w)
         w, Q = w[order], Q[:, order]
         # w[0] <= 0 puts the cutoff at or above w[0] (rank_rtol * r < 1): mu3 = 0.
-        mu3 = singular_value_rank(w, R_rr.shape, stol)
+        mu3 = singular_value_rank(w, R_rr.shape, tol)
         Yc = Q.T.copy()
         Yc[:mu3, :] /= np.sqrt(w[:mu3, None])
         Rrr_pinv = (Q[:, :mu3] / w[:mu3]) @ Q[:, :mu3].T

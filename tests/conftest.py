@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from phdesc.linalg import DEFAULT_TOL, as_matrix, numerical_rank, pseudo_inverse, structural_tol
+from phdesc.linalg import DEFAULT_TOL, as_matrix, nullspace_basis, numerical_rank, pseudo_inverse
 
 settings.register_profile("suite", deadline=None, max_examples=50, derandomize=True)
 settings.load_profile("suite")
@@ -75,12 +75,18 @@ def brute_force_rank_on_axis(E, A, B, omega_grid, tol=DEFAULT_TOL):
     A = as_matrix(A)
     B = as_matrix(B) if B is not None else np.zeros((E.shape[0], 0))
     n = E.shape[0]
-    stol = structural_tol(tol)
     for omega in np.asarray(omega_grid, dtype=float):
         M = np.hstack([1j * omega * E - A, B])
-        if numerical_rank(M, stol) < n:
+        if numerical_rank(M, tol) < n:
             return False
     return True
+
+
+def singular_common_nullspace(sys) -> bool:
+    """True when E, J, R share a nullspace direction: the nullspace of the
+    stack ``[E; J; R]`` that ``phdesc analyze`` reports.  For valid
+    port-Hamiltonian data this is equivalent to ``s E - (J - R)`` being singular."""
+    return nullspace_basis(np.vstack([sys.E, sys.J, sys.R])).shape[1] > 0
 
 
 @pytest.fixture

@@ -13,7 +13,7 @@ from phdesc.certify import certify_closed_loop
 from phdesc.cli import main as cli_main
 from phdesc.fileio import load_feedback, save_system
 from phdesc.generators import random_ph
-from phdesc.linalg import DEFAULT_TOL, numerical_rank, spectral_norm, structural_tol
+from phdesc.linalg import DEFAULT_TOL, numerical_rank, spectral_norm
 from phdesc.model import (
     PHSystem,
     apply_feedback,
@@ -230,8 +230,7 @@ def test_criterion_6_rank_condition_oracles():
     for seed in range(200):
         E, J, R, n1 = _damped_block_instance(seed + 60_000)
         cond = undamped_block_nonsingularity_condition(J, n1)
-        nonsingular = (numerical_rank(J - R, structural_tol(DEFAULT_TOL))
-                       == J.shape[0])
+        nonsingular = numerical_rank(J - R, DEFAULT_TOL) == J.shape[0]
         assert cond == nonsingular, f"nonsingularity oracle mismatch at seed {seed}"
     # axis rank condition + admissible feedback implies asymptotic stability
     stable_checked = 0

@@ -59,6 +59,19 @@ class TestGenValidateAnalyze:
         for M in (sys_.E, sys_.J, sys_.R):
             assert np.linalg.norm(M @ basis) < 1e-12
 
+    def test_analyze_tol_is_the_rank_cutoff(self, tmp_path):
+        sys_path = tmp_path / "sys.json"
+        report = tmp_path / "report.json"
+        save_system(sys_path, PHSystem(E=np.diag([1.0, 1e-13]), J=np.zeros((2, 2)),
+                                       R=np.eye(2), G=np.zeros((2, 0)), P=np.zeros((2, 0)),
+                                       S=np.zeros((0, 0)), N=np.zeros((0, 0))))
+        assert run("analyze", "--input", sys_path, "--tol", 1e-14, "--report", report) == 0
+        doc = json.loads(report.read_text())
+        assert doc["tolerances"]["rank_rtol"] == 1e-14
+        assert doc["pencil"]["index"] == 0
+        assert doc["pencil"]["rank_E"] == 2
+        assert len(doc["pencil"]["finite_eigenvalues"]) == 2
+
     def test_malformed_input_exit_two(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

@@ -5,8 +5,8 @@ from phdesc.errors import InfeasibleKnobs
 from phdesc.generators import random_ph
 from phdesc.linalg import classify_definiteness, numerical_rank
 from phdesc.model import validate
-from phdesc.pencil import singular_common_nullspace, stabilizability_rank_condition
-from conftest import brute_force_rank_on_axis
+from phdesc.pencil import stabilizability_rank_condition
+from conftest import brute_force_rank_on_axis, singular_common_nullspace
 
 
 class TestRandomPH:

@@ -32,6 +32,9 @@ class TestToleranceConfig:
         assert tol.rank_rtol > 0 and tol.psd_tol > 0
         assert tol.axis_tol > 0 and tol.stability_margin > 0
 
+    def test_default_rank_rtol(self):
+        assert ToleranceConfig().rank_rtol == 256 * np.finfo(float).eps
+
     @pytest.mark.parametrize("field", ["rank_rtol", "psd_tol", "axis_tol", "stability_margin"])
     def test_rejects_nonpositive(self, field):
         with pytest.raises(ValueError):

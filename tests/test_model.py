@@ -41,6 +41,21 @@ class TestValidate:
         assert not rep.passed
         assert not rep.w_psd.passed
 
+    def test_one_svd_per_violation_check(self, monkeypatch):
+        calls = []
+        svd = np.linalg.svd
+
+        def counting_svd(*args, **kwargs):
+            calls.append(args[0].shape)
+            return svd(*args, **kwargs)
+
+        sys = random_ph(6, 2, 0)
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        rep = validate(sys)
+        assert rep.passed
+        # e_symmetric, j_skew, n_skew and s_symmetric; the PSD checks use eigvalsh.
+        assert calls == [(6, 6), (6, 6), (2, 2), (2, 2)]
+
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
             PHSystem(E=np.eye(2), J=np.zeros((2, 2)), R=np.zeros((2, 2)),

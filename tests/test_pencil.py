@@ -5,7 +5,7 @@ import scipy.linalg
 from phdesc import pencil
 from phdesc.errors import ConditionsNotMet, HypothesisViolated, ToleranceBreakdown
 from phdesc.generators import random_ph
-from phdesc.linalg import DEFAULT_TOL, ToleranceConfig, numerical_rank, structural_tol
+from phdesc.linalg import DEFAULT_TOL, ToleranceConfig, numerical_rank
 from phdesc.model import PHSystem
 from phdesc.pencil import (
     StabilityClass,
@@ -15,14 +15,18 @@ from phdesc.pencil import (
     input_range_blocks,
     kronecker_staircase,
     pencil_report,
-    singular_common_nullspace,
     stabilizability_rank_condition,
     strict_passifiability_condition,
     undamped_block_nonsingularity_condition,
     undamped_block_stability_condition,
 )
 from phdesc.synthesis import synthesize_stabilizing
-from conftest import assert_spectra_match, brute_force_rank_on_axis, random_dissipative_pencil
+from conftest import (
+    assert_spectra_match,
+    brute_force_rank_on_axis,
+    random_dissipative_pencil,
+    singular_common_nullspace,
+)
 
 ONE = np.array([[1.0]])
 ZERO = np.array([[0.0]])
@@ -147,6 +151,22 @@ class TestPencilReport:
         assert r.regular and r.index == 2
         assert r.finite_eigenvalues.size == 0
         assert r.rank_E == 1
+
+    def test_rank_e_follows_the_staircase(self):
+        # 1e-14 is below the cutoff 256 eps * 2 (about 1.1e-13), so the
+        # staircase finds one infinite block and rank E is 1.
+        r = pencil_report(np.diag([1.0, 1e-14]), -np.eye(2))
+        assert r.regular and r.index == 1
+        assert r.rank_E == 1
+        assert r.finite_eigenvalues.size == 1
+
+    def test_rank_rtol_is_the_staircase_cutoff(self):
+        # With rank_rtol = 1e-14 the cutoff is 2e-14, so 1e-13 is kept by
+        # every decision: no hidden safety factor scales it.
+        r = pencil_report(np.diag([1.0, 1e-13]), -np.eye(2), ToleranceConfig(rank_rtol=1e-14))
+        assert r.regular and r.index == 0
+        assert r.rank_E == 2
+        assert r.finite_eigenvalues.size == 2
 
     def test_singular_pencil(self):
         r = pencil_report(ZERO, ZERO)
@@ -273,7 +293,7 @@ class TestUndampedBlockConditions:
         for seed in range(80):
             E, J, R, n1 = self._hypothesis_instance(seed)
             cond = undamped_block_nonsingularity_condition(J, n1)
-            nonsingular = numerical_rank(J - R, structural_tol(DEFAULT_TOL)) == J.shape[0]
+            nonsingular = numerical_rank(J - R, DEFAULT_TOL) == J.shape[0]
             assert cond == nonsingular, seed
 
 
@@ -356,7 +376,7 @@ class TestStabilizabilityPBH:
         for w in wit:
             M = np.hstack([w * sys.E - sys.A, B])
             s = np.linalg.svd(M, compute_uv=False)
-            thr = structural_tol(DEFAULT_TOL).rank_rtol * s[0] * max(M.shape)
+            thr = DEFAULT_TOL.rank_rtol * s[0] * max(M.shape)
             assert s[n - 1] <= thr / 10
         with pytest.raises(ConditionsNotMet) as info:
             synthesize_stabilizing(sys)

@@ -9,7 +9,6 @@ from phdesc.linalg import (
     classify_definiteness,
     numerical_rank,
     spectral_norm,
-    structural_tol,
 )
 from phdesc.model import PHSystem, apply_feedback, dissipation_matrix
 from phdesc.pencil import (
@@ -141,9 +140,8 @@ class TestSynthesizeStabilizing:
             assert numerical_rank(core) == mu2 + mu3
             # closed-loop dissipation rank chain
             closed = apply_feedback(sys, F)
-            rank_r_cl = numerical_rank(closed.R, structural_tol(DEFAULT_TOL))
-            rank_rbb = numerical_rank(np.hstack([sys.R, tr.B1, tr.B3]),
-                                      structural_tol(DEFAULT_TOL))
+            rank_r_cl = numerical_rank(closed.R, DEFAULT_TOL)
+            rank_rbb = numerical_rank(np.hstack([sys.R, tr.B1, tr.B3]), DEFAULT_TOL)
             assert rank_r_cl == mu1 + mu2 + mu3 == rank_rbb
             # block form of the transformed closed-loop dissipation
             Zr = tr.Z @ closed.R @ tr.Z.T
