@@ -2,7 +2,10 @@
 
 The certifier trusts nothing from the synthesis path: it re-forms the closed
 loop from the plant and the feedback matrix, re-classifies the dissipation
-matrix, and re-runs the full pencil analysis.
+matrix, and re-runs the full pencil analysis.  The one thing it shares with
+earlier analyses of the same plant is the SVD of E, which feedback keeps:
+:func:`phdesc.linalg.e_svd` hands back the bits a fresh SVD of that E would
+give, so every verdict is still reached from scratch.
 """
 
 from __future__ import annotations

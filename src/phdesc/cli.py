@@ -58,7 +58,10 @@ from .synthesis import synthesize_passifying, synthesize_stabilizing
 def _add_tol_args(p: argparse.ArgumentParser):
     p.add_argument("--tol", type=float, default=None, metavar="X",
                    help="override rank_rtol, the relative singular value "
-                        "cutoff of every rank decision")
+                        "cutoff of every rank decision; below about "
+                        "10 eps (n + k) a PBH rank drop cannot be told from "
+                        "roundoff, and a command that meets one refuses "
+                        "with ToleranceBreakdown (exit 2)")
     p.add_argument("--axis-tol", type=float, default=None, metavar="X",
                    help="override the imaginary-axis classification band")
     p.add_argument("--psd-tol", type=float, default=None, metavar="X",

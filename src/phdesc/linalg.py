@@ -7,6 +7,18 @@ when ``sigma > rank_rtol * sigma_1 * max(rows, cols)``, the same cutoff in
 a one-shot rank test, a staircase compression or an existence condition.
 Matrices are plain ``numpy.ndarray`` values; matrices with zero rows or
 columns are first-class and propagate through every operation.
+
+State feedback never changes a pencil's E, so one analysis chain (report,
+existence conditions, synthesis, certification, simulation) decomposes the
+same E several times.  :func:`e_svd` remembers the full SVD of the last E
+it was given.  The memo holds one slot: the key is a private copy of that
+E, compared entry by entry, and the read-only factors are exactly the bits
+a fresh ``np.linalg.svd`` of the same matrix returns, so no verdict can tell
+a remembered decomposition from a new one.  Only the call sites that
+decompose a pencil's E use it (the staircase's first step, Z_E of the
+index-one condition, the constraint rows of the consistent projection);
+any other matrix would evict E.  The augmented pencil ``[E, 0]`` of the
+generic axis test does take the slot, which costs the next E one SVD.
 """
 
 from __future__ import annotations
@@ -100,11 +112,36 @@ def as_matrix(M) -> np.ndarray:
 
 
 def spectral_norm(M) -> float:
-    """Largest singular value; 0.0 for matrices with an empty dimension."""
+    """Largest singular value; 0.0, without an SVD, for a zero matrix or
+    one with an empty dimension."""
     A = as_matrix(M)
-    if min(A.shape) == 0:
+    if not A.any():
         return 0.0
     return float(np.linalg.svd(A, compute_uv=False)[0])
+
+
+# (key, factors) of the last E given to e_svd, replaced as one tuple so that
+# a concurrent reader never pairs one call's key with another's factors.
+_E_SVD: tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]] | None = None
+
+
+def e_svd(E: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Full SVD ``(U, s, Vh)`` of a pencil's E, remembered for the last E.
+
+    A call with a matrix equal to the remembered one returns the stored
+    factors without a new decomposition; any other matrix replaces them.
+    The factors are read-only, and the key is a private copy, so changing
+    E in place after the call forces a fresh SVD on the next one.
+    """
+    global _E_SVD
+    slot = _E_SVD
+    if slot is not None and np.array_equal(slot[0], E):
+        return slot[1]
+    factors = np.linalg.svd(E)
+    for f in factors:
+        f.flags.writeable = False
+    _E_SVD = (np.array(E, copy=True), factors)
+    return factors
 
 
 def rank_threshold(s: np.ndarray, shape: tuple[int, int], tol: ToleranceConfig) -> float:

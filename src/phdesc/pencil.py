@@ -8,6 +8,10 @@ eigenvalues are the finite spectrum.  Pencil reports and the generic
 "full row rank on the whole imaginary axis" decisions go through this
 reduction: the rank of ``[s E - A, B]`` drops below its normal value exactly
 at the finite eigenvalues of the regular part of the augmented pencil.
+Each E-block is decomposed once.  The first E-compression takes its SVD
+from :func:`phdesc.linalg.e_svd`, which remembers it across calls (feedback
+keeps E, so a closed loop reuses the plant's).  The left pass starts from
+the transpose of the right pass's last SVD instead of taking its own.
 
 The feedback-existence condition on port-Hamiltonian data takes a shorter
 route.  A rank drop of ``[s E - (J - R), B]`` at ``s = i w`` needs a left
@@ -40,11 +44,13 @@ from .linalg import (
     ToleranceConfig,
     as_matrix,
     classify_definiteness,
+    e_svd,
     nullspace_basis,
     numerical_rank,
     pseudo_inverse,
     range_basis,
     rank_threshold,
+    singular_value_rank,
     spectral_norm,
 )
 from .model import PHSystem
@@ -148,7 +154,8 @@ def _deflate_right_and_infinite(A, E, thr_a, thr_e, stage, svd_e=None):
     that kernel), then deflates to the trailing subpencil.  Terminates with
     E of full column rank.  Thresholds are anchored at the original pencil
     norms so that later stages keep a consistent notion of "zero".
-    ``svd_e``, when given, is the full SVD of E and serves as step 1's.
+    ``svd_e``, when given, is the full SVD of E and serves as step 1's;
+    it may be read-only.
 
     Also returns the full SVD ``(U, s, Vh)`` of the final E taken at the
     step that found it of full column rank, or None when no columns remain.
@@ -229,17 +236,19 @@ def kronecker_staircase(A, E, tol: ToleranceConfig = DEFAULT_TOL) -> KroneckerSu
         raise ShapeMismatch(f"pencil blocks differ in shape: {A.shape} vs {E.shape}")
     p, q = A.shape
     maxdim = max(p, q, 1)
-    svd_e = np.linalg.svd(E) if q else None
+    svd_e = e_svd(E) if q else None
     s_e = svd_e[1] if q else np.zeros(0)
     thr_e = tol.rank_rtol * maxdim * (float(s_e[0]) if s_e.size else 0.0)
     thr_a = tol.rank_rtol * maxdim * spectral_norm(A)
 
-    nu_r, ss_r, A1, E1, _ = _deflate_right_and_infinite(
+    nu_r, ss_r, A1, E1, svd_e1 = _deflate_right_and_infinite(
         A, E, thr_a, thr_e, "right pass", svd_e)
     right_minimal, infinite_sizes = _minimal_and_infinite(nu_r, ss_r, "right pass")
 
+    # E1 = U diag(s) Vh, so E1^T = Vh^T diag(s) U^T is the left pass's step 1.
+    svd_e1t = None if svd_e1 is None else (svd_e1[2].T, svd_e1[1], svd_e1[0].T)
     nu_l, ss_l, A2t, E2t, svd_e2t = _deflate_right_and_infinite(
-        A1.T, E1.T, thr_a, thr_e, "left pass")
+        A1.T, E1.T, thr_a, thr_e, "left pass", svd_e1t)
     left_minimal, leftover = _minimal_and_infinite(nu_l, ss_l, "left pass")
     if leftover:
         raise NumericalBreakdown("left pass uncovered infinite structure; "
@@ -576,5 +585,6 @@ def index_one_rank_condition(E, A, B, tol: ToleranceConfig = DEFAULT_TOL) -> boo
     n = E.shape[0]
     if E.shape != (n, n) or A.shape != (n, n) or B.shape[0] != n:
         raise ShapeMismatch("index_one_rank_condition expects n x n pencils and n x k B")
-    Z_E = nullspace_basis(E, tol)
+    _, s, vh = e_svd(E)
+    Z_E = vh[singular_value_rank(s, E.shape, tol):, :].T
     return numerical_rank(np.hstack([E, A @ Z_E, B]), tol) == n

@@ -14,7 +14,7 @@ import logging
 import numpy as np
 
 from .errors import NotIndexOne, ShapeMismatch, SolveFailure
-from .linalg import DEFAULT_TOL, ToleranceConfig, nullspace_basis, pseudo_inverse
+from .linalg import DEFAULT_TOL, ToleranceConfig, e_svd, pseudo_inverse, singular_value_rank
 from .model import PHSystem, Trajectory, apply_feedback, quadratic_forms
 from .pencil import pencil_report
 
@@ -56,7 +56,8 @@ def _project_consistent(sys_closed: PHSystem, x0, tol: ToleranceConfig, u0) -> n
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     if x0.shape[0] != sys_closed.n:
         raise ShapeMismatch(f"x0 has length {x0.shape[0]}, expected {sys_closed.n}")
-    Uc = nullspace_basis(sys_closed.E.T, tol)
+    u, s, _ = e_svd(sys_closed.E)
+    Uc = u[:, singular_value_rank(s, sys_closed.E.shape, tol):]
     if Uc.shape[1] == 0:
         return x0.copy()
     C = Uc.T @ sys_closed.A

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from phdesc import linalg
 from phdesc.linalg import DEFAULT_TOL, as_matrix, nullspace_basis, numerical_rank, pseudo_inverse
 
 settings.register_profile("suite", deadline=None, max_examples=50, derandomize=True)
@@ -92,3 +93,24 @@ def singular_common_nullspace(sys) -> bool:
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """Every ``np.linalg.svd`` call from here on, as (copy of the argument,
+    compute_uv)."""
+    calls = []
+    svd = np.linalg.svd
+
+    def counting(a, *args, **kwargs):
+        calls.append((np.array(a, copy=True), kwargs.get("compute_uv", True)))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return calls
+
+
+@pytest.fixture
+def cold_e_svd(monkeypatch):
+    """Empty the SVD memo of :func:`phdesc.linalg.e_svd` for one test."""
+    monkeypatch.setattr(linalg, "_E_SVD", None)

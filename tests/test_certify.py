@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from phdesc import linalg
 from phdesc.certify import certify_closed_loop
 from phdesc.fileio import feedback_from_dict, feedback_to_dict
 from phdesc.generators import random_ph
 from phdesc.model import PHSystem
-from phdesc.synthesis import synthesize_stabilizing
+from phdesc.pencil import pencil_report
+from phdesc.synthesis import synthesize_passifying, synthesize_stabilizing
 
 
 def scalar_system(E=1.0, J=0.0, R=0.0, G=0.0, P=0.0, S=0.0, N=0.0):
@@ -65,3 +67,40 @@ class TestCertifyClosedLoop:
                                       "asymptotically_stable", "strictly_passive"}
         for check in doc["checks"].values():
             assert "passed" in check
+
+
+class TestSharedSvdOfE:
+    """Feedback keeps E, so a chain decomposes it once; the certifier still
+    reaches every verdict from scratch."""
+
+    def test_chain_takes_no_second_full_svd_of_e(self, svd_calls):
+        sys = random_ph(12, 2, 1)
+        pencil_report(sys.E, sys.A)
+        svd_calls.clear()
+        F, _ = synthesize_stabilizing(sys)
+        assert certify_closed_loop(sys, F, goal="stabilize").overall
+        assert not any(full and np.array_equal(a, sys.E) for a, full in svd_calls)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_cold_and_warm_memo_agree_bitwise(self, monkeypatch, seed):
+        sys = random_ph(12, 2, seed, s_definite=True)
+
+        def chain(before_each):
+            before_each()
+            F, _ = synthesize_stabilizing(sys)
+            before_each()
+            Fp = synthesize_passifying(sys)
+            before_each()
+            cs = certify_closed_loop(sys, F, goal="stabilize")
+            before_each()
+            return F, Fp, cs, certify_closed_loop(sys, Fp, goal="passify")
+
+        # Cold: every stage decomposes E afresh.  Warm: none does.
+        cold = chain(lambda: monkeypatch.setattr(linalg, "_E_SVD", None))
+        pencil_report(sys.E, sys.A)
+        warm = chain(lambda: None)
+        for x, y in zip(cold[:2], warm[:2]):
+            assert np.array_equal(x, y)
+        for x, y in zip(cold[2:], warm[2:]):
+            assert x.to_dict() == y.to_dict()
+            assert np.array_equal(x.spectrum, y.spectrum)

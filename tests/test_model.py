@@ -41,20 +41,23 @@ class TestValidate:
         assert not rep.passed
         assert not rep.w_psd.passed
 
-    def test_one_svd_per_violation_check(self, monkeypatch):
-        calls = []
-        svd = np.linalg.svd
-
-        def counting_svd(*args, **kwargs):
-            calls.append(args[0].shape)
-            return svd(*args, **kwargs)
-
-        sys = random_ph(6, 2, 0)
-        monkeypatch.setattr(np.linalg, "svd", counting_svd)
-        rep = validate(sys)
-        assert rep.passed
+    def test_one_svd_per_violation_check(self, svd_calls):
+        # A 1e-14 structure violation in each of E, J, N and S: nonzero,
+        # so each check takes its SVD, yet well inside the band.
+        s = random_ph(6, 2, 0)
+        bump = np.zeros((6, 6))
+        bump[0, 1] = 1e-14
+        sys = PHSystem(E=s.E + bump, J=s.J + bump, R=s.R, G=s.G, P=s.P,
+                       S=s.S + bump[:2, :2], N=s.N + 1e-14 * np.eye(2))
+        assert validate(sys).passed
         # e_symmetric, j_skew, n_skew and s_symmetric; the PSD checks use eigvalsh.
-        assert calls == [(6, 6), (6, 6), (2, 2), (2, 2)]
+        assert [a.shape for a, _ in svd_calls] == [(6, 6), (6, 6), (2, 2), (2, 2)]
+
+    def test_exact_structure_takes_no_svd(self, svd_calls):
+        # Generated data have E - E^T, J + J^T, N + N^T and S - S^T exactly
+        # zero, and the norm of a zero matrix needs no decomposition.
+        assert validate(random_ph(6, 2, 0)).passed
+        assert svd_calls == []
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):

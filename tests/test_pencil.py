@@ -168,6 +168,17 @@ class TestPencilReport:
         assert r.rank_E == 2
         assert r.finite_eigenvalues.size == 2
 
+    @pytest.mark.parametrize("n, m, seed, index, svds", [(60, 6, 0, 0, 2), (12, 2, 1, 1, 4)])
+    def test_left_pass_takes_no_svd_of_its_own(self, cold_e_svd, svd_calls,
+                                               n, m, seed, index, svds):
+        # Index 0: svd(E) and ||A||_2.  Index 1: also the A-compression on
+        # ker E and the SVD that finds the deflated E1 of full rank.  The left
+        # pass starts from that last SVD, transposed, and needs no more.
+        sys = random_ph(n, m, seed)
+        r = pencil_report(sys.E, sys.A)
+        assert r.regular and r.index == index
+        assert len(svd_calls) == svds
+
     def test_singular_pencil(self):
         r = pencil_report(ZERO, ZERO)
         assert not r.regular and r.index is None
@@ -466,3 +477,61 @@ class TestStabilizabilityPBH:
         monkeypatch.setattr(np.linalg, "svd", counting)
         stabilizability_rank_condition(sys)
         assert len(calls) <= 6, calls
+
+
+FAMILIES = {
+    "plain": {},
+    "s-definite": {"s_definite": True},
+    "axis-mode": {"force_axis_modes": True},
+    "singular": {"force_singular": True},
+}
+# (n, m, seed) per family: 36 systems, 144 over the four families.
+INVARIANCE_GRID = [(n, m, seed) for n in range(4, 13) for m in (1, 2) for seed in (0, 1)]
+# An orthogonal change of state basis, or the whole system scaled.
+STATE_CHANGES = {
+    "orthogonal": lambda sys, rng: _transformed(
+        sys, np.linalg.qr(rng.normal(size=(sys.n, sys.n)))[0], 1.0),
+    "scale-1e-6": lambda sys, rng: _transformed(sys, np.eye(sys.n), 1e-6),
+    "scale-1e6": lambda sys, rng: _transformed(sys, np.eye(sys.n), 1e6),
+}
+
+
+def _changed_verdicts(family, change, decide):
+    changed = []
+    for n, m, seed in INVARIANCE_GRID:
+        sys = random_ph(n, m, seed, **FAMILIES[family])
+        before = decide(sys)
+        after = decide(STATE_CHANGES[change](sys, np.random.default_rng(100 * n + seed)))
+        if after != before:
+            changed.append((n, m, seed, before, after))
+    return changed
+
+
+def _pencil_and_feedback_verdicts(sys):
+    r = pencil_report(sys.E, sys.A)
+    stabilizable, witnesses = stabilizability_rank_condition(sys)
+    return (r.regular, r.index, r.rank_E, r.stability_class,
+            stabilizable, len(witnesses), index_reduction_rank_condition(sys))
+
+
+class TestInvariance:
+    """Verdicts that theory leaves unchanged by an orthogonal state change
+    and by scaling the whole system by a positive constant."""
+
+    @pytest.mark.parametrize("change", STATE_CHANGES)
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_pencil_and_feedback_conditions(self, family, change):
+        assert _changed_verdicts(family, change, _pencil_and_feedback_verdicts) == []
+
+    @pytest.mark.parametrize("change", [
+        "orthogonal",
+        pytest.param("scale-1e-6", marks=pytest.mark.xfail(strict=True, reason=(
+            "classify_definiteness decides within psd_tol * max(1, ||M||), an "
+            "absolute 1e-10 for small M, so shrinking the system can push a "
+            "positive eigenvalue into the band"))),
+        "scale-1e6",
+    ])
+    def test_strict_passifiability(self, change):
+        changed = [case for family in FAMILIES
+                   for case in _changed_verdicts(family, change, strict_passifiability_condition)]
+        assert changed == []
