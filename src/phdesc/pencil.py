@@ -285,9 +285,13 @@ def _cluster_multiplicity(evs: np.ndarray, lam: complex) -> int:
 
 
 def _axis_eigenvalues_semisimple(summary: KroneckerSummary, tol: ToleranceConfig) -> bool:
-    """Algebraic multiplicity equals rank deficiency of the shifted regular part."""
+    """Algebraic multiplicity equals rank deficiency of the shifted regular part.
+
+    A real pencil's eigenvalues come in exact conjugate pairs whose shifted
+    parts share their singular values, so each pair is decided at Im >= 0.
+    """
     evs = summary.finite_eigenvalues
-    axis = evs[np.abs(evs.real) <= tol.axis_tol]
+    axis = evs[(np.abs(evs.real) <= tol.axis_tol) & (evs.imag >= 0)]
     seen: list[complex] = []
     for lam in axis:
         if any(abs(lam - mu) <= _CLUSTER_RTOL * max(1.0, abs(mu)) for mu in seen):

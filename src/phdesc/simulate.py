@@ -5,6 +5,8 @@ inequality dynamically, not for high accuracy: implicit Euler is
 unconditionally stable on the dissipative pencils produced here and handles
 the index-one algebraic part without any special treatment, because every
 step solves the algebraic constraints exactly for the currently held input.
+One numpy solve with the step matrix forms a propagator up front, so each
+step is then a single matrix-vector product.
 """
 
 from __future__ import annotations
@@ -14,7 +16,14 @@ import logging
 import numpy as np
 
 from .errors import NotIndexOne, ShapeMismatch, SolveFailure
-from .linalg import DEFAULT_TOL, ToleranceConfig, e_svd, pseudo_inverse, singular_value_rank
+from .linalg import (
+    DEFAULT_TOL,
+    ToleranceConfig,
+    e_svd,
+    numerical_rank,
+    pseudo_inverse,
+    singular_value_rank,
+)
 from .model import PHSystem, Trajectory, apply_feedback, quadratic_forms
 from .pencil import pencil_report
 
@@ -87,7 +96,9 @@ def simulate_closed_loop(
     samples with K = round(T / dt).  Inconsistent initial states are
     projected onto the constraint set before stepping.
 
-    Each step solves ``(E - dt*(J~-R~)) x_next = E x + dt*(G~-P~) u_k``; the
+    Each step solves ``(E - dt*(J~-R~)) x_next = E x + dt*(G~-P~) u_k`` as
+    ``x_next = Phi x + Gam u_k``, with ``[Phi, Gam]`` from one solve against
+    ``[E, dt*(G~-P~)]``; the step matrix must have full numerical rank.  The
     output is ``y = (G~+P~)^T x + (S+N) u``.
     """
     if dt <= 0:
@@ -99,64 +110,45 @@ def simulate_closed_loop(
     n, m = closed.n, closed.m
     K = max(1, int(round(T / dt)))
 
-    if u is None:
-        u_steps = np.zeros((K, m))
-    else:
-        u_arr = np.asarray(u, dtype=float)
-        if u_arr.ndim == 1 and u_arr.shape == (m,):
-            u_steps = np.tile(u_arr, (K, 1))
-        elif u_arr.ndim == 2 and u_arr.shape == (K, m):
-            u_steps = u_arr
-        else:
-            raise ShapeMismatch(f"input samples must have shape ({m},) or ({K}, {m})")
+    u_steps = np.zeros((K, m)) if u is None else np.asarray(u, dtype=float)
+    if u_steps.shape == (m,):
+        u_steps = np.tile(u_steps, (K, 1))
+    elif u_steps.shape != (K, m):
+        raise ShapeMismatch(f"input samples must have shape ({m},) or ({K}, {m})")
 
     x = np.asarray(x0, dtype=float).reshape(-1)
     if x.shape[0] != n:
         raise ShapeMismatch(f"x0 has length {x.shape[0]}, expected {n}")
-    u_first = u_steps[0] if m else None
-    x_proj = _project_consistent(closed, x, tol, u_first)
+    x_proj = _project_consistent(closed, x, tol, u_steps[0])
     shift = float(np.linalg.norm(x_proj - x))
     if shift > 1e-9 * max(1.0, float(np.linalg.norm(x))):
         logger.info("initial state projected onto the constraint set (moved %.3e)", shift)
-    x = x_proj
-
-    import scipy.linalg as sla
 
     step_matrix = closed.E - dt * closed.A
-    try:
-        lu, piv = sla.lu_factor(step_matrix)
-    except (ValueError, np.linalg.LinAlgError) as exc:
-        raise SolveFailure("step matrix factorization failed", t=0.0) from exc
-    diag = np.abs(np.diag(lu))
-    if diag.size and diag.min() <= 1e-14 * max(1.0, diag.max()):
+    if numerical_rank(step_matrix, tol) < n:
         raise SolveFailure("step matrix numerically singular", t=0.0)
-
-    # LAPACK getrs straight on the factors: the same solve lu_solve makes,
-    # without its per-call argument checks.
-    getrs, = sla.get_lapack_funcs(("getrs",), (lu,))
-    E, Bin = closed.E, closed.B
+    prop = np.linalg.solve(step_matrix, np.hstack([closed.E, dt * closed.B]))
+    Phi, Gam = prop[:, :n], prop[:, n:]
     X = np.empty((K + 1, n))
-    X[0] = x
+    X[0] = x_proj
+    # The input terms go straight into the samples they feed, so the
+    # trajectory is the only K x n array.
+    np.matmul(u_steps, Gam.T, out=X[1:])
+    step = np.empty(n)
     # A state that blows up keeps stepping until the loop ends, where the
     # first non-finite sample is reported; its inf/nan arithmetic is silenced.
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(K):
-            rhs = E @ X[k]
-            if m:
-                rhs += dt * (Bin @ u_steps[k])
-            X[k + 1], info = getrs(lu, piv, rhs, overwrite_b=True)
-            if info:
-                raise SolveFailure(f"step solve failed (LAPACK info {info})", t=(k + 1) * dt)
+        prev = X[0]
+        for nxt in X[1:]:
+            nxt += np.dot(Phi, prev, out=step)
+            prev = nxt
     finite = np.isfinite(X[1:]).all(axis=1)
     if not finite.all():
         k = int(np.argmin(finite))
         raise SolveFailure("non-finite state", t=(k + 1) * dt)
 
     t = np.arange(K + 1) * dt
-    U = np.zeros((K + 1, m))
-    if m:
-        U[:K] = u_steps
-        U[K] = u_steps[-1]
+    U = np.vstack([u_steps, u_steps[-1:]])
     Y = X @ (closed.G + closed.P) + U @ closed.D.T
     return Trajectory(t=t, x=X, u=U, y=Y)
 

@@ -47,6 +47,41 @@ def test_analysis_commands_do_not_load_scipy(tmp_path):
     assert out["samples"] == 51 and out["finite"]
 
 
+# Stabilizes a generated system, then runs the simulate command on the loop
+# in the same fresh interpreter and records which scipy modules it loaded.
+_SIMULATE_SCRIPT = """
+import json, sys
+from phdesc.cli import main
+
+d = sys.argv[1]
+codes = [
+    main(["gen", "--n", "6", "--m", "2", "--seed", "4", "--output", d + "/sys.json"]),
+    main(["stabilize", "--input", d + "/sys.json", "--output", d + "/F.json"]),
+]
+scipy_before = sorted(k for k in sys.modules if k.split(".")[0] == "scipy")
+codes.append(main(["simulate", "--input", d + "/sys.json", "--feedback", d + "/F.json",
+                   "--x0=1,1,1,1,1,1", "--u=0.5,-0.5", "--T", "0.05", "--dt", "1e-3",
+                   "--output", d + "/traj.csv", "--report", d + "/sim.json"]))
+scipy_after = sorted(k for k in sys.modules if k.split(".")[0] == "scipy")
+print(json.dumps({"codes": codes, "scipy_before": scipy_before, "scipy_after": scipy_after}))
+"""
+
+
+def test_simulate_command_does_not_load_scipy(tmp_path):
+    src = str(Path(phdesc.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", _SIMULATE_SCRIPT, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.splitlines()[-1])
+    assert out["codes"] == [0, 0, 0]
+    assert out["scipy_before"] == [] and out["scipy_after"] == []
+    sim = json.loads((tmp_path / "sim.json").read_text(encoding="utf-8"))
+    assert sim["steps"] == 50 and sim["dissipation_inequality"]
+    assert len((tmp_path / "traj.csv").read_text(encoding="utf-8").splitlines()) == 52
+
+
 _REPO = Path(__file__).resolve().parents[1]
 _WORKLOADS = ast.parse((_REPO / "bench" / "workloads.py").read_text(encoding="utf-8"))
 

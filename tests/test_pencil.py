@@ -179,6 +179,21 @@ class TestPencilReport:
         assert r.regular and r.index == index
         assert len(svd_calls) == svds
 
+    @pytest.mark.parametrize("n, seed", [(12, 0), (60, 1)])
+    def test_one_rank_svd_per_axis_pair(self, svd_calls, n, seed):
+        # The oscillator block puts one pair +-i w on the axis; the
+        # semisimplicity test decides it with one complex SVD, at +i w.
+        sys = random_ph(n, 2, seed, force_axis_modes=True)
+        r = pencil_report(sys.E, sys.A)
+        assert r.stability_class is StabilityClass.STABLE_NOT_ASYMPTOTIC
+        evs = r.finite_eigenvalues
+        axis = evs[np.abs(evs.real) <= DEFAULT_TOL.axis_tol]
+        assert len(axis) == 2 and axis[0] == axis[1].conjugate()
+        lam = axis[axis.imag > 0][0]
+        shifted = [a for a, _ in svd_calls if np.iscomplexobj(a)]
+        assert len(shifted) == 1
+        assert np.array_equal(shifted[0], lam * r.summary.regular_E - r.summary.regular_A)
+
     def test_singular_pencil(self):
         r = pencil_report(ZERO, ZERO)
         assert not r.regular and r.index is None

@@ -87,6 +87,51 @@ class TestSimulateClosedLoop:
             simulate_closed_loop(sys, [[999.0]], [1.0], T=1.0, dt=1e-3)
         assert exc.value.t == 103 * 1e-3
 
+    def test_singular_step_matrix_refused_at_start(self):
+        # E - dt A = 1 - 1e-3 * 1000 is exactly 0
+        sys = scalar_system(E=1, G=1)
+        with pytest.raises(SolveFailure, match="step matrix numerically singular") as exc:
+            simulate_closed_loop(sys, [[1000.0]], [1.0], T=1.0, dt=1e-3)
+        assert exc.value.t == 0.0
+
+    def test_rank_deficient_step_matrix_refused_at_start(self):
+        # A = Q diag(1000, -1, -2) Q^T, so E - dt A has a singular value at
+        # roundoff level but no exact zero on its diagonal or in its LU.
+        Q = np.linalg.qr(np.random.default_rng(3).normal(size=(3, 3)))[0]
+        sys = PHSystem(E=np.eye(3), J=np.zeros((3, 3)), R=np.zeros((3, 3)), G=np.eye(3),
+                       P=np.zeros((3, 3)), S=np.zeros((3, 3)), N=np.zeros((3, 3)))
+        F = Q @ np.diag([1000.0, -1.0, -2.0]) @ Q.T
+        step_matrix = np.eye(3) - 1e-3 * apply_feedback(sys, F).A
+        assert np.linalg.svd(step_matrix, compute_uv=False)[-1] < 1e-13
+        with pytest.raises(SolveFailure, match="step matrix numerically singular") as exc:
+            simulate_closed_loop(sys, F, np.ones(3), T=0.1, dt=1e-3)
+        assert exc.value.t == 0.0
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_every_step_solves_the_euler_equation(self, seed):
+        # An index-one DAE (rank E = 57 of 60) under a certified feedback and
+        # a time-varying input: each sample satisfies
+        # (E - dt A) x_{k+1} = E x_k + dt B u_k to 64 n eps, relative to the
+        # norms of its terms.
+        sys = random_ph(60, 6, seed, rank_e=57)
+        F, _ = synthesize_stabilizing(sys)
+        cert = certify_closed_loop(sys, F)
+        assert cert.overall
+        closed = cert.closed_loop
+        rng = np.random.default_rng(seed)
+        dt, K = 1e-3, 2000
+        u = rng.normal(size=(K, 6)) * np.sin(np.arange(K) * dt * 7.0)[:, None]
+        traj = simulate_closed_loop(sys, F, rng.normal(size=60), u=u, T=K * dt, dt=dt)
+        E, A, B = closed.E, closed.A, closed.B
+        M = E - dt * A
+        X, U = traj.x, traj.u
+        res = X[1:] @ M.T - X[:-1] @ E.T - dt * (U[:-1] @ B.T)
+        nx = np.linalg.norm(X, axis=1)
+        scale = (np.linalg.norm(M, 2) * nx[1:] + np.linalg.norm(E, 2) * nx[:-1]
+                 + dt * np.linalg.norm(B, 2) * np.linalg.norm(U[:-1], axis=1))
+        worst = np.max(np.linalg.norm(res, axis=1) / scale)
+        assert worst <= 64 * 60 * np.finfo(float).eps
+
     def test_bad_input_shape(self):
         sys = scalar_system(E=1, G=1)
         with pytest.raises(ShapeMismatch):
