@@ -2,10 +2,14 @@
 
 The certifier trusts nothing from the synthesis path: it re-forms the closed
 loop from the plant and the feedback matrix, re-classifies the dissipation
-matrix, and re-runs the full pencil analysis.  The one thing it shares with
-earlier analyses of the same plant is the SVD of E, which feedback keeps:
-:func:`phdesc.linalg.e_svd` hands back the bits a fresh SVD of that E would
-give, so every verdict is still reached from scratch.
+matrix, and re-runs the full pencil analysis.  What it shares with earlier
+analyses of the same plant comes from the two memos of
+:func:`phdesc.linalg.remembered`, which hand back the bits a fresh
+computation would give.  One is the SVD of E, which feedback keeps
+(:func:`phdesc.linalg.e_svd`).  The other is the open-loop report of
+:func:`phdesc.pencil.pencil_report`, and only when ``B F == 0`` exactly,
+so that the closed loop's A has the same bits as the plant's.  Every
+verdict is still reached from scratch.
 """
 
 from __future__ import annotations

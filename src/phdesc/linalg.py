@@ -10,15 +10,18 @@ columns are first-class and propagate through every operation.
 
 State feedback never changes a pencil's E, so one analysis chain (report,
 existence conditions, synthesis, certification, simulation) decomposes the
-same E several times.  :func:`e_svd` remembers the full SVD of the last E
-it was given.  The memo holds one slot: the key is a private copy of that
-E, compared entry by entry, and the read-only factors are exactly the bits
-a fresh ``np.linalg.svd`` of the same matrix returns, so no verdict can tell
-a remembered decomposition from a new one.  Only the call sites that
-decompose a pencil's E use it (the staircase's first step, Z_E of the
-index-one condition, the constraint rows of the consistent projection);
-any other matrix would evict E.  The augmented pencil ``[E, 0]`` of the
-generic axis test does take the slot, which costs the next E one SVD.
+same E several times, and the conditions and the synthesis read the same
+open-loop report.  :func:`remembered` is a one-slot memo for both: it keeps
+the value of the last call, keyed by private copies of its array arguments
+(compared entry by entry) and its other arguments (compared with ==).
+:func:`e_svd` keeps the full SVD of the last E it was given, and
+:func:`phdesc.pencil.pencil_report` the report of the last ``(E, A, tol)``.
+The stored values are read-only and exactly the bits a fresh computation
+on the same arguments returns, so no verdict can tell a remembered value
+from a new one.  Only the call sites that decompose a pencil's E use
+:func:`e_svd` (the staircase's first step, Z_E of the index-one condition,
+the constraint rows of the consistent projection); any other matrix would
+evict E.
 """
 
 from __future__ import annotations
@@ -120,27 +123,52 @@ def spectral_norm(M) -> float:
     return float(np.linalg.svd(A, compute_uv=False)[0])
 
 
-# (key, factors) of the last E given to e_svd, replaced as one tuple so that
-# a concurrent reader never pairs one call's key with another's factors.
-_E_SVD: tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]] | None = None
+def remembered(slot, args: tuple, compute):
+    """One-slot memo: ``(compute(*args), slot)`` with the slot updated.
+
+    ``slot`` is None or ``(key, value)`` of the last call.  When args match
+    the key (arrays entry by entry, other arguments with ==), the stored
+    value and the same slot come back.  Otherwise compute runs on the new
+    key, whose arrays are private read-only copies, so the value cannot
+    alias the caller's arrays, and changing them in place forces a fresh
+    value on the next call.  The new slot is one tuple, so a concurrent
+    reader never pairs one call's key with another's value.
+    """
+    if slot is not None and all(
+            np.array_equal(k, a) if isinstance(k, np.ndarray) else k == a
+            for k, a in zip(slot[0], args)):
+        return slot[1], slot
+    key = tuple(_read_only_copy(a) if isinstance(a, np.ndarray) else a for a in args)
+    value = compute(*key)
+    return value, (key, value)
+
+
+def _read_only_copy(a: np.ndarray) -> np.ndarray:
+    c = np.array(a, copy=True)
+    c.flags.writeable = False
+    return c
+
+
+def _read_only_svd(E: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    factors = np.linalg.svd(E)
+    for f in factors:
+        f.flags.writeable = False
+    return factors
+
+
+# remembered() slot of e_svd: (key, factors) of the last E.
+_E_SVD = None
 
 
 def e_svd(E: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Full SVD ``(U, s, Vh)`` of a pencil's E, remembered for the last E.
 
     A call with a matrix equal to the remembered one returns the stored
-    factors without a new decomposition; any other matrix replaces them.
-    The factors are read-only, and the key is a private copy, so changing
-    E in place after the call forces a fresh SVD on the next one.
+    read-only factors without a new decomposition; any other matrix
+    replaces them (see :func:`remembered`).
     """
     global _E_SVD
-    slot = _E_SVD
-    if slot is not None and np.array_equal(slot[0], E):
-        return slot[1]
-    factors = np.linalg.svd(E)
-    for f in factors:
-        f.flags.writeable = False
-    _E_SVD = (np.array(E, copy=True), factors)
+    factors, _E_SVD = remembered(_E_SVD, (E,), _read_only_svd)
     return factors
 
 

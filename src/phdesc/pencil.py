@@ -1,27 +1,27 @@
 """Structural analysis of matrix pencils ``s E - A``.
 
 The workhorse is a staircase reduction with orthogonal transformations that
-deflates a (possibly rectangular, possibly singular) pencil into its
+deflates a (possibly rectangular, possibly singular) real pencil into its
 Kronecker constituents: right/left minimal indices, infinite elementary
 divisors, and a square regular part with invertible E whose generalized
-eigenvalues are the finite spectrum.  Pencil reports and the generic
-"full row rank on the whole imaginary axis" decisions go through this
-reduction: the rank of ``[s E - A, B]`` drops below its normal value exactly
-at the finite eigenvalues of the regular part of the augmented pencil.
-Each E-block is decomposed once.  The first E-compression takes its SVD
-from :func:`phdesc.linalg.e_svd`, which remembers it across calls (feedback
-keeps E, so a closed loop reuses the plant's).  The left pass starts from
-the transpose of the right pass's last SVD instead of taking its own.
+eigenvalues are the finite spectrum.  Each E-block is decomposed once.  The
+first E-compression takes its SVD from :func:`phdesc.linalg.e_svd`, which
+remembers it across calls (feedback keeps E, so a closed loop reuses the
+plant's).  The left pass starts from the transpose of the right pass's last
+SVD instead of taking its own.  :func:`pencil_report` remembers its last
+``(E, A, tol)`` report the same way, so the existence conditions and the
+synthesis of one system read the report that the analysis computed.
 
-The feedback-existence condition on port-Hamiltonian data takes a shorter
-route.  A rank drop of ``[s E - (J - R), B]`` at ``s = i w`` needs a left
-null vector y with ``R y = 0``, ``B^T y = 0`` and ``(i w E - J) y = 0``, so
-only the kernel Z of ``[R; B^T]`` can carry one (widened to the directions
-that R damps by less than axis_tol, where weakly damped modes live).  That
-space is usually empty; otherwise the candidate points are the eigenvalues
-of the small pencil ``(Z^T E Z, Z^T J Z)``, and each is decided by a
-Popov-Belevitch-Hautus (PBH) rank test on ``[i w E - A, B]``.  Near-axis
-modes and ill-conditioned ``Z^T E Z`` go back to the staircase.
+"Full row rank of ``[s E - A, B]`` on the imaginary axis" is decided at the
+points where it can fail.  For a regular pencil the rank can drop only at
+an eigenvalue (Hautus), so each eigenvalue of the report within axis_tol of
+the axis is decided by one Popov-Belevitch-Hautus (PBH) SVD of
+``[lam E - A, B]`` at lam itself, a conjugate pair at its member with
+``Im lam >= 0``.  A singular pencil whose left minimal indices are all
+zero, as every port-Hamiltonian one is (Mehl, Mehrmann & Wojtylak, SIMAX
+2018), has a constant left kernel N0 off its spectrum: the rank drops
+everywhere when ``N0^T B`` is rank-deficient, and one PBH test at s = 0
+finds that.
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ from .linalg import (
     pseudo_inverse,
     range_basis,
     rank_threshold,
+    remembered,
     singular_value_rank,
     spectral_norm,
 )
@@ -234,6 +235,9 @@ def kronecker_staircase(A, E, tol: ToleranceConfig = DEFAULT_TOL) -> KroneckerSu
     E = as_matrix(E)
     if A.shape != E.shape:
         raise ShapeMismatch(f"pencil blocks differ in shape: {A.shape} vs {E.shape}")
+    if np.iscomplexobj(A) or np.iscomplexobj(E):
+        # The compressions use plain transposes, orthogonal only for real data.
+        raise HypothesisViolated("the Kronecker staircase needs real E and A")
     p, q = A.shape
     maxdim = max(p, q, 1)
     svd_e = e_svd(E) if q else None
@@ -305,14 +309,30 @@ def _axis_eigenvalues_semisimple(summary: KroneckerSummary, tol: ToleranceConfig
     return True
 
 
+# remembered() slot of pencil_report: (key, report) of the last (E, A, tol).
+_REPORT = None
+
+
 def pencil_report(E, A, tol: ToleranceConfig = DEFAULT_TOL) -> PencilReport:
-    """Regularity, index, finite spectrum, and stability class of ``s E - A``."""
+    """Regularity, index, finite spectrum, and stability class of ``s E - A``.
+
+    The report of the last ``(E, A, tol)`` is remembered (see
+    :func:`phdesc.linalg.remembered`); its arrays are read-only.
+    """
+    global _REPORT
     E = as_matrix(E)
     A = as_matrix(A)
     if E.shape[0] != E.shape[1] or A.shape != E.shape:
         raise NotSquare("pencil_report requires square E and A of equal shape")
+    report, _REPORT = remembered(_REPORT, (E, A, tol), _pencil_report)
+    return report
+
+
+def _pencil_report(E, A, tol: ToleranceConfig) -> PencilReport:
     summary = kronecker_staircase(A, E, tol)
     evs = summary.finite_eigenvalues
+    for a in (evs, summary.regular_A, summary.regular_E):
+        a.flags.writeable = False
     re = evs.real
     abscissa = float(re.max()) if evs.size else None
     axis_dist = float(np.abs(re).min()) if evs.size else None
@@ -343,32 +363,55 @@ def pencil_report(E, A, tol: ToleranceConfig = DEFAULT_TOL) -> PencilReport:
     )
 
 
-def _axis_full_row_rank(M, K, tol: ToleranceConfig) -> tuple[bool, list[complex]]:
-    """Decide rank(s M - K) == rows for every s on the imaginary axis.
+def _pbh_deficiency(E, A, B, lam: complex, tol: ToleranceConfig) -> int:
+    """Rank deficiency of the n-row matrix ``[lam E - A, B]``.
 
-    Returns the offending s values: the axis eigenvalues of the regular
-    part, plus s = 0 as a representative witness when the normal rank is
-    already deficient (then every axis point offends).
+    A singular value within a factor of ten of the rank threshold has no
+    margin and raises.
     """
-    M = as_matrix(M)
-    K = as_matrix(K)
-    p = M.shape[0]
-    if p == 0:
-        return True, []
-    summary = kronecker_staircase(K, M, tol)
-    deficient = summary.normal_rank < p
-    evs = summary.finite_eigenvalues
-    witnesses = [complex(l) for l in evs[np.abs(evs.real) <= tol.axis_tol]]
+    # A point on the real line keeps the SVD real.
+    M = np.hstack([(lam if lam.imag else lam.real) * E - A, B])
+    s = np.linalg.svd(M, compute_uv=False)
+    thr = rank_threshold(s, M.shape, tol)
+    if np.any((s > thr / 10.0) & (s < 10.0 * thr)):
+        kept, dropped = s[s > thr], s[s <= thr]
+        raise ToleranceBreakdown(f"PBH test, s = {lam:.6g}", thr,
+                                 float(kept[-1]) if kept.size else np.inf,
+                                 float(dropped[0]) if dropped.size else 0.0)
+    return int(np.sum(s <= thr))
+
+
+def _axis_rank(E, A, B, tol: ToleranceConfig) -> tuple[bool, list[complex]]:
+    """:func:`imaginary_axis_full_rank` on validated arrays: PBH tests at
+    the axis eigenvalues of ``pencil_report(E, A, tol)``, after one at
+    s = 0 for a singular pencil (see the module docstring)."""
+    rep = pencil_report(E, A, tol)
+    if not rep.regular:
+        if any(rep.summary.left_minimal_indices):
+            raise HypothesisViolated("singular pencil with a positive left minimal index: "
+                                     "the rank of [s E - A, B] can drop off its spectrum")
+        if _pbh_deficiency(E, A, B, 0j, tol):
+            return False, [0j]
+    evs = rep.finite_eigenvalues
+    witnesses: list[complex] = []
+    for lam in evs[(np.abs(evs.real) <= tol.axis_tol) & (evs.imag >= 0)]:
+        if _pbh_deficiency(E, A, B, lam, tol):
+            lam = complex(lam)
+            witnesses += [lam, lam.conjugate()] if lam.imag else [lam]
     witnesses.sort(key=lambda z: (z.imag, z.real))
-    if deficient and not witnesses:
-        witnesses = [0j]
-    return (not deficient) and not witnesses, witnesses
+    return not witnesses, witnesses
 
 
 def imaginary_axis_full_rank(E, A, B, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[bool, list[complex]]:
     """Decide rank([s E - A, B]) == n for all s in the closed imaginary axis.
 
     B may have zero columns, in which case the pencil itself is tested.
+    Returns the verdict and the offending points: each eigenvalue of
+    ``s E - A`` within ``tol.axis_tol`` of the axis where the rank drops,
+    with its conjugate, or ``[0j]`` for a singular pencil whose rank drops
+    everywhere.  Raises :class:`ToleranceBreakdown` when a PBH test has no
+    tenfold margin, and :class:`HypothesisViolated` for a singular pencil
+    with a positive left minimal index (never port-Hamiltonian).
     """
     E = as_matrix(E)
     A = as_matrix(A)
@@ -376,113 +419,7 @@ def imaginary_axis_full_rank(E, A, B, tol: ToleranceConfig = DEFAULT_TOL) -> tup
     n = E.shape[0]
     if E.shape != (n, n) or A.shape != (n, n) or B.shape[0] != n:
         raise ShapeMismatch("imaginary_axis_full_rank expects n x n pencils and n x k B")
-    M = np.hstack([E, np.zeros((n, B.shape[1]))])
-    K = np.hstack([A, B])
-    return _axis_full_row_rank(M, K, tol)
-
-
-def _pbh_deficiency(E, A, B, omega: float, tol: ToleranceConfig,
-                    axis_band: float) -> tuple[int, float, bool]:
-    """Rank deficiency of ``[i w E - A, B]``, its rank threshold thr,
-    and whether a singular value above thr is at most ``axis_band``.
-
-    A singular value within a factor of ten of thr has no margin and raises.
-    """
-    M = np.hstack([1j * omega * E - A, B]) if omega else np.hstack([-A, B])
-    s = np.linalg.svd(M, compute_uv=False)
-    thr = rank_threshold(s, M.shape, tol)
-    near = (s > thr / 10.0) & (s < 10.0 * thr)
-    if near.any():
-        kept, dropped = s[s > thr], s[s <= thr]
-        raise ToleranceBreakdown(f"PBH test, s = {omega:.6g}i", thr,
-                                 float(kept[-1]) if kept.size else np.inf,
-                                 float(dropped[0]) if dropped.size else 0.0)
-    return int(np.sum(s <= thr)), thr, bool(np.any((s > thr) & (s <= axis_band)))
-
-
-def _ph_axis_full_rank(sys: PHSystem, B_in, tol: ToleranceConfig) -> tuple[bool, list[complex]]:
-    """:func:`imaginary_axis_full_rank` of ``(E, J - R, B_in)`` for
-    port-Hamiltonian data (E symmetric, J skew, R positive semidefinite).
-
-    A left null vector y of ``[lam E - A, B_in]`` has ``B_in^T y = 0`` and
-    ``Re lam = -y^H R y / y^H E y``.  A mode on the axis thus has
-    ``R y = 0``, and one within axis_tol of it has ``y^H R y`` at most
-    ``axis_tol ||E||``.  So y lies in the span Z of the directions of
-    ``ker B_in^T`` whose R Rayleigh quotient is that small, and ``Im lam``
-    is near an eigenvalue of ``(Z^T E Z, Z^T J Z)``, whose spectrum is
-    imaginary when ``Z^T E Z`` is definite.  Both cutoffs are taken ten
-    times above their thresholds: a wider Z only adds candidates.
-
-    Each candidate point is decided by a PBH test.  Exact drops and full
-    rank are read off it directly.  A singular value above the threshold
-    but within ``10 axis_tol ||E Z||`` may belong to a weakly damped mode
-    (``sigma_n([i w E - A, B_in]) <= |i w - lam| ||E y||``); its real part
-    decides, so the staircase does.  The staircase also decides when
-    ``Z^T E Z`` is too ill-conditioned to place the candidates within the
-    PBH resolution.
-    """
-    E, A, n, k = sys.E, sys.A, sys.n, B_in.shape[1]
-    # Frobenius norms bound the 2-norms from above, so every cutoff below
-    # errs toward a wider Z or toward the staircase.
-    e_norm = np.linalg.norm(E)
-    W = np.eye(n)
-    if k:
-        u, s, _ = np.linalg.svd(B_in)
-        b_cut = 10.0 * tol.rank_rtol * (n + k) * np.hypot(np.linalg.norm(A), s[0])
-        W = u[:, int(np.sum(s > b_cut)):]
-    mu, U = np.linalg.eigh(W.T @ sys.R @ W)
-    r_cut = 10.0 * max(tol.axis_tol * e_norm, tol.rank_rtol * n * np.linalg.norm(sys.R))
-    Z = W @ U[:, mu <= r_cut]
-    d = Z.shape[1]
-    if d == 0:
-        return True, []
-    Ed = Z.T @ E @ Z
-    lam, V = np.linalg.eigh((Ed + Ed.T) / 2.0)
-    EZ = E @ Z
-    ez_norm = np.sqrt(np.linalg.eigvalsh(EZ.T @ EZ)[-1])
-    # A computed candidate is off by about eps (||J|| + |w| ||E||) / lam_min
-    # and moves sigma_n by that times ||E Z||.  The PBH threshold is
-    # rank_rtol (n + k) sigma_1 with sigma_1 >= max(||J||, |w| ||E||), so at
-    # the default rank_rtol of 256 eps, while ||E Z|| < 10 (n + k) lam_min,
-    # an exact drop still reads below a tenth of it.
-    if 10.0 * (n + k) * lam[0] <= ez_norm:
-        return imaginary_axis_full_rank(E, A, B_in, tol)
-    axis_band = 10.0 * tol.axis_tol * ez_norm
-    T = V / np.sqrt(lam)
-    Jd = Z.T @ sys.J @ Z
-    K = T.T @ ((Jd - Jd.T) / 2.0) @ T
-    # K is real skew: i K is Hermitian with eigenvalues +-w in exact pairs,
-    # plus one 0 when d is odd.  Each pair is decided at its w >= 0; a point
-    # carries the number of eigenvalues of K it stands for.
-    w = np.linalg.eigvalsh(1j * K)
-    points = sorted(([(0.0, 1)] if d % 2 else [])
-                    + [(abs(float(x)), 2) for x in w[(d + 1) // 2:]])
-    witnesses: list[complex] = []
-    near_axis = False
-    i = 0
-    while i < len(points):
-        omega = points[i][0]
-        drops, thr, near = _pbh_deficiency(E, A, B_in, omega, tol, axis_band)
-        near_axis |= near
-        # Points closer than the PBH resolution in w are one point: a
-        # computed multiple eigenvalue, or a +-w pair at s = 0.
-        resolution = thr / (10.0 * e_norm)
-        j = i + 1
-        while j < len(points) and points[j][0] - omega <= resolution:
-            j += 1
-        if omega <= resolution:
-            witnesses += [0j] * min(drops, sum(c for _, c in points[i:j]))
-        else:
-            witnesses += [complex(0.0, omega), complex(0.0, -omega)] * min(drops, j - i)
-        i = j
-    witnesses.sort(key=lambda z: (z.imag, z.real))
-    if near_axis:
-        ok, axis_witnesses = imaginary_axis_full_rank(E, A, B_in, tol)
-        # A drop that PBH read below a tenth of its threshold stands even
-        # where the staircase misses it.
-        if not ok or not witnesses:
-            return ok, axis_witnesses
-    return not witnesses, witnesses
+    return _axis_rank(E, A, B, tol)
 
 
 def undamped_block_stability_condition(E, J, R, n1: int,
@@ -492,7 +429,9 @@ def undamped_block_stability_condition(E, J, R, n1: int,
 
     The pencil ``s E - (J - R)`` has all finite eigenvalues in the open left
     half plane exactly when the trailing block row
-    ``[s E12^T + J12^T, s E22 - J22]`` keeps full row rank on the axis.
+    ``[s E12^T + J12^T, s E22 - J22]`` keeps full row rank on the axis.  For
+    symmetric E those rows are ``y^T [s E - (J - R)]`` over the y with
+    ``y^T R = 0``, so this is :func:`imaginary_axis_full_rank` with B = R.
     """
     E = as_matrix(E)
     J = as_matrix(J)
@@ -509,13 +448,7 @@ def undamped_block_stability_condition(E, J, R, n1: int,
         raise HypothesisViolated("R is not of the block form diag(R11, 0)")
     if n1 > 0 and not classify_definiteness(R[:n1, :n1], tol).is_definite:
         raise HypothesisViolated("leading dissipation block R11 is not positive definite")
-    n2 = n - n1
-    if n2 == 0:
-        return True
-    M = np.hstack([E[:n1, n1:].T, E[n1:, n1:]])
-    K = np.hstack([-J[:n1, n1:].T, J[n1:, n1:]])
-    ok, _ = _axis_full_row_rank(M, K, tol)
-    return ok
+    return imaginary_axis_full_rank(E, J - R, R, tol)[0]
 
 
 def undamped_block_nonsingularity_condition(J, n1: int,
@@ -553,12 +486,13 @@ def stabilizability_rank_condition(sys: PHSystem, tol: ToleranceConfig = DEFAULT
     """Existence condition for a structure-preserving stabilizing feedback:
     ``[s E - (J - R), B1, B3]`` must keep full row rank on the imaginary axis.
 
-    Decided by PBH tests on the kernel of ``[R; B1^T; B3^T]``, with a
-    :class:`ToleranceBreakdown` when a test has no tenfold margin; a mode
-    within ``tol.axis_tol`` of the axis fails it, as in :func:`pencil_report`.
-    Returns the verdict and the offending axis points when it fails.
+    Decided as :func:`imaginary_axis_full_rank` decides it: by PBH tests at
+    the eigenvalues that ``pencil_report(sys.E, sys.A, tol)`` puts within
+    ``tol.axis_tol`` of the axis (the remembered report when the analysis
+    made it), with a :class:`ToleranceBreakdown` when a test has no tenfold
+    margin.  Returns the verdict and the offending points when it fails.
     """
-    return _ph_axis_full_rank(sys, np.hstack(input_range_blocks(sys, tol)), tol)
+    return _axis_rank(sys.E, sys.A, np.hstack(input_range_blocks(sys, tol)), tol)
 
 
 def index_reduction_rank_condition(sys: PHSystem, tol: ToleranceConfig = DEFAULT_TOL) -> bool:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from phdesc import linalg
+from phdesc import linalg, pencil
 from phdesc.linalg import DEFAULT_TOL, as_matrix, nullspace_basis, numerical_rank, pseudo_inverse
 
 settings.register_profile("suite", deadline=None, max_examples=50, derandomize=True)
@@ -114,3 +114,9 @@ def svd_calls(monkeypatch):
 def cold_e_svd(monkeypatch):
     """Empty the SVD memo of :func:`phdesc.linalg.e_svd` for one test."""
     monkeypatch.setattr(linalg, "_E_SVD", None)
+
+
+@pytest.fixture
+def cold_report(monkeypatch):
+    """Empty the report memo of :func:`phdesc.pencil.pencil_report` for one test."""
+    monkeypatch.setattr(pencil, "_REPORT", None)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from phdesc import linalg
+from phdesc import linalg, pencil
 from phdesc.certify import certify_closed_loop
 from phdesc.fileio import feedback_from_dict, feedback_to_dict
 from phdesc.generators import random_ph
@@ -70,8 +70,9 @@ class TestCertifyClosedLoop:
 
 
 class TestSharedSvdOfE:
-    """Feedback keeps E, so a chain decomposes it once; the certifier still
-    reaches every verdict from scratch."""
+    """Feedback keeps E, so a chain decomposes it once, and the conditions
+    and the synthesis read the analysis's open-loop report; the certifier
+    still reaches every verdict from scratch."""
 
     def test_chain_takes_no_second_full_svd_of_e(self, svd_calls):
         sys = random_ph(12, 2, 1)
@@ -95,8 +96,13 @@ class TestSharedSvdOfE:
             before_each()
             return F, Fp, cs, certify_closed_loop(sys, Fp, goal="passify")
 
-        # Cold: every stage decomposes E afresh.  Warm: none does.
-        cold = chain(lambda: monkeypatch.setattr(linalg, "_E_SVD", None))
+        def forget():
+            monkeypatch.setattr(linalg, "_E_SVD", None)
+            monkeypatch.setattr(pencil, "_REPORT", None)
+
+        # Cold: every stage decomposes E and reports the open loop afresh.
+        # Warm: none does.
+        cold = chain(forget)
         pencil_report(sys.E, sys.A)
         warm = chain(lambda: None)
         for x, y in zip(cold[:2], warm[:2]):
@@ -104,3 +110,17 @@ class TestSharedSvdOfE:
         for x, y in zip(cold[2:], warm[2:]):
             assert x.to_dict() == y.to_dict()
             assert np.array_equal(x.spectrum, y.spectrum)
+
+    def test_closed_loop_takes_its_own_report(self, cold_report):
+        sys = random_ph(12, 2, 1)
+        open_loop = pencil_report(sys.E, sys.A)
+        F, _ = synthesize_stabilizing(sys)
+        assert pencil_report(sys.E, sys.A) is open_loop
+        cert = certify_closed_loop(sys, F, goal="stabilize")
+        assert np.any(sys.B @ F != 0.0)
+        assert cert.pencil is not open_loop
+        assert not np.array_equal(cert.spectrum, open_loop.finite_eigenvalues)
+        # B F == 0 leaves A with the same bits, and so the same report.
+        open_loop = pencil_report(sys.E, sys.A)
+        zero = certify_closed_loop(sys, np.zeros((sys.m, sys.n)), goal="stabilize")
+        assert zero.pencil is open_loop

@@ -47,6 +47,34 @@ def test_analysis_commands_do_not_load_scipy(tmp_path):
     assert out["samples"] == 51 and out["finite"]
 
 
+# Runs only the stabilize command in a fresh interpreter, so the synthesis
+# takes its own open-loop report, and records which scipy modules it loaded.
+_STABILIZE_SCRIPT = """
+import json, sys
+from phdesc.cli import main
+
+d = sys.argv[1]
+codes = [main(["gen", "--n", "8", "--m", "2", "--seed", "5", "--output", d + "/sys.json"])]
+codes.append(main(["stabilize", "--input", d + "/sys.json", "--report", d + "/syn.json"]))
+print(json.dumps({"codes": codes,
+                  "scipy": sorted(k for k in sys.modules if k.split(".")[0] == "scipy")}))
+"""
+
+
+def test_stabilize_alone_does_not_load_scipy(tmp_path):
+    src = str(Path(phdesc.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", _STABILIZE_SCRIPT, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.splitlines()[-1])
+    assert out["codes"] == [0, 0]
+    assert out["scipy"] == []
+    doc = json.loads((tmp_path / "syn.json").read_text(encoding="utf-8"))
+    assert doc["conditions_met"] and doc["certification"]["overall"]
+
+
 # Stabilizes a generated system, then runs the simulate command on the loop
 # in the same fresh interpreter and records which scipy modules it loaded.
 _SIMULATE_SCRIPT = """
