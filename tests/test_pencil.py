@@ -528,6 +528,23 @@ class TestStabilizabilityPBH:
             assert all(abs(w.real) <= DEFAULT_TOL.axis_tol and abs(abs(w.imag) - 1.5) < 1e-7
                        for w in wit)
 
+    @pytest.mark.parametrize("d, outcome", [(1e-9, True), (1e-12, None), (1e-13, None),
+                                            (1e-15, False)])
+    def test_pbh_without_margin_refused(self, d, outcome):
+        # An undamped oscillator at s = 1.5i whose input reaches it with weight
+        # d: [1.5i I - A, b] has sigma_min = d / sqrt(2) against a threshold of
+        # about 5e-13, so 1e-12 and 1e-13 fall within a factor of ten of it.
+        sys = _port_hamiltonian(np.array([[0.0, 1.5], [-1.5, 0.0]]), np.zeros((2, 2)),
+                                np.array([[0.0], [d]]))
+        if outcome is None:
+            with pytest.raises(ToleranceBreakdown, match="PBH"):
+                stabilizability_rank_condition(sys)
+            return
+        ok, wit = stabilizability_rank_condition(sys)
+        assert ok == outcome
+        if not ok:
+            assert_spectra_match(wit, [-1.5j, 1.5j], atol=1e-12)
+
     @pytest.mark.parametrize("r", [1e-10, 5e-9, 1e-8])
     def test_weakly_damped_unreachable_mode_refused(self, r):
         # R = r on the oscillator is far above the rank threshold of R, but the
