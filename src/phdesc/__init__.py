@@ -50,9 +50,11 @@ from .model import (
     validate,
 )
 from .pencil import (
+    DCompression,
     KroneckerSummary,
     PencilReport,
     StabilityClass,
+    compress_feedthrough,
     imaginary_axis_full_rank,
     index_one_rank_condition,
     index_reduction_rank_condition,
@@ -66,10 +68,8 @@ from .pencil import (
 )
 from .simulate import consistent_projection, simulate_closed_loop, write_trajectory_csv
 from .synthesis import (
-    DCompression,
     SynthesisTrace,
     build_stabilizing_feedback,
-    compress_feedthrough,
     feedback_admissible,
     passifying_feedback_formula,
     synthesize_passifying,

@@ -27,10 +27,10 @@ from .errors import (
     ToleranceBreakdown,
 )
 from .fileio import (
-    _matrix_to_lists,
     complex_pairs,
     load_feedback,
     load_system,
+    matrix_to_lists,
     report_to_json,
     save_feedback,
     save_system,
@@ -140,7 +140,7 @@ def _cmd_gen(args) -> int:
         save_system(args.output, sys_, metadata)
         _say(f"wrote system (n={sys_.n}, m={sys_.m}) to {args.output}")
     else:
-        _sys.stdout.write(json.dumps(system_to_dict(sys_, metadata), indent=2) + "\n")
+        _sys.stdout.write(report_to_json(system_to_dict(sys_, metadata)))
     return 0
 
 
@@ -167,7 +167,7 @@ def _cmd_analyze(args) -> int:
         "conditions": _conditions_dict(sys_, tol),
     }
     if singular:
-        doc["common_nullspace_basis"] = _matrix_to_lists(basis)
+        doc["common_nullspace_basis"] = matrix_to_lists(basis)
     _emit(args, doc)
     _say(f"pencil: {rep.stability_class.value}, index {rep.index}")
     return 0
@@ -196,7 +196,7 @@ def _synthesize_and_certify(args, goal: str) -> int:
         save_feedback(args.output, F)
         doc["feedback_file"] = args.output
     else:
-        doc["feedback"] = _matrix_to_lists(F)
+        doc["feedback"] = matrix_to_lists(F)
     _emit(args, doc)
     _say(f"{goal}: certification {'PASS' if cert.overall else 'FAIL'}")
     return 0 if cert.overall else 1

@@ -17,7 +17,8 @@ from .linalg import as_matrix, sym_skew_split
 from .model import PHSystem
 
 
-def _matrix_to_lists(M: np.ndarray) -> list[list[float]]:
+def matrix_to_lists(M: np.ndarray) -> list[list[float]]:
+    """A matrix as row lists of Python floats, the file encoding."""
     return [[float(v) for v in row] for row in np.asarray(M)]
 
 
@@ -26,9 +27,19 @@ def complex_pairs(values) -> list[list[float]]:
     return [[float(z.real), float(z.imag)] for z in values]
 
 
-def _matrix_from_lists(data, rows: int, cols: int, name: str) -> np.ndarray:
+def _dimensions(doc: dict, kind: str, first: str, second: str) -> tuple[int, int]:
     try:
-        M = np.asarray(data, dtype=float)
+        return int(doc[first]), int(doc[second])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{kind} document must carry integer fields "
+                         f"{first!r} and {second!r}") from exc
+
+
+def _matrix_field(doc: dict, kind: str, name: str, rows: int, cols: int) -> np.ndarray:
+    if name not in doc:
+        raise ValueError(f"{kind} document is missing matrix {name!r}")
+    try:
+        M = np.asarray(doc[name], dtype=float)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"field {name!r} is not a numeric matrix") from exc
     M = M.reshape(rows, cols) if M.size == rows * cols else M
@@ -38,82 +49,62 @@ def _matrix_from_lists(data, rows: int, cols: int, name: str) -> np.ndarray:
 
 
 def system_to_dict(sys: PHSystem, metadata: dict | None = None) -> dict:
-    doc = {
-        "n": sys.n,
-        "m": sys.m,
-        "E": _matrix_to_lists(sys.E),
-        "J": _matrix_to_lists(sys.J),
-        "R": _matrix_to_lists(sys.R),
-        "G": _matrix_to_lists(sys.G),
-        "P": _matrix_to_lists(sys.P),
-        "D": _matrix_to_lists(sys.D),
-    }
+    doc = {"n": sys.n, "m": sys.m}
+    doc.update((name, matrix_to_lists(getattr(sys, name))) for name in "EJRGPD")
     if metadata:
         doc["metadata"] = metadata
     return doc
 
 
 def system_from_dict(doc: dict) -> PHSystem:
-    try:
-        n = int(doc["n"])
-        m = int(doc["m"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError("system document must carry integer fields 'n' and 'm'") from exc
+    n, m = _dimensions(doc, "system", "n", "m")
     if n < 0 or m < 0:
         raise ValueError("dimensions must be nonnegative")
-    matrices = {}
-    for name, (r, c) in (("E", (n, n)), ("J", (n, n)), ("R", (n, n)),
-                         ("G", (n, m)), ("P", (n, m)), ("D", (m, m))):
-        if name not in doc:
-            raise ValueError(f"system document is missing matrix {name!r}")
-        matrices[name] = _matrix_from_lists(doc[name], r, c, name)
+    matrices = {name: _matrix_field(doc, "system", name, r, c)
+                for name, (r, c) in (("E", (n, n)), ("J", (n, n)), ("R", (n, n)),
+                                     ("G", (n, m)), ("P", (n, m)), ("D", (m, m)))}
     S, N = sym_skew_split(matrices["D"])
     return PHSystem(E=matrices["E"], J=matrices["J"], R=matrices["R"],
                     G=matrices["G"], P=matrices["P"], S=S, N=N)
 
 
 def save_system(path, sys: PHSystem, metadata: dict | None = None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(system_to_dict(sys, metadata), fh, indent=2)
-        fh.write("\n")
+    write_report(path, system_to_dict(sys, metadata))
 
 
 def load_system(path) -> PHSystem:
-    with open(path, "r", encoding="utf-8") as fh:
-        return system_from_dict(json.load(fh))
+    return system_from_dict(_read_json(path))
 
 
 def feedback_to_dict(F) -> dict:
     M = as_matrix(F)
-    return {"m": M.shape[0], "n": M.shape[1], "F": _matrix_to_lists(M)}
+    return {"m": M.shape[0], "n": M.shape[1], "F": matrix_to_lists(M)}
 
 
 def feedback_from_dict(doc: dict) -> np.ndarray:
-    try:
-        m = int(doc["m"])
-        n = int(doc["n"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError("feedback document must carry integer fields 'm' and 'n'") from exc
-    if "F" not in doc:
-        raise ValueError("feedback document is missing matrix 'F'")
-    return _matrix_from_lists(doc["F"], m, n, "F")
+    m, n = _dimensions(doc, "feedback", "m", "n")
+    return _matrix_field(doc, "feedback", "F", m, n)
 
 
 def save_feedback(path, F) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(feedback_to_dict(F), fh, indent=2)
-        fh.write("\n")
+    write_report(path, feedback_to_dict(F))
 
 
 def load_feedback(path) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as fh:
-        return feedback_from_dict(json.load(fh))
+    return feedback_from_dict(_read_json(path))
 
 
 def report_to_json(doc: dict) -> str:
+    """The text of every JSON file phdesc writes (:func:`write_report`):
+    indent 2, one final newline."""
     return json.dumps(doc, indent=2) + "\n"
 
 
 def write_report(path, doc: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(report_to_json(doc))
+
+
+def _read_json(path) -> dict:
+    with open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh)

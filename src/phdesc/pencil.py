@@ -22,6 +22,10 @@ zero, as every port-Hamiltonian one is (Mehl, Mehrmann & Wojtylak, SIMAX
 2018), has a constant left kernel N0 off its spectrum: the rank drops
 everywhere when ``N0^T B`` is rank-deficient, and one PBH test at s = 0
 finds that.
+
+:func:`compress_feedthrough` is the one split of the inputs by the feedthrough
+``S + N``: the existence conditions read B1 and B3 off it, and
+:mod:`phdesc.synthesis` builds the stabilizing feedback on it.
 """
 
 from __future__ import annotations
@@ -33,6 +37,8 @@ import numpy as np
 
 from .errors import (
     HypothesisViolated,
+    NotPSD,
+    NotSkew,
     NotSquare,
     NumericalBreakdown,
     ShapeMismatch,
@@ -47,7 +53,6 @@ from .linalg import (
     e_svd,
     nullspace_basis,
     numerical_rank,
-    pseudo_inverse,
     range_basis,
     rank_threshold,
     remembered,
@@ -381,27 +386,6 @@ def _pbh_deficiency(E, A, B, lam: complex, tol: ToleranceConfig) -> int:
     return int(np.sum(s <= thr))
 
 
-def _axis_rank(E, A, B, tol: ToleranceConfig) -> tuple[bool, list[complex]]:
-    """:func:`imaginary_axis_full_rank` on validated arrays: PBH tests at
-    the axis eigenvalues of ``pencil_report(E, A, tol)``, after one at
-    s = 0 for a singular pencil (see the module docstring)."""
-    rep = pencil_report(E, A, tol)
-    if not rep.regular:
-        if any(rep.summary.left_minimal_indices):
-            raise HypothesisViolated("singular pencil with a positive left minimal index: "
-                                     "the rank of [s E - A, B] can drop off its spectrum")
-        if _pbh_deficiency(E, A, B, 0j, tol):
-            return False, [0j]
-    evs = rep.finite_eigenvalues
-    witnesses: list[complex] = []
-    for lam in evs[(np.abs(evs.real) <= tol.axis_tol) & (evs.imag >= 0)]:
-        if _pbh_deficiency(E, A, B, lam, tol):
-            lam = complex(lam)
-            witnesses += [lam, lam.conjugate()] if lam.imag else [lam]
-    witnesses.sort(key=lambda z: (z.imag, z.real))
-    return not witnesses, witnesses
-
-
 def imaginary_axis_full_rank(E, A, B, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[bool, list[complex]]:
     """Decide rank([s E - A, B]) == n for all s in the closed imaginary axis.
 
@@ -419,7 +403,21 @@ def imaginary_axis_full_rank(E, A, B, tol: ToleranceConfig = DEFAULT_TOL) -> tup
     n = E.shape[0]
     if E.shape != (n, n) or A.shape != (n, n) or B.shape[0] != n:
         raise ShapeMismatch("imaginary_axis_full_rank expects n x n pencils and n x k B")
-    return _axis_rank(E, A, B, tol)
+    rep = pencil_report(E, A, tol)
+    if not rep.regular:
+        if any(rep.summary.left_minimal_indices):
+            raise HypothesisViolated("singular pencil with a positive left minimal index: "
+                                     "the rank of [s E - A, B] can drop off its spectrum")
+        if _pbh_deficiency(E, A, B, 0j, tol):
+            return False, [0j]
+    evs = rep.finite_eigenvalues
+    witnesses: list[complex] = []
+    for lam in evs[(np.abs(evs.real) <= tol.axis_tol) & (evs.imag >= 0)]:
+        if _pbh_deficiency(E, A, B, lam, tol):
+            lam = complex(lam)
+            witnesses += [lam, lam.conjugate()] if lam.imag else [lam]
+    witnesses.sort(key=lambda z: (z.imag, z.real))
+    return not witnesses, witnesses
 
 
 def undamped_block_stability_condition(E, J, R, n1: int,
@@ -466,19 +464,107 @@ def undamped_block_nonsingularity_condition(J, n1: int,
     return numerical_rank(M, tol) == n2
 
 
+@dataclass(frozen=True)
+class DCompression:
+    """Orthogonal block form of the feedthrough ``S + N``.
+
+    ``U = [U1, U2, U3]`` with U1 spanning the range of S, U3 the kernel of
+    S+N, U2 the rest.  In these coordinates S+N becomes
+    ``[[D11, D12, 0], [-D12^T, D22, 0], [0, 0, 0]]`` with the leading
+    (m1+m2) group nonsingular, D22 skew, and ``S11 = U1^T S U1 > 0``.
+    """
+
+    U: np.ndarray
+    m1: int
+    m2: int
+    m3: int
+    D11: np.ndarray
+    D12: np.ndarray
+    D22: np.ndarray
+    S11: np.ndarray
+
+    @property
+    def block_form(self) -> np.ndarray:
+        """The compressed feedthrough assembled from the stored blocks."""
+        k = self.m1 + self.m2
+        T = np.zeros((k + self.m3, k + self.m3))
+        T[:k, :k] = np.block([[self.D11, self.D12], [-self.D12.T, self.D22]])
+        return T
+
+    @property
+    def dhat(self) -> np.ndarray:
+        """Nonsingular right factor: the leading group bordered by identity."""
+        T = self.block_form
+        T[self.m1 + self.m2 :, self.m1 + self.m2 :] = np.eye(self.m3)
+        return T
+
+    def input_blocks(self, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(B1, B3)``: the columns of ``B U dhat^{-1}`` split at m1 and m1+m2.
+
+        Since ``(S+N)^+ = U diag(group^{-1}, 0) U^T``, these are
+        ``B (S+N)^+ U1`` and ``B U3``.
+        """
+        try:
+            blocks = np.linalg.solve(self.dhat.T, (B @ self.U).T).T
+        except np.linalg.LinAlgError as exc:
+            raise NumericalBreakdown("feedthrough block group is numerically singular") from exc
+        return blocks[:, : self.m1], blocks[:, self.m1 + self.m2 :]
+
+
+def compress_feedthrough(S, N, tol: ToleranceConfig = DEFAULT_TOL) -> DCompression:
+    """Orthogonal compression of the feedthrough pair (S, N).
+
+    Requires S symmetric PSD and N skew-symmetric.  The kernel of S+N is the
+    intersection of the kernels of S and N, so the three column groups are
+    mutually orthogonal by construction.
+    """
+    S = as_matrix(S)
+    N = as_matrix(N)
+    m = S.shape[0]
+    if S.shape != (m, m) or N.shape != (m, m):
+        raise ShapeMismatch("S and N must be square of equal size")
+    # A zero violation is within any band, so its scale is never needed.
+    asym = spectral_norm(S - S.T)
+    if asym and asym > tol.psd_tol * max(1.0, spectral_norm(S)):
+        raise NotPSD("S must be symmetric")
+    if not classify_definiteness(S, tol).is_semidefinite:
+        raise NotPSD("S must be positive semidefinite")
+    sym = spectral_norm(N + N.T)
+    if sym and sym > tol.psd_tol * max(1.0, spectral_norm(N)):
+        raise NotSkew("N must be skew-symmetric")
+
+    D = S + N
+    U3 = nullspace_basis(D, tol)
+    U1 = range_basis(S, tol)
+    U2 = nullspace_basis(np.hstack([U1, U3]).T, tol)
+    U = np.hstack([U1, U2, U3])
+    m1, m2, m3 = U1.shape[1], U2.shape[1], U3.shape[1]
+    if m1 + m2 + m3 != m:
+        raise NumericalBreakdown("feedthrough column groups do not span the input space")
+
+    T = U.T @ D @ U
+    S11 = U1.T @ S @ U1
+    S11 = (S11 + S11.T) / 2.0
+    D22 = T[m1 : m1 + m2, m1 : m1 + m2]
+    return DCompression(
+        U=U, m1=m1, m2=m2, m3=m3,
+        D11=T[:m1, :m1],
+        D12=T[:m1, m1 : m1 + m2],
+        D22=(D22 - D22.T) / 2.0,
+        S11=S11,
+    )
+
+
 def input_range_blocks(sys: PHSystem, tol: ToleranceConfig = DEFAULT_TOL
                        ) -> tuple[np.ndarray, np.ndarray]:
     """Feedback-reachable input directions split by the feedthrough.
 
-    Returns ``(B1, B3)`` with ``B1 = (G-P) (S+N)^+ Q_S`` (Q_S an orthonormal
-    range basis of S) and ``B3 = (G-P) Z_D`` (Z_D an orthonormal nullspace
-    basis of S+N).  These are the input directions through which a feedback
-    can inject dissipation.
+    Returns ``(B1, B3) = ((G-P) (S+N)^+ U1, (G-P) U3)``, U1 and U3 the
+    range of S and the kernel of S+N in :func:`compress_feedthrough`.  These
+    are the input directions through which a feedback can inject
+    dissipation.  Raises :class:`NotPSD` when S is not symmetric PSD.
     """
-    D = sys.D
-    B1 = sys.B @ pseudo_inverse(D, tol) @ range_basis(sys.S, tol)
-    B3 = sys.B @ nullspace_basis(D, tol)
-    return B1, B3
+    return compress_feedthrough(sys.S, sys.N, tol).input_blocks(sys.B)
 
 
 def stabilizability_rank_condition(sys: PHSystem, tol: ToleranceConfig = DEFAULT_TOL
@@ -492,7 +578,7 @@ def stabilizability_rank_condition(sys: PHSystem, tol: ToleranceConfig = DEFAULT
     made it), with a :class:`ToleranceBreakdown` when a test has no tenfold
     margin.  Returns the verdict and the offending points when it fails.
     """
-    return _axis_rank(sys.E, sys.A, np.hstack(input_range_blocks(sys, tol)), tol)
+    return imaginary_axis_full_rank(sys.E, sys.A, np.hstack(input_range_blocks(sys, tol)), tol)
 
 
 def index_reduction_rank_condition(sys: PHSystem, tol: ToleranceConfig = DEFAULT_TOL) -> bool:

@@ -9,9 +9,12 @@ feedback that makes the closed loop strictly passive; it exists exactly when
 
 The stabilizing construction proceeds through two block compressions:
 
-1. an orthogonal transformation of the feedthrough ``S + N`` that isolates
+1. the orthogonal compression of the feedthrough ``S + N`` that isolates
    the definite part of S (size m1), the remaining invertible skew part
-   (size m2), and the kernel (size m3);
+   (size m2), and the kernel (size m3), from
+   :func:`phdesc.pencil.compress_feedthrough`; ``synthesize_stabilizing``
+   decides the existence conditions on the input blocks B1 and B3 of this
+   same split;
 2. a nonsingular congruence Z of the state space, with orthogonal right
    factors V3 and V1, that staircases the transformed input blocks B3 and
    B1*S11^(1/2) against R into block sizes mu1..mu4.
@@ -30,63 +33,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConditionsNotMet, NotPSD, NotSkew, NumericalBreakdown, ShapeMismatch
+from .errors import ConditionsNotMet, NumericalBreakdown, ShapeMismatch
 from .linalg import (
     DEFAULT_TOL,
     ToleranceConfig,
     as_matrix,
     classify_definiteness,
-    nullspace_basis,
     numerical_rank,
-    range_basis,
     singular_value_rank,
-    spectral_norm,
 )
 from .model import PHSystem
 from .pencil import (
+    DCompression,
+    compress_feedthrough,
     imaginary_axis_full_rank,
     index_one_rank_condition,
-    input_range_blocks,
     strict_passifiability_condition,
 )
-
-
-@dataclass(frozen=True)
-class DCompression:
-    """Orthogonal block form of the feedthrough ``S + N``.
-
-    ``U = [U1, U2, U3]`` with U1 spanning the range of S, U3 the kernel of
-    S+N, U2 the rest.  In these coordinates S+N becomes
-    ``[[D11, D12, 0], [-D12^T, D22, 0], [0, 0, 0]]`` with the leading
-    (m1+m2) group nonsingular, D22 skew, and ``S11 = U1^T S U1 > 0``.
-    """
-
-    U: np.ndarray
-    m1: int
-    m2: int
-    m3: int
-    D11: np.ndarray
-    D12: np.ndarray
-    D22: np.ndarray
-    S11: np.ndarray
-
-    @property
-    def block_form(self) -> np.ndarray:
-        """The compressed feedthrough assembled from the stored blocks."""
-        m = self.m1 + self.m2 + self.m3
-        T = np.zeros((m, m))
-        T[: self.m1, : self.m1] = self.D11
-        T[: self.m1, self.m1 : self.m1 + self.m2] = self.D12
-        T[self.m1 : self.m1 + self.m2, : self.m1] = -self.D12.T
-        T[self.m1 : self.m1 + self.m2, self.m1 : self.m1 + self.m2] = self.D22
-        return T
-
-    @property
-    def dhat(self) -> np.ndarray:
-        """Nonsingular right factor: the leading group bordered by identity."""
-        T = self.block_form
-        T[self.m1 + self.m2 :, self.m1 + self.m2 :] = np.eye(self.m3)
-        return T
 
 
 @dataclass
@@ -111,48 +74,6 @@ class SynthesisTrace:
     Phat11: np.ndarray
     Phat14: np.ndarray
     F31: np.ndarray
-
-
-def compress_feedthrough(S, N, tol: ToleranceConfig = DEFAULT_TOL) -> DCompression:
-    """Orthogonal compression of the feedthrough pair (S, N).
-
-    Requires S symmetric PSD and N skew-symmetric.  The kernel of S+N is the
-    intersection of the kernels of S and N, so the three column groups are
-    mutually orthogonal by construction.
-    """
-    S = as_matrix(S)
-    N = as_matrix(N)
-    m = S.shape[0]
-    if S.shape != (m, m) or N.shape != (m, m):
-        raise ShapeMismatch("S and N must be square of equal size")
-    scale_s = max(1.0, spectral_norm(S))
-    if spectral_norm(S - S.T) > tol.psd_tol * scale_s:
-        raise NotPSD("S must be symmetric")
-    if not classify_definiteness(S, tol).is_semidefinite:
-        raise NotPSD("S must be positive semidefinite")
-    if spectral_norm(N + N.T) > tol.psd_tol * max(1.0, spectral_norm(N)):
-        raise NotSkew("N must be skew-symmetric")
-
-    D = S + N
-    U3 = nullspace_basis(D, tol)
-    U1 = range_basis(S, tol)
-    U2 = nullspace_basis(np.hstack([U1, U3]).T, tol)
-    U = np.hstack([U1, U2, U3])
-    m1, m2, m3 = U1.shape[1], U2.shape[1], U3.shape[1]
-    if m1 + m2 + m3 != m:
-        raise NumericalBreakdown("feedthrough column groups do not span the input space")
-
-    T = U.T @ D @ U
-    S11 = U1.T @ S @ U1
-    S11 = (S11 + S11.T) / 2.0
-    D22 = T[m1 : m1 + m2, m1 : m1 + m2]
-    return DCompression(
-        U=U, m1=m1, m2=m2, m3=m3,
-        D11=T[:m1, :m1],
-        D12=T[:m1, m1 : m1 + m2],
-        D22=(D22 - D22.T) / 2.0,
-        S11=S11,
-    )
 
 
 def _pd_sqrt_invsqrt(S11: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -248,18 +169,16 @@ def build_stabilizing_feedback(
 ) -> tuple[np.ndarray, SynthesisTrace]:
     """Run the stabilizing construction without checking the existence
     conditions; see :func:`synthesize_stabilizing` for the guarded entry."""
-    n, m = sys.n, sys.m
     dc = compress_feedthrough(sys.S, sys.N, tol)
+    return _stabilizing_feedback(sys, dc, *dc.input_blocks(sys.B), tol, margin)
+
+
+def _stabilizing_feedback(sys: PHSystem, dc: DCompression, B1, B3, tol: ToleranceConfig,
+                          margin: float) -> tuple[np.ndarray, SynthesisTrace]:
+    """The construction on the feedthrough split ``dc`` and its input blocks."""
+    n, m = sys.n, sys.m
     m1, m2, m3 = dc.m1, dc.m2, dc.m3
     U = dc.U
-
-    dhat = dc.dhat
-    try:
-        B_blocks = np.linalg.solve(dhat.T, (sys.B @ U).T).T if m else np.zeros((n, 0))
-    except np.linalg.LinAlgError as exc:
-        raise NumericalBreakdown("feedthrough block group is numerically singular") from exc
-    B1 = B_blocks[:, :m1]
-    B3 = B_blocks[:, m1 + m2 :]
     PU = sys.P @ U
     P1, P2, P3 = PU[:, :m1], PU[:, m1 : m1 + m2], PU[:, m1 + m2 :]
 
@@ -297,7 +216,7 @@ def build_stabilizing_feedback(
     F3 = V3 @ np.linalg.solve(Z, F3_rows.T).T
 
     stacked = np.vstack([F1, np.zeros((m2, n)), F3])
-    F = U @ np.linalg.solve(dhat, stacked) if m else np.zeros((0, n))
+    F = U @ np.linalg.solve(dc.dhat, stacked) if m else np.zeros((0, n))
 
     trace = SynthesisTrace(
         compression=dc, B1=B1, B3=B3, P2=P2, P3=P3, F1=F1, Z=Z, mu=mu,
@@ -319,8 +238,11 @@ def synthesize_stabilizing(
     points) when the feedback-existence conditions fail, since no feedback
     can then achieve all four properties.
     """
-    # stabilizability_rank_condition and index_reduction_rank_condition on one [B1, B3].
-    B_in = np.hstack(input_range_blocks(sys, tol))
+    # stabilizability_rank_condition and index_reduction_rank_condition on
+    # the feedthrough split that the construction is built from.
+    dc = compress_feedthrough(sys.S, sys.N, tol)
+    B1, B3 = dc.input_blocks(sys.B)
+    B_in = np.hstack([B1, B3])
     ok_axis, witnesses = imaginary_axis_full_rank(sys.E, sys.A, B_in, tol)
     ok_index = index_one_rank_condition(sys.E, sys.A, B_in, tol)
     if not (ok_axis and ok_index):
@@ -330,7 +252,7 @@ def synthesize_stabilizing(
         if not ok_index:
             failed.append("index-reduction rank condition fails")
         raise ConditionsNotMet("; ".join(failed), witnesses=witnesses)
-    return build_stabilizing_feedback(sys, tol, margin)
+    return _stabilizing_feedback(sys, dc, B1, B3, tol, margin)
 
 
 def passifying_feedback_formula(sys: PHSystem) -> np.ndarray:

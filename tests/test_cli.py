@@ -59,6 +59,12 @@ class TestGenValidateAnalyze:
         for M in (sys_.E, sys_.J, sys_.R):
             assert np.linalg.norm(M @ basis) < 1e-12
 
+    def test_analyze_refuses_indefinite_feedthrough(self, tmp_path):
+        # not port-Hamiltonian: the existence conditions raise NotPSD
+        sys_path = tmp_path / "sys.json"
+        save_system(sys_path, scalar_system(E=1, G=1, S=-1))
+        assert run("analyze", "--input", sys_path) == 2
+
     def test_analyze_tol_is_the_rank_cutoff(self, tmp_path):
         sys_path = tmp_path / "sys.json"
         report = tmp_path / "report.json"

@@ -144,3 +144,19 @@ def test_demo_script_runs(tmp_path):
                            "--out", str(tmp_path)],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+_PACKAGE = Path(phdesc.__file__).resolve().parent
+
+
+def test_no_private_names_across_modules():
+    # a name another module needs is part of its owner's interface
+    crossing = []
+    for path in sorted(_PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").split(".")[0] == "phdesc"):
+                crossing += [f"{path.name}: {alias.name}" for alias in node.names
+                             if alias.name.startswith("_")]
+    assert crossing == []

@@ -3,12 +3,20 @@ import pytest
 import scipy.linalg
 
 from phdesc import pencil
-from phdesc.errors import ConditionsNotMet, HypothesisViolated, ToleranceBreakdown
+from phdesc.errors import ConditionsNotMet, HypothesisViolated, NotPSD, ToleranceBreakdown
 from phdesc.generators import random_ph
-from phdesc.linalg import DEFAULT_TOL, ToleranceConfig, nullspace_basis, numerical_rank
+from phdesc.linalg import (
+    DEFAULT_TOL,
+    ToleranceConfig,
+    nullspace_basis,
+    numerical_rank,
+    pseudo_inverse,
+    range_basis,
+)
 from phdesc.model import PHSystem
 from phdesc.pencil import (
     StabilityClass,
+    compress_feedthrough,
     imaginary_axis_full_rank,
     index_one_rank_condition,
     index_reduction_rank_condition,
@@ -646,3 +654,79 @@ class TestInvariance:
         changed = [case for family in FAMILIES
                    for case in _changed_verdicts(family, change, strict_passifiability_condition)]
         assert changed == []
+
+
+# rank_w = 0 and 1 leave S singular, so S+N gets skew (m2) and kernel (m3) groups.
+SPLIT_GRID = [(n, m, seed, rank_w) for n in (4, 7, 10) for m in (1, 2, 3, 4)
+              for seed in (0, 1) for rank_w in (None, 0, 1)]
+
+
+def _relative_error(M, ref):
+    return np.linalg.norm(M - ref) / np.linalg.norm(ref) if ref.size else 0.0
+
+
+class TestFeedthroughSplit:
+    """B1 and B3 come from the one compression of S+N that the stabilizing
+    construction is built from."""
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_input_range_blocks_match_paper_formula(self, family):
+        groups = set()
+        for n, m, seed, rank_w in SPLIT_GRID:
+            sys = random_ph(n, m, seed, rank_w=rank_w, **FAMILIES[family])
+            dc = compress_feedthrough(sys.S, sys.N)
+            groups.add((dc.m1 > 0, dc.m2 > 0, dc.m3 > 0))
+            B1, B3 = input_range_blocks(sys)
+            ref1 = sys.B @ pseudo_inverse(sys.D) @ range_basis(sys.S)
+            ref3 = sys.B @ nullspace_basis(sys.D)
+            assert B1.shape == ref1.shape and B3.shape == ref3.shape
+            assert _relative_error(B1, ref1) <= 1e-12, (n, m, seed, rank_w)
+            assert _relative_error(B3, ref3) <= 1e-12, (n, m, seed, rank_w)
+        assert (True, False, False) in groups
+        if family != "s-definite":
+            assert {(False, True, True), (True, True, False)} <= groups
+
+    def test_all_three_groups(self):
+        # ker S = span(e2, e3) meets ker N = span(e3): m1 = m2 = m3 = 1
+        S = np.diag([2.0, 0.0, 0.0])
+        N = np.zeros((3, 3))
+        N[0, 1], N[1, 0] = 1.0, -1.0
+        rng = np.random.default_rng(3)
+        Q = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+        S, N = Q @ S @ Q.T, Q @ N @ Q.T
+        S, N = (S + S.T) / 2.0, (N - N.T) / 2.0
+        sys = PHSystem(E=np.eye(4), J=np.zeros((4, 4)), R=np.eye(4),
+                       G=rng.normal(size=(4, 3)), P=np.zeros((4, 3)), S=S, N=N)
+        dc = compress_feedthrough(sys.S, sys.N)
+        assert (dc.m1, dc.m2, dc.m3) == (1, 1, 1)
+        B1, B3 = input_range_blocks(sys)
+        assert _relative_error(B1, sys.B @ pseudo_inverse(sys.D) @ range_basis(sys.S)) <= 1e-12
+        assert _relative_error(B3, sys.B @ nullspace_basis(sys.D)) <= 1e-12
+
+    def test_conditions_refuse_indefinite_s(self):
+        sys = scalar_system(E=1, G=1, S=-1)
+        with pytest.raises(NotPSD):
+            stabilizability_rank_condition(sys)
+        with pytest.raises(NotPSD):
+            index_reduction_rank_condition(sys)
+
+    def test_exact_structure_takes_three_svds(self, svd_calls):
+        # range of S, kernel of S+N and the complement; an exactly symmetric
+        # S and an exactly skew N need no scale norm for their checks
+        rng = np.random.default_rng(0)
+        L = rng.normal(size=(4, 2))
+        S = L @ L.T
+        S = (S + S.T) / 2.0
+        M = rng.normal(size=(4, 4))
+        compress_feedthrough(S, (M - M.T) / 2.0)
+        assert len(svd_calls) == 3, [a.shape for a, _ in svd_calls]
+
+    def test_synthesis_decomposes_feedthrough_once(self, svd_calls):
+        # After the analysis's report: three feedthrough SVDs, one for the
+        # index-one rank test and one in the state compression.
+        sys = random_ph(60, 6, 0)
+        pencil_report(sys.E, sys.A)
+        svd_calls.clear()
+        synthesize_stabilizing(sys)
+        assert len(svd_calls) <= 5, [a.shape for a, _ in svd_calls]
+        assert sum(a.shape == (6, 6) for a, _ in svd_calls) <= 3
