@@ -54,7 +54,7 @@ def main():
         cert = certify_closed_loop(sys_, F, goal="stabilize")
         save_feedback(out / "F_stabilize.json", F)
         write_report(out / "cert_stabilize.json", cert.to_dict())
-        print(f"stabilize: certified={cert.overall}, abscissa={cert.spectral_abscissa:.4f}, "
+        print(f"stabilize: certified={cert.overall}, abscissa={cert.pencil.spectral_abscissa:.4f}, "
               f"block sizes mu={trace.mu}")
         rng = np.random.default_rng(args.seed)
         traj = simulate_closed_loop(sys_, F, rng.normal(size=sys_.n),
@@ -70,7 +70,7 @@ def main():
         certp = certify_closed_loop(sys_, Fp, goal="passify")
         save_feedback(out / "F_passify.json", Fp)
         write_report(out / "cert_passify.json", certp.to_dict())
-        print(f"passify: certified={certp.overall}, lambda_min(W)={certp.lambda_min_w:.4e}")
+        print(f"passify: certified={certp.overall}, lambda_min(W)={certp.w.min_eigenvalue:.4e}")
     except ConditionsNotMet as exc:
         print(f"passify refused: {exc}")
 

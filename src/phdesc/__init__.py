@@ -51,7 +51,6 @@ from .model import (
 )
 from .pencil import (
     DCompression,
-    KroneckerSummary,
     PencilReport,
     StabilityClass,
     compress_feedthrough,

@@ -16,65 +16,63 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .fileio import complex_pairs
-from .linalg import DEFAULT_TOL, ToleranceConfig, classify_definiteness
+from .linalg import DEFAULT_TOL, Definiteness, ToleranceConfig, classify_definiteness
 from .model import PHSystem, apply_feedback, dissipation_matrix
 from .pencil import PencilReport, StabilityClass, pencil_report
 
 GOALS = ("stabilize", "passify")
 
+# The checks whose conjunction is each goal's overall verdict.
+_REQUIRED = {"stabilize": ("ph_structure", "index_at_most_one", "asymptotically_stable"),
+             "passify": ("strictly_passive", "index_at_most_one")}
+
 
 @dataclass(frozen=True)
 class CertReport:
-    """Per-property verdicts for a closed loop, with numerical margins."""
+    """Per-property verdicts for a closed loop, read off its pencil report
+    and the definiteness of its dissipation matrix W."""
 
     goal: str
-    ph_structure: bool
-    strictly_passive: bool
-    lambda_min_w: float
-    regular: bool
-    index: int | None
-    asymptotically_stable: bool
-    spectral_abscissa: float | None
-    spectrum: np.ndarray
-    psd_tol: float
-    axis_tol: float
-    stability_margin: float
     overall: bool
     closed_loop: PHSystem = field(repr=False)
     pencil: PencilReport = field(repr=False)
+    w: Definiteness
+    tol: ToleranceConfig
 
     def to_dict(self) -> dict:
         return {
             "kind": "certification",
             "goal": self.goal,
             "overall": bool(self.overall),
-            "checks": {
-                "ph_structure": {
-                    "passed": bool(self.ph_structure),
-                    "lambda_min_w": float(self.lambda_min_w),
-                    "tolerance": self.psd_tol,
-                },
-                "regular": {"passed": bool(self.regular)},
-                "index_at_most_one": {
-                    "passed": bool(self.regular and (self.index or 0) <= 1),
-                    "index": self.index,
-                },
-                "asymptotically_stable": {
-                    "passed": bool(self.asymptotically_stable),
-                    "spectral_abscissa": self.spectral_abscissa,
-                    "tolerance": self.stability_margin,
-                },
-                "strictly_passive": {
-                    "passed": bool(self.strictly_passive),
-                    "lambda_min_w": float(self.lambda_min_w),
-                    "tolerance": self.psd_tol,
-                },
-            },
-            "spectrum": complex_pairs(self.spectrum),
+            "checks": _checks(self.pencil, self.w, self.tol),
+            "spectrum": complex_pairs(self.pencil.finite_eigenvalues),
         }
+
+
+def _checks(rep: PencilReport, w: Definiteness, tol: ToleranceConfig) -> dict:
+    return {
+        "ph_structure": {
+            "passed": bool(w.is_semidefinite),
+            "lambda_min_w": float(w.min_eigenvalue),
+            "tolerance": w.band,
+        },
+        "regular": {"passed": bool(rep.regular)},
+        "index_at_most_one": {
+            "passed": bool(rep.regular and rep.index <= 1),
+            "index": rep.index,
+        },
+        "asymptotically_stable": {
+            "passed": rep.stability_class is StabilityClass.ASYMPTOTICALLY_STABLE,
+            "spectral_abscissa": rep.spectral_abscissa,
+            "tolerance": tol.stability_margin,
+        },
+        "strictly_passive": {
+            "passed": bool(w.is_definite),
+            "lambda_min_w": float(w.min_eigenvalue),
+            "tolerance": w.band,
+        },
+    }
 
 
 def certify_closed_loop(
@@ -95,29 +93,8 @@ def certify_closed_loop(
     if goal not in GOALS:
         raise ValueError(f"goal must be one of {GOALS}")
     closed = apply_feedback(sys, F)
-    W = dissipation_matrix(closed)
-    d = classify_definiteness(W, tol)
+    w = classify_definiteness(dissipation_matrix(closed), tol)
     rep = pencil_report(closed.E, closed.A, tol)
-    index_ok = rep.regular and (rep.index or 0) <= 1
-    stable = rep.stability_class is StabilityClass.ASYMPTOTICALLY_STABLE
-    if goal == "stabilize":
-        overall = d.is_semidefinite and index_ok and stable
-    else:
-        overall = d.is_definite and index_ok
-    return CertReport(
-        goal=goal,
-        ph_structure=d.is_semidefinite,
-        strictly_passive=d.is_definite,
-        lambda_min_w=d.min_eigenvalue,
-        regular=rep.regular,
-        index=rep.index,
-        asymptotically_stable=stable,
-        spectral_abscissa=rep.spectral_abscissa,
-        spectrum=rep.finite_eigenvalues,
-        psd_tol=tol.psd_tol,
-        axis_tol=tol.axis_tol,
-        stability_margin=tol.stability_margin,
-        overall=bool(overall),
-        closed_loop=closed,
-        pencil=rep,
-    )
+    checks = _checks(rep, w, tol)
+    return CertReport(goal=goal, overall=all(checks[k]["passed"] for k in _REQUIRED[goal]),
+                      closed_loop=closed, pencil=rep, w=w, tol=tol)

@@ -80,11 +80,12 @@ class DefinitenessKind(enum.Enum):
 
 @dataclass(frozen=True)
 class Definiteness:
-    """Classification of a symmetric matrix with its extreme eigenvalues."""
+    """Classification of a symmetric matrix, its extreme eigenvalues and decision band."""
 
     kind: DefinitenessKind
     min_eigenvalue: float
     max_eigenvalue: float
+    band: float
 
     @property
     def is_definite(self) -> bool:
@@ -252,12 +253,12 @@ def classify_definiteness(M, tol: ToleranceConfig = DEFAULT_TOL) -> Definiteness
     """Classify the symmetric part of a square matrix by its spectrum.
 
     The input is symmetrized as ``(M + M^T)/2`` before the eigendecomposition;
-    the decision band is ``psd_tol * max(1, ||M||_2)``.
+    the decision band, reported as ``band``, is ``psd_tol * max(1, ||M||_2)``.
     """
     A = as_matrix(M)
     _require_square(A)
     if A.shape[0] == 0:
-        return Definiteness(DefinitenessKind.POSITIVE_DEFINITE, np.inf, -np.inf)
+        return Definiteness(DefinitenessKind.POSITIVE_DEFINITE, np.inf, -np.inf, np.inf)
     H = (A + A.T) / 2.0
     w = np.linalg.eigvalsh(H)
     lo, hi = float(w[0]), float(w[-1])
@@ -272,4 +273,4 @@ def classify_definiteness(M, tol: ToleranceConfig = DEFAULT_TOL) -> Definiteness
         kind = DefinitenessKind.NEGATIVE_SEMIDEFINITE
     else:
         kind = DefinitenessKind.INDEFINITE
-    return Definiteness(kind, lo, hi)
+    return Definiteness(kind, lo, hi, band)

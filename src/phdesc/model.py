@@ -166,8 +166,7 @@ def validate(sys: PHSystem, tol: ToleranceConfig = DEFAULT_TOL) -> ValidationRep
 
     def psd(name, M):
         d = classify_definiteness(M, tol)
-        band = tol.psd_tol * max(1.0, max(abs(d.min_eigenvalue), abs(d.max_eigenvalue)))
-        return CheckResult(name, d.is_semidefinite, d.min_eigenvalue, band, "min_eigenvalue")
+        return CheckResult(name, d.is_semidefinite, d.min_eigenvalue, d.band, "min_eigenvalue")
 
     W = dissipation_matrix(sys)
     return ValidationReport(

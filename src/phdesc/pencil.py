@@ -78,16 +78,17 @@ class StabilityClass(enum.Enum):
 
 
 @dataclass(frozen=True)
-class KroneckerSummary:
-    """Block data of a staircase-reduced pencil ``s E - A`` of shape p x q."""
+class PencilReport:
+    """Kronecker structure and stability class of the pencil ``s E - A`` of
+    shape rows x cols; a rectangular pencil is singular."""
 
     rows: int
     cols: int
-    normal_rank: int
     finite_eigenvalues: np.ndarray          # complex, eigenvalues of the regular part
     infinite_block_sizes: tuple[int, ...]   # one entry per infinite elementary divisor
     right_minimal_indices: tuple[int, ...]  # epsilon value per right singular block
     left_minimal_indices: tuple[int, ...]   # eta value per left singular block
+    stability_class: StabilityClass
     regular_A: np.ndarray = field(repr=False)
     regular_E: np.ndarray = field(repr=False)
 
@@ -96,7 +97,7 @@ class KroneckerSummary:
         return self.regular_E.shape[0]
 
     @property
-    def is_regular(self) -> bool:
+    def regular(self) -> bool:
         return (self.rows == self.cols
                 and not self.right_minimal_indices
                 and not self.left_minimal_indices)
@@ -104,29 +105,38 @@ class KroneckerSummary:
     @property
     def index(self) -> int | None:
         """Largest infinite block size for regular pencils, else None."""
-        if not self.is_regular:
+        if not self.regular:
             return None
         return max(self.infinite_block_sizes, default=0)
 
+    @property
+    def normal_rank(self) -> int:
+        return self.cols - len(self.right_minimal_indices)
+
+    @property
+    def rank_E(self) -> int:
+        # Each infinite and each right singular block leaves one kernel
+        # column of E, so this is the staircase's own first E-compression.
+        return self.normal_rank - len(self.infinite_block_sizes)
+
+    @property
+    def spectral_abscissa(self) -> float | None:
+        """max Re(lambda), None when there is no finite spectrum."""
+        evs = self.finite_eigenvalues
+        return float(evs.real.max()) if evs.size else None
+
+    @property
+    def axis_distance(self) -> float | None:
+        """min |Re(lambda)|, None when there is no finite spectrum."""
+        evs = self.finite_eigenvalues
+        return float(np.abs(evs.real).min()) if evs.size else None
+
     def dimension_accounting(self) -> tuple[int, int]:
         """Rows and columns implied by the block data; must equal (rows, cols)."""
-        inf_total = sum(self.infinite_block_sizes)
-        r = self.n_regular + inf_total
+        r = self.n_regular + sum(self.infinite_block_sizes)
         rows = r + sum(self.right_minimal_indices) + sum(e + 1 for e in self.left_minimal_indices)
         cols = r + sum(e + 1 for e in self.right_minimal_indices) + sum(self.left_minimal_indices)
         return rows, cols
-
-
-@dataclass(frozen=True)
-class PencilReport:
-    regular: bool
-    index: int | None                      # None when the pencil is singular
-    finite_eigenvalues: np.ndarray
-    rank_E: int
-    stability_class: StabilityClass
-    spectral_abscissa: float | None        # max Re(lambda), None when no finite spectrum
-    axis_distance: float | None            # min |Re(lambda)|, None when no finite spectrum
-    summary: KroneckerSummary = field(repr=False)
 
     def to_dict(self) -> dict:
         return {
@@ -138,9 +148,9 @@ class PencilReport:
             "finite_eigenvalues": complex_pairs(self.finite_eigenvalues),
             "spectral_abscissa": self.spectral_abscissa,
             "axis_distance": self.axis_distance,
-            "infinite_block_sizes": list(self.summary.infinite_block_sizes),
-            "right_minimal_indices": list(self.summary.right_minimal_indices),
-            "left_minimal_indices": list(self.summary.left_minimal_indices),
+            "infinite_block_sizes": list(self.infinite_block_sizes),
+            "right_minimal_indices": list(self.right_minimal_indices),
+            "left_minimal_indices": list(self.left_minimal_indices),
         }
 
 
@@ -234,8 +244,8 @@ def _regular_eigenvalues(A_reg, E_reg, svd_e2t) -> np.ndarray:
     return np.linalg.eigvals(M).astype(complex)
 
 
-def kronecker_staircase(A, E, tol: ToleranceConfig = DEFAULT_TOL) -> KroneckerSummary:
-    """Kronecker block data of the pencil ``s E - A`` (rectangular allowed)."""
+def kronecker_staircase(A, E, tol: ToleranceConfig = DEFAULT_TOL) -> PencilReport:
+    """Kronecker structure and stability class of ``s E - A`` (rectangular allowed)."""
     A = as_matrix(A)
     E = as_matrix(E)
     if A.shape != E.shape:
@@ -273,42 +283,48 @@ def kronecker_staircase(A, E, tol: ToleranceConfig = DEFAULT_TOL) -> KroneckerSu
     else:
         finite = np.zeros(0, dtype=complex)
 
-    summary = KroneckerSummary(
+    re = finite.real
+    if p != q or right_minimal or left_minimal:
+        cls = StabilityClass.SINGULAR
+    elif finite.size == 0 or np.all(re <= -tol.stability_margin):
+        cls = StabilityClass.ASYMPTOTICALLY_STABLE
+    elif np.any(re > tol.axis_tol):
+        cls = StabilityClass.UNSTABLE
+    elif _axis_eigenvalues_semisimple(finite, A_reg, E_reg, tol):
+        cls = StabilityClass.STABLE_NOT_ASYMPTOTIC
+    else:
+        cls = StabilityClass.UNSTABLE
+
+    report = PencilReport(
         rows=p,
         cols=q,
-        normal_rank=q - len(right_minimal),
         finite_eigenvalues=finite,
         infinite_block_sizes=tuple(infinite_sizes),
         right_minimal_indices=tuple(right_minimal),
         left_minimal_indices=tuple(left_minimal),
+        stability_class=cls,
         regular_A=A_reg,
         regular_E=E_reg,
     )
-    if summary.dimension_accounting() != (p, q):
+    if report.dimension_accounting() != (p, q):
         raise NumericalBreakdown("staircase block sizes do not account for the pencil shape")
-    return summary
+    return report
 
 
-def _cluster_multiplicity(evs: np.ndarray, lam: complex) -> int:
-    return int(np.sum(np.abs(evs - lam) <= _CLUSTER_RTOL * max(1.0, abs(lam))))
-
-
-def _axis_eigenvalues_semisimple(summary: KroneckerSummary, tol: ToleranceConfig) -> bool:
+def _axis_eigenvalues_semisimple(evs, A_reg, E_reg, tol: ToleranceConfig) -> bool:
     """Algebraic multiplicity equals rank deficiency of the shifted regular part.
 
     A real pencil's eigenvalues come in exact conjugate pairs whose shifted
     parts share their singular values, so each pair is decided at Im >= 0.
     """
-    evs = summary.finite_eigenvalues
     axis = evs[(np.abs(evs.real) <= tol.axis_tol) & (evs.imag >= 0)]
     seen: list[complex] = []
     for lam in axis:
         if any(abs(lam - mu) <= _CLUSTER_RTOL * max(1.0, abs(mu)) for mu in seen):
             continue
         seen.append(complex(lam))
-        alg = _cluster_multiplicity(evs, lam)
-        shifted = lam * summary.regular_E - summary.regular_A
-        geo = summary.n_regular - numerical_rank(shifted, tol)
+        alg = int(np.sum(np.abs(evs - lam) <= _CLUSTER_RTOL * max(1.0, abs(lam))))
+        geo = E_reg.shape[0] - numerical_rank(lam * E_reg - A_reg, tol)
         if geo < alg:
             return False
     return True
@@ -319,7 +335,7 @@ _REPORT = None
 
 
 def pencil_report(E, A, tol: ToleranceConfig = DEFAULT_TOL) -> PencilReport:
-    """Regularity, index, finite spectrum, and stability class of ``s E - A``.
+    """:func:`kronecker_staircase` of a square pencil ``s E - A``, remembered.
 
     The report of the last ``(E, A, tol)`` is remembered (see
     :func:`phdesc.linalg.remembered`); its arrays are read-only.
@@ -334,38 +350,13 @@ def pencil_report(E, A, tol: ToleranceConfig = DEFAULT_TOL) -> PencilReport:
 
 
 def _pencil_report(E, A, tol: ToleranceConfig) -> PencilReport:
-    summary = kronecker_staircase(A, E, tol)
-    evs = summary.finite_eigenvalues
-    for a in (evs, summary.regular_A, summary.regular_E):
+    # Frozen only here: when nothing deflates, the regular part is a view of
+    # the input, here the memo's private copy, after a direct call the
+    # caller's array, which a read-only view would not stop from changing.
+    report = kronecker_staircase(A, E, tol)
+    for a in (report.finite_eigenvalues, report.regular_A, report.regular_E):
         a.flags.writeable = False
-    re = evs.real
-    abscissa = float(re.max()) if evs.size else None
-    axis_dist = float(np.abs(re).min()) if evs.size else None
-
-    if not summary.is_regular:
-        cls = StabilityClass.SINGULAR
-    elif evs.size == 0 or np.all(re <= -tol.stability_margin):
-        cls = StabilityClass.ASYMPTOTICALLY_STABLE
-    elif np.any(re > tol.axis_tol):
-        cls = StabilityClass.UNSTABLE
-    elif _axis_eigenvalues_semisimple(summary, tol):
-        cls = StabilityClass.STABLE_NOT_ASYMPTOTIC
-    else:
-        cls = StabilityClass.UNSTABLE
-
-    return PencilReport(
-        regular=summary.is_regular,
-        index=summary.index,
-        finite_eigenvalues=evs,
-        # Each infinite and each right singular block leaves one kernel
-        # column of E, so this is the staircase's own first E-compression.
-        rank_E=(summary.cols - len(summary.infinite_block_sizes)
-                - len(summary.right_minimal_indices)),
-        stability_class=cls,
-        spectral_abscissa=abscissa,
-        axis_distance=axis_dist,
-        summary=summary,
-    )
+    return report
 
 
 def _pbh_deficiency(E, A, B, lam: complex, tol: ToleranceConfig) -> int:
@@ -405,7 +396,7 @@ def imaginary_axis_full_rank(E, A, B, tol: ToleranceConfig = DEFAULT_TOL) -> tup
         raise ShapeMismatch("imaginary_axis_full_rank expects n x n pencils and n x k B")
     rep = pencil_report(E, A, tol)
     if not rep.regular:
-        if any(rep.summary.left_minimal_indices):
+        if any(rep.left_minimal_indices):
             raise HypothesisViolated("singular pencil with a positive left minimal index: "
                                      "the rank of [s E - A, B] can drop off its spectrum")
         if _pbh_deficiency(E, A, B, 0j, tol):

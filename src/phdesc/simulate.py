@@ -57,11 +57,6 @@ def consistent_projection(
     unchanged.
     """
     _require_index_one(sys_closed, tol)
-    return _project_consistent(sys_closed, x0, tol, u0)
-
-
-def _project_consistent(sys_closed: PHSystem, x0, tol: ToleranceConfig, u0) -> np.ndarray:
-    """:func:`consistent_projection` for a loop already known to be index one."""
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     if x0.shape[0] != sys_closed.n:
         raise ShapeMismatch(f"x0 has length {x0.shape[0]}, expected {sys_closed.n}")
@@ -119,7 +114,7 @@ def simulate_closed_loop(
     x = np.asarray(x0, dtype=float).reshape(-1)
     if x.shape[0] != n:
         raise ShapeMismatch(f"x0 has length {x.shape[0]}, expected {n}")
-    x_proj = _project_consistent(closed, x, tol, u_steps[0])
+    x_proj = consistent_projection(closed, x, tol, u_steps[0])
     shift = float(np.linalg.norm(x_proj - x))
     if shift > 1e-9 * max(1.0, float(np.linalg.norm(x))):
         logger.info("initial state projected onto the constraint set (moved %.3e)", shift)

@@ -97,12 +97,12 @@ def test_criterion_2_stabilizing_sufficiency():
         F, _ = synthesize_stabilizing(sys)
         cert = certify_closed_loop(sys, F, goal="stabilize")
         w_norm = max(1e-300, spectral_norm(dissipation_matrix(cert.closed_loop)))
-        assert cert.lambda_min_w >= -1e-8 * w_norm, f"seed {seed}: W not PSD"
-        assert cert.regular, f"seed {seed}: closed loop not regular"
-        assert cert.index <= 1, f"seed {seed}: index {cert.index}"
-        if cert.spectrum.size:
-            assert cert.spectral_abscissa < -1e-8, \
-                f"seed {seed}: abscissa {cert.spectral_abscissa}"
+        assert cert.w.min_eigenvalue >= -1e-8 * w_norm, f"seed {seed}: W not PSD"
+        assert cert.pencil.regular, f"seed {seed}: closed loop not regular"
+        assert cert.pencil.index <= 1, f"seed {seed}: index {cert.pencil.index}"
+        if cert.pencil.finite_eigenvalues.size:
+            assert cert.pencil.spectral_abscissa < -1e-8, \
+                f"seed {seed}: abscissa {cert.pencil.spectral_abscissa}"
         certified += 1
     _verdict("criterion 2 stabilizing sufficiency",
              certified >= 300, f"{certified} condition-true instances, zero failures")
@@ -125,8 +125,9 @@ def test_criterion_3_stabilizing_necessity():
         # on the axis and the certifier must reject on stability
         formula_f = build_stabilizing_feedback(sys)[0]
         cert_formula = certify_closed_loop(sys, formula_f, goal="stabilize")
-        assert cert_formula.ph_structure, f"seed {seed}: formula feedback broke structure"
-        assert not cert_formula.asymptotically_stable, f"seed {seed}"
+        assert cert_formula.w.is_semidefinite, f"seed {seed}: formula feedback broke structure"
+        stable = cert_formula.pencil.stability_class is StabilityClass.ASYMPTOTICALLY_STABLE
+        assert not stable, f"seed {seed}"
         candidates = [formula_f]
         for _ in range(200):
             candidates.append(rng.normal(size=(m, n)) * 10 ** rng.uniform(-1.0, 0.5))
@@ -154,7 +155,7 @@ def test_criterion_4_passifiability_iff():
             holds_n += 1
             F = synthesize_passifying(sys)
             cert = certify_closed_loop(sys, F, goal="passify")
-            assert cert.lambda_min_w > 0, f"seed {seed}: formula feedback not strict"
+            assert cert.w.min_eigenvalue > 0, f"seed {seed}: formula feedback not strict"
             assert cert.overall, f"seed {seed}: certification failed"
         else:
             fails_n += 1
@@ -296,7 +297,8 @@ def test_criterion_7_dynamics_witness():
         # the step-halving study needs dynamics (a purely algebraic loop
         # has residual at roundoff already) and the coarsest grid must
         # resolve the fastest closed-loop mode
-        if cert.spectrum.size == 0 or np.abs(cert.spectrum).max() > 10.0:
+        evs = cert.pencil.finite_eigenvalues
+        if evs.size == 0 or np.abs(evs).max() > 10.0:
             continue
         closed = cert.closed_loop
         srng = np.random.default_rng(seed * 7 + 1)

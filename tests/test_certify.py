@@ -5,8 +5,8 @@ from phdesc import linalg, pencil
 from phdesc.certify import certify_closed_loop
 from phdesc.fileio import feedback_from_dict, feedback_to_dict
 from phdesc.generators import random_ph
-from phdesc.model import PHSystem
-from phdesc.pencil import pencil_report
+from phdesc.model import PHSystem, validate
+from phdesc.pencil import StabilityClass, pencil_report
 from phdesc.synthesis import synthesize_passifying, synthesize_stabilizing
 
 
@@ -18,30 +18,42 @@ class TestCertifyClosedLoop:
     def test_scalar_passify_example(self):
         sys = scalar_system(E=1, R=1, G=1, S=1)
         rep = certify_closed_loop(sys, [[-2.0]], goal="passify")
-        assert rep.overall and rep.strictly_passive
-        assert rep.lambda_min_w == pytest.approx(2 - np.sqrt(2), abs=1e-12)
-        assert rep.regular and rep.index == 0
-        assert rep.asymptotically_stable
+        assert rep.overall and rep.w.is_definite
+        assert rep.w.min_eigenvalue == pytest.approx(2 - np.sqrt(2), abs=1e-12)
+        assert rep.pencil.regular and rep.pencil.index == 0
+        assert rep.pencil.stability_class is StabilityClass.ASYMPTOTICALLY_STABLE
 
     def test_scalar_stabilize_example(self):
         sys = scalar_system(E=1, G=1)
         rep = certify_closed_loop(sys, [[-2.0]], goal="stabilize")
-        assert rep.overall and rep.ph_structure
-        assert rep.regular and rep.index == 0
-        assert rep.spectrum == pytest.approx([-2.0])
-        assert rep.asymptotically_stable
+        assert rep.overall and rep.w.is_semidefinite
+        assert rep.pencil.regular and rep.pencil.index == 0
+        assert rep.pencil.finite_eigenvalues == pytest.approx([-2.0])
+        assert rep.pencil.stability_class is StabilityClass.ASYMPTOTICALLY_STABLE
 
     def test_axis_eigenvalue_rejected(self):
         sys = scalar_system(E=1, G=1)
         rep = certify_closed_loop(sys, [[0.0]], goal="stabilize")
-        assert not rep.asymptotically_stable
+        assert rep.pencil.stability_class is not StabilityClass.ASYMPTOTICALLY_STABLE
         assert not rep.overall
-        assert rep.ph_structure  # zero feedback keeps the structure
+        assert rep.w.is_semidefinite  # zero feedback keeps the structure
 
     def test_inadmissible_feedback_breaks_structure(self):
         sys = scalar_system(E=1, G=1)
         rep = certify_closed_loop(sys, [[2.0]], goal="stabilize")
-        assert not rep.ph_structure and not rep.overall
+        assert not rep.w.is_semidefinite and not rep.overall
+
+    def test_tolerance_is_the_decision_band(self):
+        # classify_definiteness decides within psd_tol * max(1, |lambda|max),
+        # so -5e-9 passes next to R's 100 and both checks name that band.
+        sys = PHSystem(E=np.eye(2), J=np.zeros((2, 2)), R=np.diag([100.0, -5e-9]),
+                       G=np.zeros((2, 1)), P=np.zeros((2, 1)), S=[[0.0]], N=[[0.0]])
+        checks = certify_closed_loop(sys, np.zeros((1, 2))).to_dict()["checks"]
+        band = validate(sys).w_psd.tolerance
+        assert band == pytest.approx(1e-8)
+        assert checks["ph_structure"] == {"passed": True, "lambda_min_w": -5e-9,
+                                          "tolerance": band}
+        assert checks["strictly_passive"]["tolerance"] == band
 
     def test_invalid_goal(self):
         with pytest.raises(ValueError):
@@ -109,7 +121,7 @@ class TestSharedSvdOfE:
             assert np.array_equal(x, y)
         for x, y in zip(cold[2:], warm[2:]):
             assert x.to_dict() == y.to_dict()
-            assert np.array_equal(x.spectrum, y.spectrum)
+            assert np.array_equal(x.pencil.finite_eigenvalues, y.pencil.finite_eigenvalues)
 
     def test_closed_loop_takes_its_own_report(self, cold_report):
         sys = random_ph(12, 2, 1)
@@ -119,7 +131,7 @@ class TestSharedSvdOfE:
         cert = certify_closed_loop(sys, F, goal="stabilize")
         assert np.any(sys.B @ F != 0.0)
         assert cert.pencil is not open_loop
-        assert not np.array_equal(cert.spectrum, open_loop.finite_eigenvalues)
+        assert not np.array_equal(cert.pencil.finite_eigenvalues, open_loop.finite_eigenvalues)
         # B F == 0 leaves A with the same bits, and so the same report.
         open_loop = pencil_report(sys.E, sys.A)
         zero = certify_closed_loop(sys, np.zeros((sys.m, sys.n)), goal="stabilize")

@@ -136,6 +136,22 @@ def test_traced_cli_attributes_exist():
     assert [a for a in attrs if not hasattr(phdesc.cli, a)] == []
 
 
+def test_benchmark_instruments_the_cli(monkeypatch):
+    # Traced benchmark runs wrap phdesc.cli's imports by name; run that
+    # wrapping itself so a dropped import fails here, not at bench time.
+    monkeypatch.syspath_prepend(str(_REPO / "bench"))
+    spans = importlib.import_module("spans")
+    workloads = importlib.import_module("workloads")
+    tracer = spans.Tracer()
+    before = dict(vars(phdesc.cli))
+    workloads.instrument_cli(tracer)
+    try:
+        assert phdesc.cli.pencil_report is not before["pencil_report"]
+    finally:
+        tracer.uninstall()
+    assert dict(vars(phdesc.cli)) == before
+
+
 def test_demo_script_runs(tmp_path):
     env = dict(os.environ)
     src = str(Path(phdesc.__file__).resolve().parents[1])

@@ -47,20 +47,20 @@ def scalar_system(E=1.0, J=0.0, R=0.0, G=0.0, P=0.0, S=0.0, N=0.0):
 class TestStaircase:
     def test_ordinary_pencil(self):
         s = kronecker_staircase(np.diag([-1.0, -2.0]), np.eye(2))
-        assert s.is_regular and s.index == 0
+        assert s.regular and s.index == 0
         assert sorted(s.finite_eigenvalues.real) == pytest.approx([-2.0, -1.0])
         assert not s.infinite_block_sizes
 
     def test_index_two_block(self):
         s = kronecker_staircase(np.array([[0.0, 1.0], [-1.0, 0.0]]),
                                 np.array([[1.0, 0.0], [0.0, 0.0]]))
-        assert s.is_regular and s.index == 2
+        assert s.regular and s.index == 2
         assert s.finite_eigenvalues.size == 0
         assert s.infinite_block_sizes == (2,)
 
     def test_zero_pencil_singular(self):
         s = kronecker_staircase(ZERO, ZERO)
-        assert not s.is_regular
+        assert not s.regular
         assert s.right_minimal_indices == (0,)
         assert s.left_minimal_indices == (0,)
         assert s.normal_rank == 0
@@ -113,6 +113,34 @@ class TestStaircase:
             kronecker_staircase(A, E)
         with pytest.raises(HypothesisViolated, match="real"):
             pencil_report(E, A)
+
+    def test_rectangular_pencil_is_singular(self, rng):
+        for p, q in [(2, 3), (4, 2), (1, 5)]:
+            A = rng.normal(size=(p, q))
+            E = rng.normal(size=(p, q))
+            E[:, 0] = 0.0
+            s = kronecker_staircase(A, E)
+            assert s.stability_class is StabilityClass.SINGULAR
+            assert not s.regular and s.index is None
+            assert s.rank_E == np.linalg.matrix_rank(E)
+            assert s.normal_rank == np.linalg.matrix_rank(0.37 * E - A) == min(p, q)
+
+    def test_square_staircase_is_the_report(self, cold_report):
+        for seed in range(12):
+            sys = random_ph(6, 2, seed, force_axis_modes=seed % 3 == 0,
+                            force_singular=seed % 4 == 1)
+            assert (kronecker_staircase(sys.A, sys.E).to_dict()
+                    == pencil_report(sys.E, sys.A).to_dict())
+
+    def test_direct_call_leaves_the_inputs_writeable(self):
+        # Nothing deflates, so the regular part is a view of these arrays;
+        # marking it read-only would promise an immutability A does not have.
+        A = -np.diag([1.0, 2.0])
+        E = np.eye(2)
+        s = kronecker_staircase(A, E)
+        assert np.shares_memory(s.regular_A, A) and np.shares_memory(s.regular_E, E)
+        assert A.flags.writeable and E.flags.writeable
+        assert s.regular_A.flags.writeable and s.regular_E.flags.writeable
 
     def test_ambiguous_rank_raises(self):
         # singular values straddle the cutoff within a factor of ten on
@@ -212,7 +240,7 @@ class TestPencilReport:
         lam = axis[axis.imag > 0][0]
         shifted = [a for a, _ in svd_calls if np.iscomplexobj(a)]
         assert len(shifted) == 1
-        assert np.array_equal(shifted[0], lam * r.summary.regular_E - r.summary.regular_A)
+        assert np.array_equal(shifted[0], lam * r.regular_E - r.regular_A)
 
     def test_singular_pencil(self):
         r = pencil_report(ZERO, ZERO)
@@ -318,8 +346,8 @@ class TestRememberedReport:
     def _compare(self, r1, r2):
         assert r1.to_dict() == r2.to_dict()
         for a, b in [(r1.finite_eigenvalues, r2.finite_eigenvalues),
-                     (r1.summary.regular_A, r2.summary.regular_A),
-                     (r1.summary.regular_E, r2.summary.regular_E)]:
+                     (r1.regular_A, r2.regular_A),
+                     (r1.regular_E, r2.regular_E)]:
             assert a.dtype == b.dtype and np.array_equal(a, b)
 
     def test_warm_equals_cold_bitwise(self, monkeypatch, cold_report, svd_calls):
@@ -334,7 +362,7 @@ class TestRememberedReport:
     def test_arrays_are_read_only(self, cold_report):
         sys = random_ph(6, 2, 0)
         r = pencil_report(sys.E, sys.A)
-        for a in (r.finite_eigenvalues, r.summary.regular_A, r.summary.regular_E):
+        for a in (r.finite_eigenvalues, r.regular_A, r.regular_E):
             assert a.size and not a.flags.writeable
             with pytest.raises(ValueError):
                 a[0] = 0.0
@@ -344,12 +372,12 @@ class TestRememberedReport:
         sys = random_ph(5, 1, 2)
         mats = {"E": sys.E.copy(), "A": sys.A.copy()}
         first = pencil_report(mats["E"], mats["A"])
-        before = first.summary.regular_A.copy()
+        before = first.regular_A.copy()
         mats[which][0, 0] -= 1.0
         again = pencil_report(mats["E"], mats["A"])
         assert again is not first
         # The stored report does not alias the caller's arrays.
-        assert np.array_equal(first.summary.regular_A, before)
+        assert np.array_equal(first.regular_A, before)
         monkeypatch.setattr(pencil, "_REPORT", None)
         self._compare(again, pencil_report(mats["E"].copy(), mats["A"].copy()))
 
