@@ -12,6 +12,14 @@ SVD instead of taking its own.  :func:`pencil_report` remembers its last
 ``(E, A, tol)`` report the same way, so the existence conditions and the
 synthesis of one system read the report that the analysis computed.
 
+A square pencil of index at most one, as every closed loop of the syntheses
+is, leaves after that SVD (the semi-explicit form, Kunkel & Mehrmann, EMS
+2006): with ``E = [U1 U2] diag(Sigma, 0) [V1 V2]^T`` it is decided by the
+k x k block ``A22 = U2^T A V2`` on ker E, and its regular part is
+``s Sigma - (A11 - A12 A22^{-1} A21)``.  The exit needs cond(Sigma) within
+the QZ cutoff and ``sigma_min(A22) * _QZ_COND > ||A||_F``; any other pencil
+runs the staircase.  A fresh report logs its route at DEBUG level.
+
 "Full row rank of ``[s E - A, B]`` on the imaginary axis" is decided at the
 points where it can fail.  For a regular pencil the rank can drop only at
 an eigenvalue (Hautus), so each eigenvalue of the report within axis_tol of
@@ -31,6 +39,7 @@ finds that.
 from __future__ import annotations
 
 import enum
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,6 +69,8 @@ from .linalg import (
     spectral_norm,
 )
 from .model import PHSystem
+
+logger = logging.getLogger(__name__)
 
 # The SVD-scaled standard eigenproblem drifts from QZ about in step with
 # cond(E_reg) (near axis_tol at 1e8); above this sigma_max / sigma_min of
@@ -226,6 +237,12 @@ def _minimal_and_infinite(nu, ss, stage):
     return minimal, sizes
 
 
+def _scaled_eigenvalues(M, sigma) -> np.ndarray:
+    """Eigenvalues of ``s diag(sigma) - M``: those of ``sigma^{-1/2} M sigma^{-1/2}``."""
+    d = 1.0 / np.sqrt(sigma)
+    return np.linalg.eigvals(M * d[:, None] * d[None, :]).astype(complex)
+
+
 def _regular_eigenvalues(A_reg, E_reg, svd_e2t) -> np.ndarray:
     """Eigenvalues of ``s E_reg - A_reg`` with E_reg invertible.
 
@@ -239,9 +256,27 @@ def _regular_eigenvalues(A_reg, E_reg, svd_e2t) -> np.ndarray:
         import scipy.linalg
 
         return scipy.linalg.eigvals(A_reg, E_reg)
-    d = 1.0 / np.sqrt(sigma)
-    M = (vh @ A_reg @ u) * d[:, None] * d[None, :]
-    return np.linalg.eigvals(M).astype(complex)
+    return _scaled_eigenvalues(vh @ A_reg @ u, sigma)
+
+
+def _index_one_exit(A, E, svd_e, r):
+    """``(A_reg, E_reg, eigenvalues)`` of a square pencil of index at most
+    one with the exit's margin, else None; r is the rank decided on the SVD
+    svd_e of E.  At r = n the regular part is the pencil, as in the staircase."""
+    u, s, vh = svd_e
+    if r and s[0] > _QZ_COND * s[r - 1]:
+        return None
+    if r == A.shape[0]:
+        return A, E, _regular_eigenvalues(A, E, (vh.T, s, u.T))
+    Ah = u.T @ A @ vh.T
+    A22 = Ah[r:, r:]
+    # ||A||_F bounds ||A||_2, so A22 clears the rank threshold by far more
+    # than tenfold and the elimination keeps ||A12 A22^{-1} A21|| below
+    # _QZ_COND ||A||_2.
+    if not np.linalg.svd(A22, compute_uv=False)[-1] * _QZ_COND > np.linalg.norm(A):
+        return None
+    S = Ah[:r, :r] - Ah[:r, r:] @ np.linalg.solve(A22, Ah[r:, :r])
+    return S, np.diag(s[:r]), _scaled_eigenvalues(S, s[:r])
 
 
 def kronecker_staircase(A, E, tol: ToleranceConfig = DEFAULT_TOL) -> PencilReport:
@@ -258,6 +293,13 @@ def kronecker_staircase(A, E, tol: ToleranceConfig = DEFAULT_TOL) -> PencilRepor
     svd_e = e_svd(E) if q else None
     s_e = svd_e[1] if q else np.zeros(0)
     thr_e = tol.rank_rtol * maxdim * (float(s_e[0]) if s_e.size else 0.0)
+    r = _decide_rank(s_e, thr_e, "right pass: E-compression, step 1")
+    exit_ = _index_one_exit(A, E, svd_e, r) if p == q and q else None
+    logger.debug("pencil %dx%d: %s, k = %d", p, q,
+                 "staircase" if exit_ is None else "index-one exit", q - r)
+    if exit_ is not None:
+        A_reg, E_reg, finite = exit_
+        return _classified_report(p, q, finite, (1,) * (q - r), (), (), A_reg, E_reg, tol)
     thr_a = tol.rank_rtol * maxdim * spectral_norm(A)
 
     nu_r, ss_r, A1, E1, svd_e1 = _deflate_right_and_infinite(
@@ -276,13 +318,17 @@ def kronecker_staircase(A, E, tol: ToleranceConfig = DEFAULT_TOL) -> PencilRepor
     A_reg, E_reg = A2t.T, E2t.T
     if A_reg.shape[0] != A_reg.shape[1]:
         raise NumericalBreakdown("regular part is not square after deflation")
-    if A_reg.shape[0]:
-        finite = _regular_eigenvalues(A_reg, E_reg, svd_e2t)
-        if not np.all(np.isfinite(finite)):
-            raise NumericalBreakdown("non-finite eigenvalues in the deflated regular part")
-    else:
-        finite = np.zeros(0, dtype=complex)
+    finite = (_regular_eigenvalues(A_reg, E_reg, svd_e2t) if A_reg.shape[0]
+              else np.zeros(0, dtype=complex))
+    return _classified_report(p, q, finite, infinite_sizes, right_minimal, left_minimal,
+                              A_reg, E_reg, tol)
 
+
+def _classified_report(p, q, finite, infinite_sizes, right_minimal, left_minimal,
+                       A_reg, E_reg, tol: ToleranceConfig) -> PencilReport:
+    """The report of either route's block data, with its stability class."""
+    if not np.all(np.isfinite(finite)):
+        raise NumericalBreakdown("non-finite eigenvalues in the deflated regular part")
     re = finite.real
     if p != q or right_minimal or left_minimal:
         cls = StabilityClass.SINGULAR
@@ -430,10 +476,9 @@ def undamped_block_stability_condition(E, J, R, n1: int,
         raise ShapeMismatch("E, J, R must be square of equal size")
     if not 0 <= n1 <= n:
         raise ShapeMismatch(f"n1 must be in [0, {n}]")
-    scale = max(1.0, spectral_norm(R))
-    off = spectral_norm(R[:n1, n1:])
-    trailing = spectral_norm(R[n1:, n1:])
-    if off > tol.psd_tol * scale or trailing > tol.psd_tol * scale:
+    # A zero violation is within any band, so its scale is never needed.
+    violation = max(spectral_norm(R[:n1, n1:]), spectral_norm(R[n1:, n1:]))
+    if violation and violation > tol.psd_tol * max(1.0, spectral_norm(R)):
         raise HypothesisViolated("R is not of the block form diag(R11, 0)")
     if n1 > 0 and not classify_definiteness(R[:n1, :n1], tol).is_definite:
         raise HypothesisViolated("leading dissipation block R11 is not positive definite")

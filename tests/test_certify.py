@@ -94,6 +94,18 @@ class TestSharedSvdOfE:
         assert certify_closed_loop(sys, F, goal="stabilize").overall
         assert not any(full and np.array_equal(a, sys.E) for a, full in svd_calls)
 
+    @pytest.mark.parametrize("rank_e", [None, 50])
+    def test_certification_takes_only_the_k_block_svd(self, svd_calls, rank_e):
+        # E's SVD is remembered from the analysis, and the closed loop leaves
+        # the staircase after step 1: its one SVD is of the k x k block A22
+        # on ker E, none when E is nonsingular.
+        sys = random_ph(60, 6, 0, rank_e=rank_e)
+        k = sys.n - pencil_report(sys.E, sys.A).rank_E
+        F, _ = synthesize_stabilizing(sys)
+        svd_calls.clear()
+        assert certify_closed_loop(sys, F, goal="stabilize").overall
+        assert [a.shape for a, _ in svd_calls] == [(k, k)] * (k > 0)
+
     @pytest.mark.parametrize("seed", [0, 1])
     def test_cold_and_warm_memo_agree_bitwise(self, monkeypatch, seed):
         sys = random_ph(12, 2, seed, s_definite=True)

@@ -1,3 +1,6 @@
+import logging
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -13,7 +16,7 @@ from phdesc.linalg import (
     pseudo_inverse,
     range_basis,
 )
-from phdesc.model import PHSystem
+from phdesc.model import PHSystem, apply_feedback
 from phdesc.pencil import (
     StabilityClass,
     compress_feedthrough,
@@ -180,6 +183,84 @@ class TestRegularEigenvalues:
         assert_spectra_match(s.finite_eigenvalues, [-1.0, -4.0, -3.0 * c], atol=1e-12)
 
 
+def _routes(caplog):
+    """(route, k) of each pencil report logged since the last clear."""
+    routes = []
+    for rec in caplog.records:
+        m = re.fullmatch(r"pencil \d+x\d+: (index-one exit|staircase), k = (\d+)",
+                         rec.getMessage())
+        if rec.name == "phdesc.pencil" and m:
+            routes.append((m[1], int(m[2])))
+    return routes
+
+
+@pytest.fixture
+def route_log(caplog):
+    caplog.set_level(logging.DEBUG, logger="phdesc.pencil")
+    return caplog
+
+
+class TestIndexOneExit:
+    """Square pencils of index at most one leave after the SVD of E."""
+
+    @pytest.mark.parametrize("n, m, seed, rank_e", [
+        (6, 2, 0, 4), (12, 2, 1, None), (20, 4, 3, 12), (60, 6, 1, None), (60, 6, 0, 50)])
+    def test_matches_an_independent_index_test(self, monkeypatch, route_log,
+                                               n, m, seed, rank_e):
+        sys = random_ph(n, m, seed, rank_e=rank_e)
+        F, _ = synthesize_stabilizing(sys)
+        for E, A in [(sys.E, sys.A), (sys.E, apply_feedback(sys, F).A)]:
+            monkeypatch.setattr(pencil, "_REPORT", None)
+            route_log.clear()
+            r = pencil_report(E, A)
+            Z = nullspace_basis(E)
+            k = Z.shape[1]
+            assert _routes(route_log) == [("index-one exit", k)]
+            # Index at most one exactly when Z^T A Z is nonsingular.
+            assert numerical_rank(Z.T @ A @ Z) == k
+            assert r.regular and r.index == min(k, 1)
+            assert r.rank_E == numerical_rank(E) == n - k
+            alpha, beta = scipy.linalg.eigvals(A, E, homogeneous_eigvals=True)
+            finite = np.argsort(-np.abs(beta) / np.hypot(np.abs(alpha), np.abs(beta)))[: n - k]
+            assert_spectra_match(r.finite_eigenvalues, alpha[finite] / beta[finite])
+
+    def test_zero_a22_is_index_two(self, route_log, cold_report, rng):
+        # In a rotated basis A22 = 0 holds only to rounding, so the exit
+        # refuses it and the staircase finds the k blocks of size two.
+        n, k = 8, 3
+        E = np.diag(np.r_[rng.uniform(1.0, 2.0, n - k), np.zeros(k)])
+        A = rng.normal(size=(n, n))
+        A[n - k:, n - k:] = 0.0
+        Q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+        r = pencil_report(Q.T @ E @ Q, Q.T @ A @ Q)
+        assert _routes(route_log) == [("staircase", k)]
+        assert r.regular and r.index == 2
+        assert r.infinite_block_sizes == (2,) * k and r.rank_E == n - k
+
+    @pytest.mark.parametrize("factor, route, shapes", [
+        (0.99, "staircase", [(3, 3), (1, 1), (3, 3), (3, 1), (2, 2)]),
+        (1.01, "index-one exit", [(3, 3), (1, 1)]),
+    ])
+    def test_guard_on_a22(self, route_log, cold_e_svd, cold_report, svd_calls,
+                          factor, route, shapes):
+        # sigma_min(A22) = a and ||A||_F = sqrt(2 + a^2), so the guard
+        # a * _QZ_COND > ||A||_F holds from a = sqrt(2 / (_QZ_COND^2 - 1)).
+        # Below it the staircase runs: ||A||_2, the A-compression on ker E
+        # and step 2's SVD of the deflated E, to the same verdict.
+        a = factor * np.sqrt(2.0 / (pencil._QZ_COND ** 2 - 1.0))
+        r = pencil_report(np.diag([1.0, 1.0, 0.0]), -np.diag([1.0, 1.0, a]))
+        assert _routes(route_log) == [(route, 1)]
+        assert [x.shape for x, _ in svd_calls] == shapes
+        assert r.regular and r.index == 1 and r.rank_E == 2
+        assert_spectra_match(r.finite_eigenvalues, [-1.0, -1.0], atol=1e-12)
+
+    def test_only_a_fresh_report_logs(self, route_log, cold_report):
+        sys = random_ph(12, 2, 1, force_singular=True)
+        pencil_report(sys.E, sys.A)
+        pencil_report(sys.E.copy(), sys.A.copy())
+        assert _routes(route_log) == [("staircase", 3)]
+
+
 class TestPencilReport:
     def test_stable_scalar(self):
         r = pencil_report(ONE, [[-2.0]])
@@ -216,16 +297,17 @@ class TestPencilReport:
         assert r.rank_E == 2
         assert r.finite_eigenvalues.size == 2
 
-    @pytest.mark.parametrize("n, m, seed, index, svds", [(60, 6, 0, 0, 2), (12, 2, 1, 1, 4)])
-    def test_left_pass_takes_no_svd_of_its_own(self, cold_e_svd, cold_report, svd_calls,
-                                               n, m, seed, index, svds):
-        # Index 0: svd(E) and ||A||_2.  Index 1: also the A-compression on
-        # ker E and the SVD that finds the deflated E1 of full rank.  The left
-        # pass starts from that last SVD, transposed, and needs no more.
+    @pytest.mark.parametrize("n, m, seed, index, svds", [(60, 6, 0, 0, 1), (12, 2, 1, 1, 2)])
+    def test_index_one_exit_takes_svds_of_e_and_a22(self, cold_e_svd, cold_report, svd_calls,
+                                                    n, m, seed, index, svds):
+        # Index 0: svd(E) alone, with no ||A||_2.  Index 1: also the singular
+        # values of the k x k block A22 = U2^T A V2 on ker E.  Neither takes
+        # a staircase step or a left pass.
         sys = random_ph(n, m, seed)
         r = pencil_report(sys.E, sys.A)
         assert r.regular and r.index == index
         assert len(svd_calls) == svds
+        assert [a.shape for a, _ in svd_calls[1:]] == [(n - r.rank_E,) * 2] * (svds - 1)
 
     @pytest.mark.parametrize("n, seed", [(12, 0), (60, 1)])
     def test_one_rank_svd_per_axis_pair(self, cold_report, svd_calls, n, seed):
@@ -425,6 +507,12 @@ class TestUndampedBlockConditions:
         R = np.zeros((n, n))
         R[:n1, :n1] = L @ L.T + 0.1 * np.eye(n1)
         return E, J, R, n1
+
+    def test_exact_block_form_takes_no_scale_norm(self, svd_calls):
+        # Both violations are exactly zero, so ||R||_2 is never needed.
+        E, J, R, n1 = self._hypothesis_instance(3)
+        undamped_block_stability_condition(E, J, R, n1)
+        assert not any(np.array_equal(a, R) for a, _ in svd_calls)
 
     def test_stability_condition_bidirectional(self):
         agree = 0
@@ -669,6 +757,24 @@ class TestInvariance:
     @pytest.mark.parametrize("family", FAMILIES)
     def test_pencil_and_feedback_conditions(self, family, change):
         assert _changed_verdicts(family, change, _pencil_and_feedback_verdicts) == []
+
+    @pytest.mark.parametrize("transform", [
+        lambda E, A, Q: (Q.T @ E @ Q, Q.T @ A @ Q),
+        lambda E, A, Q: (1e-3 * E, 1e-3 * A),
+        lambda E, A, Q: (1e3 * E, 1e3 * A),
+    ], ids=["orthogonal", "scale-1e-3", "scale-1e3"])
+    @pytest.mark.parametrize("family, route", [
+        ("plain", "index-one exit"), ("singular", "staircase")])
+    def test_pencil_report_on_either_route(self, route_log, cold_report, family, route,
+                                          transform):
+        sys = random_ph(12, 2, 1, **FAMILIES[family])
+        Q = np.linalg.qr(np.random.default_rng(7).normal(size=(sys.n, sys.n)))[0]
+        verdicts = []
+        for E, A in [(sys.E, sys.A), transform(sys.E, sys.A, Q)]:
+            r = pencil_report(E, A)
+            verdicts.append((r.regular, r.index, r.stability_class, r.rank_E))
+        assert verdicts[0] == verdicts[1]
+        assert [x for x, _ in _routes(route_log)] == [route, route]
 
     @pytest.mark.parametrize("change", [
         "orthogonal",
