@@ -17,8 +17,10 @@ is, leaves after that SVD (the semi-explicit form, Kunkel & Mehrmann, EMS
 2006): with ``E = [U1 U2] diag(Sigma, 0) [V1 V2]^T`` it is decided by the
 k x k block ``A22 = U2^T A V2`` on ker E, and its regular part is
 ``s Sigma - (A11 - A12 A22^{-1} A21)``.  The exit needs cond(Sigma) within
-the QZ cutoff and ``sigma_min(A22) * _QZ_COND > ||A||_F``; any other pencil
-runs the staircase.  A fresh report logs its route at DEBUG level.
+the QZ cutoff, ``sigma_min(A22) * _QZ_COND > ||A||_F``, and sigma_min(A22)
+tenfold clear of the rank cutoffs of the staircase steps it skips; any
+other pencil runs the staircase.  A fresh report logs its route at DEBUG
+level.
 
 "Full row rank of ``[s E - A, B]`` on the imaginary axis" is decided at the
 points where it can fail.  For a regular pencil the rank can drop only at
@@ -174,15 +176,15 @@ def _decide_rank(s: np.ndarray, thr: float, stage: str) -> int:
     return r
 
 
-def _deflate_right_and_infinite(A, E, thr_a, thr_e, stage, svd_e=None):
+def _deflate_right_and_infinite(A, E, thr_a, thr_e, stage, step1=None):
     """Alternating kernel-column / row compressions of ``s E - A``.
 
     Per step j records nu_j (kernel width of E) and s_j (row rank of A on
     that kernel), then deflates to the trailing subpencil.  Terminates with
     E of full column rank.  Thresholds are anchored at the original pencil
     norms so that later stages keep a consistent notion of "zero".
-    ``svd_e``, when given, is the full SVD of E and serves as step 1's;
-    it may be read-only.
+    ``step1``, when given, is step 1's ``(svd, rank)``: the full SVD of E,
+    possibly read-only, and the rank of E already decided on it.
 
     Also returns the full SVD ``(U, s, Vh)`` of the final E taken at the
     step that found it of full column rank, or None when no columns remain.
@@ -193,9 +195,12 @@ def _deflate_right_and_infinite(A, E, thr_a, thr_e, stage, svd_e=None):
     svd_final = None
     while Ec.shape[1] > 0:
         q = Ec.shape[1]
-        u_e, s_e, vh_e = np.linalg.svd(Ec) if svd_e is None else svd_e
-        svd_e = None
-        r_e = _decide_rank(s_e, thr_e, f"{stage}: E-compression, step {step}")
+        if step1 is None:
+            u_e, s_e, vh_e = np.linalg.svd(Ec)
+            r_e = _decide_rank(s_e, thr_e, f"{stage}: E-compression, step {step}")
+        else:
+            (u_e, s_e, vh_e), r_e = step1
+            step1 = None
         k = q - r_e
         if k == 0:
             svd_final = (u_e, s_e, vh_e)
@@ -259,21 +264,25 @@ def _regular_eigenvalues(A_reg, E_reg, svd_e2t) -> np.ndarray:
     return _scaled_eigenvalues(vh @ A_reg @ u, sigma)
 
 
-def _index_one_exit(A, E, svd_e, r):
+def _index_one_exit(A, E, svd_e, r, tol: ToleranceConfig):
     """``(A_reg, E_reg, eigenvalues)`` of a square pencil of index at most
     one with the exit's margin, else None; r is the rank decided on the SVD
     svd_e of E.  At r = n the regular part is the pencil, as in the staircase."""
     u, s, vh = svd_e
     if r and s[0] > _QZ_COND * s[r - 1]:
         return None
-    if r == A.shape[0]:
+    if r == len(s):
         return A, E, _regular_eigenvalues(A, E, (vh.T, s, u.T))
     Ah = u.T @ A @ vh.T
     A22 = Ah[r:, r:]
-    # ||A||_F bounds ||A||_2, so A22 clears the rank threshold by far more
-    # than tenfold and the elimination keeps ||A12 A22^{-1} A21|| below
-    # _QZ_COND ||A||_2.
-    if not np.linalg.svd(A22, compute_uv=False)[-1] * _QZ_COND > np.linalg.norm(A):
+    # ||A||_F bounds ||A||_2.  The 1 / _QZ_COND margin keeps
+    # ||A12 A22^{-1} A21|| below _QZ_COND ||A||_2.  The rank margin puts the
+    # staircase's next two decisions tenfold clear of their cutoffs, so they
+    # would find index one too: the A-compression on ker E, whose singular
+    # values are at least sigma_min(A22), and step 2's E-compression, whose
+    # smallest singular value is at least sigma_min(A22) / ||A||_2 * Sigma[r-1].
+    margin = max(1.0 / _QZ_COND, 10.0 * tol.rank_rtol * len(s) * (s[0] / s[r - 1] if r else 1.0))
+    if not np.linalg.svd(A22, compute_uv=False)[-1] > margin * np.linalg.norm(A):
         return None
     S = Ah[:r, :r] - Ah[:r, r:] @ np.linalg.solve(A22, Ah[r:, :r])
     return S, np.diag(s[:r]), _scaled_eigenvalues(S, s[:r])
@@ -294,7 +303,7 @@ def kronecker_staircase(A, E, tol: ToleranceConfig = DEFAULT_TOL) -> PencilRepor
     s_e = svd_e[1] if q else np.zeros(0)
     thr_e = tol.rank_rtol * maxdim * (float(s_e[0]) if s_e.size else 0.0)
     r = _decide_rank(s_e, thr_e, "right pass: E-compression, step 1")
-    exit_ = _index_one_exit(A, E, svd_e, r) if p == q and q else None
+    exit_ = _index_one_exit(A, E, svd_e, r, tol) if p == q and q else None
     logger.debug("pencil %dx%d: %s, k = %d", p, q,
                  "staircase" if exit_ is None else "index-one exit", q - r)
     if exit_ is not None:
@@ -303,13 +312,14 @@ def kronecker_staircase(A, E, tol: ToleranceConfig = DEFAULT_TOL) -> PencilRepor
     thr_a = tol.rank_rtol * maxdim * spectral_norm(A)
 
     nu_r, ss_r, A1, E1, svd_e1 = _deflate_right_and_infinite(
-        A, E, thr_a, thr_e, "right pass", svd_e)
+        A, E, thr_a, thr_e, "right pass", (svd_e, r))
     right_minimal, infinite_sizes = _minimal_and_infinite(nu_r, ss_r, "right pass")
 
-    # E1 = U diag(s) Vh, so E1^T = Vh^T diag(s) U^T is the left pass's step 1.
-    svd_e1t = None if svd_e1 is None else (svd_e1[2].T, svd_e1[1], svd_e1[0].T)
+    # E1 = U diag(s) Vh, so E1^T = Vh^T diag(s) U^T is the left pass's step 1,
+    # of the full rank s.size that the right pass decided.
+    step1_l = None if svd_e1 is None else ((svd_e1[2].T, svd_e1[1], svd_e1[0].T), svd_e1[1].size)
     nu_l, ss_l, A2t, E2t, svd_e2t = _deflate_right_and_infinite(
-        A1.T, E1.T, thr_a, thr_e, "left pass", svd_e1t)
+        A1.T, E1.T, thr_a, thr_e, "left pass", step1_l)
     left_minimal, leftover = _minimal_and_infinite(nu_l, ss_l, "left pass")
     if leftover:
         raise NumericalBreakdown("left pass uncovered infinite structure; "

@@ -254,6 +254,29 @@ class TestIndexOneExit:
         assert r.regular and r.index == 1 and r.rank_E == 2
         assert_spectra_match(r.finite_eigenvalues, [-1.0, -1.0], atol=1e-12)
 
+    @pytest.mark.parametrize("E, A, verdict", [
+        # A22 = 2e-4 is below the A-compression's cutoff 3e-3: right minimal index 0.
+        (np.diag([1.0, 1.0, 0.0]), -np.diag([1.0, 1.0, -2e-4]), "singular"),
+        # 2e-2 and 1e-3 both sit within tenfold of the cutoff 4e-3.
+        (np.diag([1.0, 1.0, 0.0, 0.0]), -np.diag([1.0, 1.0, 2e-2, 1e-3]), "refused"),
+        # A V2 = (1, 1e-3) is kept, but the deflated E is 1e-3 < 2e-3: index 2.
+        (np.diag([1.0, 0.0]), np.array([[-1.0, 1.0], [1.0, 1e-3]]), "index 2"),
+    ], ids=["singular", "refused", "index-2"])
+    def test_guard_follows_rank_rtol(self, route_log, cold_report, E, A, verdict):
+        # Each A22 clears sigma_min(A22) * _QZ_COND > ||A||_F, but with
+        # rank_rtol = 1e-3 not the rank cutoffs of the staircase steps that
+        # the exit skips, so the staircase decides.
+        tol = ToleranceConfig(rank_rtol=1e-3)
+        if verdict == "refused":
+            with pytest.raises(ToleranceBreakdown, match="A-compression, step 1"):
+                pencil_report(E, A, tol)
+        else:
+            r = pencil_report(E, A, tol)
+            assert r.regular == (verdict == "index 2")
+            assert r.index == (2 if r.regular else None)
+            assert r.right_minimal_indices == (() if r.regular else (0,))
+        assert [x for x, _ in _routes(route_log)] == ["staircase"]
+
     def test_only_a_fresh_report_logs(self, route_log, cold_report):
         sys = random_ph(12, 2, 1, force_singular=True)
         pencil_report(sys.E, sys.A)
@@ -727,6 +750,8 @@ STATE_CHANGES = {
     "orthogonal": lambda sys, rng: _transformed(
         sys, np.linalg.qr(rng.normal(size=(sys.n, sys.n)))[0], 1.0),
     "scale-1e-6": lambda sys, rng: _transformed(sys, np.eye(sys.n), 1e-6),
+    "scale-1e-3": lambda sys, rng: _transformed(sys, np.eye(sys.n), 1e-3),
+    "scale-1e3": lambda sys, rng: _transformed(sys, np.eye(sys.n), 1e3),
     "scale-1e6": lambda sys, rng: _transformed(sys, np.eye(sys.n), 1e6),
 }
 
@@ -755,26 +780,13 @@ class TestInvariance:
 
     @pytest.mark.parametrize("change", STATE_CHANGES)
     @pytest.mark.parametrize("family", FAMILIES)
-    def test_pencil_and_feedback_conditions(self, family, change):
+    def test_pencil_and_feedback_conditions(self, route_log, cold_report, family, change):
         assert _changed_verdicts(family, change, _pencil_and_feedback_verdicts) == []
-
-    @pytest.mark.parametrize("transform", [
-        lambda E, A, Q: (Q.T @ E @ Q, Q.T @ A @ Q),
-        lambda E, A, Q: (1e-3 * E, 1e-3 * A),
-        lambda E, A, Q: (1e3 * E, 1e3 * A),
-    ], ids=["orthogonal", "scale-1e-3", "scale-1e3"])
-    @pytest.mark.parametrize("family, route", [
-        ("plain", "index-one exit"), ("singular", "staircase")])
-    def test_pencil_report_on_either_route(self, route_log, cold_report, family, route,
-                                          transform):
-        sys = random_ph(12, 2, 1, **FAMILIES[family])
-        Q = np.linalg.qr(np.random.default_rng(7).normal(size=(sys.n, sys.n)))[0]
-        verdicts = []
-        for E, A in [(sys.E, sys.A), transform(sys.E, sys.A, Q)]:
-            r = pencil_report(E, A)
-            verdicts.append((r.regular, r.index, r.stability_class, r.rank_E))
-        assert verdicts[0] == verdicts[1]
-        assert [x for x, _ in _routes(route_log)] == [route, route]
+        # Each system and its change take one fresh report, both by one
+        # route: the singular family's by the staircase, the others' by the
+        # index-one exit.
+        route = "staircase" if family == "singular" else "index-one exit"
+        assert [x for x, _ in _routes(route_log)] == [route] * (2 * len(INVARIANCE_GRID))
 
     @pytest.mark.parametrize("change", [
         "orthogonal",
