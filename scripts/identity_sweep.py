@@ -1,0 +1,223 @@
+#!/usr/bin/env python3
+"""Identity sweep: record every verdict of the full chain, or compare two records.
+
+Runs the four ``random_ph`` families through validation, the pencil report,
+the three existence conditions, both syntheses with certification, and the
+``phdesc`` CLI (in-process ``phdesc.cli.main``), and writes one JSON record
+of what the importable ``phdesc`` returned: verdicts, witnesses, exception
+types and messages, the SHA-256 of every feedback's bytes, spectra as
+multisets and CLI exit codes with their stderr.  Spectra are stored sorted,
+so two trees that list the same eigenvalues in another order agree.
+
+Record one tree, then another, then compare:
+
+    PYTHONPATH=src python3 scripts/identity_sweep.py --out new.json
+    PYTHONPATH=../parent/src python3 scripts/identity_sweep.py --out old.json
+    python3 scripts/identity_sweep.py --compare old.json new.json
+
+``--tol X`` sets ``rank_rtol`` for the in-process calls and passes
+``--tol X`` to the CLI.  ``--compare`` lists every difference and exits 1
+when there is one.  Pin BLAS to one thread (``OPENBLAS_NUM_THREADS=1``)
+on both sides, since the bits of a decomposition may depend on it.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import dataclasses
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+FAMILIES = {
+    "plain": {},
+    "s-definite": {"s_definite": True},
+    "axis-mode": {"force_axis_modes": True},
+    "singular": {"force_singular": True},
+}
+
+
+def systems():
+    """(name, n, m, seed, family, run_cli) of every system in the sweep."""
+    for family in FAMILIES:
+        for n in range(3, 13):
+            for m in range(1, 5):
+                for seed in range(6):
+                    yield family, n, m, seed, m <= 2
+        for n in (20, 60):
+            for seed in range(2):
+                yield family, n, n // 10, seed, n == 20
+        for n in (150, 200, 300):
+            yield family, n, n // 10, 0, False
+    # Narrow-input axis-mode systems whose oscillator no input reaches.
+    for seed in range(12):
+        yield "axis-mode", 60, 1, seed, True
+
+
+def _hex(values) -> list[list[str]]:
+    return [[float(z.real).hex(), float(z.imag).hex()] for z in np.asarray(values, dtype=complex)]
+
+
+def _multiset(values) -> list[list[str]]:
+    return sorted(_hex(values))
+
+
+def _sha(F) -> str:
+    return hashlib.sha256(np.ascontiguousarray(F, dtype=np.float64).tobytes()).hexdigest()
+
+
+def _error(exc: Exception) -> dict:
+    return {"error": type(exc).__name__, "message": str(exc)}
+
+
+def _guarded(fn, *args, **kwargs) -> dict:
+    try:
+        return fn(*args, **kwargs)
+    except Exception as exc:  # every exception is part of the record
+        return _error(exc)
+
+
+def _report(rep) -> dict:
+    return {"regular": bool(rep.regular), "index": rep.index, "rank_E": int(rep.rank_E),
+            "stability_class": rep.stability_class.value,
+            "infinite_block_sizes": list(rep.infinite_block_sizes),
+            "right_minimal_indices": list(rep.right_minimal_indices),
+            "left_minimal_indices": list(rep.left_minimal_indices),
+            "finite_eigenvalues": _multiset(rep.finite_eigenvalues)}
+
+
+def _synthesis(phdesc, s, goal, tol) -> dict:
+    try:
+        if goal == "stabilize":
+            F, trace = phdesc.synthesize_stabilizing(s, tol)
+            out = {"mu": list(trace.mu)}
+        else:
+            F = phdesc.synthesize_passifying(s, tol)
+            out = {}
+    except phdesc.ConditionsNotMet as exc:
+        return {**_error(exc), "witnesses": _hex(exc.witnesses)}
+    cert = phdesc.certify_closed_loop(s, F, goal, tol)
+    out.update(feedback_sha256=_sha(F), overall=bool(cert.overall),
+               certification=_report(cert.pencil), w=cert.w.kind.value)
+    return out
+
+
+def _chain(phdesc, s, tol) -> dict:
+    def conditions():
+        ok, witnesses = phdesc.stabilizability_rank_condition(s, tol)
+        return {"stabilizability": bool(ok), "witnesses": _hex(witnesses)}
+
+    return {
+        "valid": _guarded(lambda: bool(phdesc.validate(s, tol).passed)),
+        "pencil": _guarded(lambda: _report(phdesc.pencil_report(s.E, s.A, tol))),
+        "stabilizability": _guarded(conditions),
+        "index_reducibility": _guarded(lambda: bool(phdesc.index_reduction_rank_condition(s, tol))),
+        "strict_passifiability": _guarded(
+            lambda: bool(phdesc.strict_passifiability_condition(s, tol))),
+        "stabilize": _guarded(_synthesis, phdesc, s, "stabilize", tol),
+        "passify": _guarded(_synthesis, phdesc, s, "passify", tol),
+    }
+
+
+def _cli(s, seed: int, tol_args: list[str], work: Path) -> dict:
+    from phdesc.cli import main
+    from phdesc.fileio import save_feedback, save_system
+
+    system, stab_F, rand_F = work / "sys.json", work / "F_stab.json", work / "F_rand.json"
+    for path in (stab_F, rand_F):
+        path.unlink(missing_ok=True)
+    save_system(system, s)
+    save_feedback(rand_F, np.random.default_rng(seed).normal(size=(s.m, s.n)))
+    report = str(work / "report.json")
+    runs = {
+        "analyze": ["analyze", "--input", str(system)],
+        "stabilize": ["stabilize", "--input", str(system), "--output", str(stab_F)],
+        "passify": ["passify", "--input", str(system)],
+        "certify-random-stabilize": ["certify", "--input", str(system), "--feedback",
+                                     str(rand_F), "--goal", "stabilize"],
+        "certify-random-passify": ["certify", "--input", str(system), "--feedback",
+                                   str(rand_F), "--goal", "passify"],
+        "certify-own": ["certify", "--input", str(system), "--feedback", str(stab_F)],
+        "simulate": ["simulate", "--input", str(system), "--feedback", str(stab_F),
+                     "--T", "0.02", "--dt", "0.001", "--output", str(work / "traj.csv")],
+    }
+    out = {}
+    for name, argv in runs.items():
+        if name in ("certify-own", "simulate") and not stab_F.exists():
+            continue
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(argv + ["--report", report] + tol_args)
+        out[name] = {"exit": code, "stderr": err.getvalue()}
+    return out
+
+
+def record(tol_value: float | None) -> dict:
+    import phdesc
+
+    tol = phdesc.DEFAULT_TOL
+    tol_args = []
+    if tol_value is not None:
+        tol = dataclasses.replace(tol, rank_rtol=tol_value)
+        tol_args = ["--tol", repr(tol_value)]
+    records = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for family, n, m, seed, run_cli in systems():
+            key = f"{family} n={n} m={m} seed={seed}"
+            try:
+                s = phdesc.random_ph(n, m, seed, **FAMILIES[family])
+            except phdesc.PhdescError as exc:
+                records[key] = {"generate": _error(exc)}
+                continue
+            rec = _chain(phdesc, s, tol)
+            if run_cli:
+                rec["cli"] = _cli(s, seed, tol_args, Path(tmp))
+            records[key] = rec
+    return {"numpy": np.__version__, "tol": dataclasses.asdict(tol), "records": records}
+
+
+def _differences(a, b, path: str):
+    if isinstance(a, dict) and isinstance(b, dict):
+        for k in sorted(set(a) | set(b)):
+            if k not in a or k not in b:
+                yield f"{path}.{k}: only in {'second' if k not in a else 'first'}"
+            else:
+                yield from _differences(a[k], b[k], f"{path}.{k}")
+    elif a != b:
+        yield f"{path}: {json.dumps(a)} -> {json.dumps(b)}"
+
+
+def compare(first: Path, second: Path) -> int:
+    a, b = (json.loads(p.read_text()) for p in (first, second))
+    if a["tol"] != b["tol"]:
+        print(f"records differ in tolerance: {a['tol']} vs {b['tol']}")
+        return 1
+    diffs = list(_differences(a["records"], b["records"], "records"))
+    for line in diffs:
+        print(line)
+    print(f"{len(a['records'])} vs {len(b['records'])} systems, {len(diffs)} differences")
+    return 1 if diffs else 0
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--out", type=Path, help="write the record of the importable phdesc here")
+    ap.add_argument("--tol", type=float, default=None, help="rank_rtol of every decision")
+    ap.add_argument("--compare", nargs=2, type=Path, metavar=("FIRST", "SECOND"))
+    args = ap.parse_args()
+    if args.compare:
+        return compare(*args.compare)
+    if args.out is None:
+        ap.error("give --out or --compare")
+    args.out.write_text(json.dumps(record(args.tol), indent=1, sort_keys=True))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

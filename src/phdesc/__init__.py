@@ -51,13 +51,14 @@ from .model import (
 )
 from .pencil import (
     DCompression,
+    FeedbackAnalysis,
     PencilReport,
     StabilityClass,
     compress_feedthrough,
+    feedback_analysis,
     imaginary_axis_full_rank,
     index_one_rank_condition,
     index_reduction_rank_condition,
-    input_range_blocks,
     kronecker_staircase,
     pencil_report,
     stabilizability_rank_condition,

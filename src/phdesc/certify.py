@@ -8,8 +8,9 @@ analyses of the same plant comes from the two memos of
 computation would give.  One is the SVD of E, which feedback keeps
 (:func:`phdesc.linalg.e_svd`).  The other is the open-loop report of
 :func:`phdesc.pencil.pencil_report`, and only when ``B F == 0`` exactly,
-so that the closed loop's A has the same bits as the plant's.  Every
-verdict is still reached from scratch.
+so that the closed loop's A has the same bits as the plant's.  It does not
+read :func:`phdesc.pencil.feedback_analysis`.  Every verdict is still
+reached from scratch.
 """
 
 from __future__ import annotations

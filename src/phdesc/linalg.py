@@ -10,12 +10,14 @@ columns are first-class and propagate through every operation.
 
 State feedback never changes a pencil's E, so one analysis chain (report,
 existence conditions, synthesis, certification, simulation) decomposes the
-same E several times, and the conditions and the synthesis read the same
-open-loop report.  :func:`remembered` is a one-slot memo for both: it keeps
-the value of the last call, keyed by private copies of its array arguments
-(compared entry by entry) and its other arguments (compared with ==).
-:func:`e_svd` keeps the full SVD of the last E it was given, and
-:func:`phdesc.pencil.pencil_report` the report of the last ``(E, A, tol)``.
+same E several times, and the conditions and the syntheses read the same
+open-loop analysis.  :func:`remembered` is a one-slot memo for these: it
+keeps the value of the last call, keyed by private copies of its array
+arguments (compared entry by entry) and its other arguments (compared with
+==).  :func:`e_svd` keeps the full SVD of the last E it was given,
+:func:`phdesc.pencil.pencil_report` the report of the last ``(E, A, tol)``,
+and :func:`phdesc.pencil.feedback_analysis` the existence conditions of the
+last system and tolerance.
 The stored values are read-only and exactly the bits a fresh computation
 on the same arguments returns, so no verdict can tell a remembered value
 from a new one.  Only the call sites that decompose a pencil's E use

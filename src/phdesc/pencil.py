@@ -33,9 +33,11 @@ zero, as every port-Hamiltonian one is (Mehl, Mehrmann & Wojtylak, SIMAX
 everywhere when ``N0^T B`` is rank-deficient, and one PBH test at s = 0
 finds that.
 
-:func:`compress_feedthrough` is the one split of the inputs by the feedthrough
-``S + N``: the existence conditions read B1 and B3 off it, and
-:mod:`phdesc.synthesis` builds the stabilizing feedback on it.
+The three existence conditions are parts of one :class:`FeedbackAnalysis`
+per system and tolerance, remembered by :func:`feedback_analysis` like the
+report: the split of the inputs by the feedthrough ``S + N``
+(:func:`compress_feedthrough`) with B1 and B3, and the three verdicts.  Each
+part is computed when first read; both syntheses read the same object.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from __future__ import annotations
 import enum
 import logging
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -339,6 +342,8 @@ def _classified_report(p, q, finite, infinite_sizes, right_minimal, left_minimal
     """The report of either route's block data, with its stability class."""
     if not np.all(np.isfinite(finite)):
         raise NumericalBreakdown("non-finite eigenvalues in the deflated regular part")
+    # By real part, then imaginary part: equal spectra read the same on either route.
+    finite = np.sort(finite)
     re = finite.real
     if p != q or right_minimal or left_minimal:
         cls = StabilityClass.SINGULAR
@@ -372,6 +377,7 @@ def _axis_eigenvalues_semisimple(evs, A_reg, E_reg, tol: ToleranceConfig) -> boo
 
     A real pencil's eigenvalues come in exact conjugate pairs whose shifted
     parts share their singular values, so each pair is decided at Im >= 0.
+    The deficiency is decided with the PBH test's tenfold margin.
     """
     axis = evs[(np.abs(evs.real) <= tol.axis_tol) & (evs.imag >= 0)]
     seen: list[complex] = []
@@ -380,7 +386,7 @@ def _axis_eigenvalues_semisimple(evs, A_reg, E_reg, tol: ToleranceConfig) -> boo
             continue
         seen.append(complex(lam))
         alg = int(np.sum(np.abs(evs - lam) <= _CLUSTER_RTOL * max(1.0, abs(lam))))
-        geo = E_reg.shape[0] - numerical_rank(lam * E_reg - A_reg, tol)
+        geo = _deficiency(lam * E_reg - A_reg, tol, f"geometric multiplicity, s = {lam:.6g}")
         if geo < alg:
             return False
     return True
@@ -410,27 +416,30 @@ def _pencil_report(E, A, tol: ToleranceConfig) -> PencilReport:
     # the input, here the memo's private copy, after a direct call the
     # caller's array, which a read-only view would not stop from changing.
     report = kronecker_staircase(A, E, tol)
-    for a in (report.finite_eigenvalues, report.regular_A, report.regular_E):
-        a.flags.writeable = False
+    _freeze(report.finite_eigenvalues, report.regular_A, report.regular_E)
     return report
 
 
-def _pbh_deficiency(E, A, B, lam: complex, tol: ToleranceConfig) -> int:
-    """Rank deficiency of the n-row matrix ``[lam E - A, B]``.
+def _deficiency(M, tol: ToleranceConfig, stage: str) -> int:
+    """Rank deficiency of a matrix M with no more rows than columns.
 
     A singular value within a factor of ten of the rank threshold has no
     margin and raises.
     """
-    # A point on the real line keeps the SVD real.
-    M = np.hstack([(lam if lam.imag else lam.real) * E - A, B])
     s = np.linalg.svd(M, compute_uv=False)
     thr = rank_threshold(s, M.shape, tol)
     if np.any((s > thr / 10.0) & (s < 10.0 * thr)):
         kept, dropped = s[s > thr], s[s <= thr]
-        raise ToleranceBreakdown(f"PBH test, s = {lam:.6g}", thr,
-                                 float(kept[-1]) if kept.size else np.inf,
+        raise ToleranceBreakdown(stage, thr, float(kept[-1]) if kept.size else np.inf,
                                  float(dropped[0]) if dropped.size else 0.0)
     return int(np.sum(s <= thr))
+
+
+def _pbh_deficiency(E, A, B, lam: complex, tol: ToleranceConfig) -> int:
+    """Rank deficiency of the n-row matrix ``[lam E - A, B]``."""
+    # A point on the real line keeps the SVD real.
+    M = np.hstack([(lam if lam.imag else lam.real) * E - A, B])
+    return _deficiency(M, tol, f"PBH test, s = {lam:.6g}")
 
 
 def imaginary_axis_full_rank(E, A, B, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[bool, list[complex]]:
@@ -601,49 +610,92 @@ def compress_feedthrough(S, N, tol: ToleranceConfig = DEFAULT_TOL) -> DCompressi
     )
 
 
-def input_range_blocks(sys: PHSystem, tol: ToleranceConfig = DEFAULT_TOL
-                       ) -> tuple[np.ndarray, np.ndarray]:
-    """Feedback-reachable input directions split by the feedthrough.
+@dataclass(frozen=True, eq=False)
+class FeedbackAnalysis:
+    """The existence conditions of one system and tolerance (see
+    :func:`feedback_analysis`).  Each part is computed when first read and
+    then kept; its arrays are read-only."""
 
-    Returns ``(B1, B3) = ((G-P) (S+N)^+ U1, (G-P) U3)``, U1 and U3 the
-    range of S and the kernel of S+N in :func:`compress_feedthrough`.  These
-    are the input directions through which a feedback can inject
-    dissipation.  Raises :class:`NotPSD` when S is not symmetric PSD.
-    """
-    return compress_feedthrough(sys.S, sys.N, tol).input_blocks(sys.B)
+    sys: PHSystem
+    tol: ToleranceConfig
+
+    @cached_property
+    def compression(self) -> DCompression:
+        dc = compress_feedthrough(self.sys.S, self.sys.N, self.tol)
+        _freeze(dc.U, dc.D11, dc.D12, dc.D22, dc.S11)
+        return dc
+
+    @cached_property
+    def input_blocks(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(B1, B3) = ((G-P) (S+N)^+ U1, (G-P) U3)``, the input directions
+        through which a feedback can inject dissipation."""
+        return _freeze(*self.compression.input_blocks(self.sys.B))
+
+    @cached_property
+    def stabilizability(self) -> tuple[bool, tuple[complex, ...]]:
+        ok, witnesses = imaginary_axis_full_rank(self.sys.E, self.sys.A,
+                                                 np.hstack(self.input_blocks), self.tol)
+        return ok, tuple(witnesses)
+
+    @cached_property
+    def index_reducibility(self) -> bool:
+        return index_one_rank_condition(self.sys.E, self.sys.A,
+                                        np.hstack(self.input_blocks), self.tol)
+
+    @cached_property
+    def passifiability_refusal(self) -> str | None:
+        """Why no strictly passifying feedback exists; None when one does."""
+        sys = self.sys
+        if sys.m == 0 or not classify_definiteness(sys.S, self.tol).is_definite:
+            return "S not positive definite"
+        T = 0.5 * sys.B @ np.linalg.solve(sys.D, (sys.G + sys.P).T)
+        if not classify_definiteness(sys.R + T + T.T, self.tol).is_definite:
+            return "passifiability condition matrix not positive definite"
+        return None
+
+
+def _freeze(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+# remembered() slot of feedback_analysis: (key, analysis) of the last system and tol.
+_ANALYSIS = None
+
+
+def feedback_analysis(sys: PHSystem, tol: ToleranceConfig = DEFAULT_TOL) -> FeedbackAnalysis:
+    """The :class:`FeedbackAnalysis` of ``(sys, tol)``, remembered for the
+    last system and tolerance (see :func:`phdesc.linalg.remembered`)."""
+    global _ANALYSIS
+    analysis, _ANALYSIS = remembered(
+        _ANALYSIS, (sys.E, sys.J, sys.R, sys.G, sys.P, sys.S, sys.N, tol),
+        lambda *key: FeedbackAnalysis(PHSystem(*key[:-1]), key[-1]))
+    return analysis
 
 
 def stabilizability_rank_condition(sys: PHSystem, tol: ToleranceConfig = DEFAULT_TOL
                                    ) -> tuple[bool, list[complex]]:
     """Existence condition for a structure-preserving stabilizing feedback:
-    ``[s E - (J - R), B1, B3]`` must keep full row rank on the imaginary axis.
-
-    Decided as :func:`imaginary_axis_full_rank` decides it: by PBH tests at
-    the eigenvalues that ``pencil_report(sys.E, sys.A, tol)`` puts within
-    ``tol.axis_tol`` of the axis (the remembered report when the analysis
-    made it), with a :class:`ToleranceBreakdown` when a test has no tenfold
-    margin.  Returns the verdict and the offending points when it fails.
-    """
-    return imaginary_axis_full_rank(sys.E, sys.A, np.hstack(input_range_blocks(sys, tol)), tol)
+    ``[s E - (J - R), B1, B3]`` must keep full row rank on the imaginary axis,
+    decided by :func:`imaginary_axis_full_rank`.  Returns the verdict and
+    the offending points when it fails."""
+    ok, witnesses = feedback_analysis(sys, tol).stabilizability
+    return ok, list(witnesses)
 
 
 def index_reduction_rank_condition(sys: PHSystem, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """Existence condition for regularity and index at most one under
     structure-preserving feedback: ``[E, (J-R) Z_E, B1, B3]`` has rank n,
     with Z_E an orthonormal nullspace basis of E."""
-    return index_one_rank_condition(sys.E, sys.A, np.hstack(input_range_blocks(sys, tol)), tol)
+    return feedback_analysis(sys, tol).index_reducibility
 
 
 def strict_passifiability_condition(sys: PHSystem, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """Existence condition for a strictly passifying feedback: S must be
     positive definite and so must
     ``R + (G-P)(S+N)^{-1}(G+P)^T / 2 + (G+P)(S+N)^{-T}(G-P)^T / 2``."""
-    if sys.m == 0:
-        return False
-    if not classify_definiteness(sys.S, tol).is_definite:
-        return False
-    T = 0.5 * sys.B @ np.linalg.solve(sys.D, (sys.G + sys.P).T)
-    return classify_definiteness(sys.R + T + T.T, tol).is_definite
+    return feedback_analysis(sys, tol).passifiability_refusal is None
 
 
 def index_one_rank_condition(E, A, B, tol: ToleranceConfig = DEFAULT_TOL) -> bool:

@@ -5,16 +5,16 @@ that makes the closed loop port-Hamiltonian, regular, of index at most one,
 and asymptotically stable; it exists exactly when the two rank conditions of
 :mod:`phdesc.pencil` hold.  ``synthesize_passifying`` builds the closed-form
 feedback that makes the closed loop strictly passive; it exists exactly when
-``strict_passifiability_condition`` holds.
+``strict_passifiability_condition`` holds.  Both read the conditions from
+:func:`phdesc.pencil.feedback_analysis` instead of deciding them again.
 
 The stabilizing construction proceeds through two block compressions:
 
 1. the orthogonal compression of the feedthrough ``S + N`` that isolates
    the definite part of S (size m1), the remaining invertible skew part
    (size m2), and the kernel (size m3), from
-   :func:`phdesc.pencil.compress_feedthrough`; ``synthesize_stabilizing``
-   decides the existence conditions on the input blocks B1 and B3 of this
-   same split;
+   :func:`phdesc.pencil.compress_feedthrough`, the same split whose input
+   blocks B1 and B3 the existence conditions were decided on;
 2. a nonsingular congruence Z of the state space, with orthogonal right
    factors V3 and V1, that staircases the transformed input blocks B3 and
    B1*S11^(1/2) against R into block sizes mu1..mu4.
@@ -43,13 +43,7 @@ from .linalg import (
     singular_value_rank,
 )
 from .model import PHSystem
-from .pencil import (
-    DCompression,
-    compress_feedthrough,
-    imaginary_axis_full_rank,
-    index_one_rank_condition,
-    strict_passifiability_condition,
-)
+from .pencil import DCompression, feedback_analysis
 
 
 @dataclass
@@ -167,15 +161,13 @@ def build_stabilizing_feedback(
     tol: ToleranceConfig = DEFAULT_TOL,
     margin: float = 1.0,
 ) -> tuple[np.ndarray, SynthesisTrace]:
-    """Run the stabilizing construction without checking the existence
-    conditions; see :func:`synthesize_stabilizing` for the guarded entry."""
-    dc = compress_feedthrough(sys.S, sys.N, tol)
-    return _stabilizing_feedback(sys, dc, *dc.input_blocks(sys.B), tol, margin)
-
-
-def _stabilizing_feedback(sys: PHSystem, dc: DCompression, B1, B3, tol: ToleranceConfig,
-                          margin: float) -> tuple[np.ndarray, SynthesisTrace]:
-    """The construction on the feedthrough split ``dc`` and its input blocks."""
+    """Run the stabilizing construction on the feedthrough split and input
+    blocks of :func:`phdesc.pencil.feedback_analysis`, without checking the
+    existence conditions; see :func:`synthesize_stabilizing` for the guarded
+    entry."""
+    analysis = feedback_analysis(sys, tol)
+    sys, dc = analysis.sys, analysis.compression
+    B1, B3 = analysis.input_blocks
     n, m = sys.n, sys.m
     m1, m2, m3 = dc.m1, dc.m2, dc.m3
     U = dc.U
@@ -238,13 +230,9 @@ def synthesize_stabilizing(
     points) when the feedback-existence conditions fail, since no feedback
     can then achieve all four properties.
     """
-    # stabilizability_rank_condition and index_reduction_rank_condition on
-    # the feedthrough split that the construction is built from.
-    dc = compress_feedthrough(sys.S, sys.N, tol)
-    B1, B3 = dc.input_blocks(sys.B)
-    B_in = np.hstack([B1, B3])
-    ok_axis, witnesses = imaginary_axis_full_rank(sys.E, sys.A, B_in, tol)
-    ok_index = index_one_rank_condition(sys.E, sys.A, B_in, tol)
+    analysis = feedback_analysis(sys, tol)
+    ok_axis, witnesses = analysis.stabilizability
+    ok_index = analysis.index_reducibility
     if not (ok_axis and ok_index):
         failed = []
         if not ok_axis:
@@ -252,7 +240,7 @@ def synthesize_stabilizing(
         if not ok_index:
             failed.append("index-reduction rank condition fails")
         raise ConditionsNotMet("; ".join(failed), witnesses=witnesses)
-    return _stabilizing_feedback(sys, dc, B1, B3, tol, margin)
+    return build_stabilizing_feedback(sys, tol, margin)
 
 
 def passifying_feedback_formula(sys: PHSystem) -> np.ndarray:
@@ -279,10 +267,9 @@ def synthesize_passifying(sys: PHSystem, tol: ToleranceConfig = DEFAULT_TOL) -> 
     Refuses with :class:`ConditionsNotMet` when S is not positive definite
     or the passifiability condition matrix is not positive definite.
     """
-    if sys.m == 0 or not classify_definiteness(sys.S, tol).is_definite:
-        raise ConditionsNotMet("S not positive definite")
-    if not strict_passifiability_condition(sys, tol):
-        raise ConditionsNotMet("passifiability condition matrix not positive definite")
+    refusal = feedback_analysis(sys, tol).passifiability_refusal
+    if refusal:
+        raise ConditionsNotMet(refusal)
     return passifying_feedback_formula(sys)
 
 

@@ -120,3 +120,9 @@ def cold_e_svd(monkeypatch):
 def cold_report(monkeypatch):
     """Empty the report memo of :func:`phdesc.pencil.pencil_report` for one test."""
     monkeypatch.setattr(pencil, "_REPORT", None)
+
+
+@pytest.fixture
+def cold_analysis(monkeypatch):
+    """Empty the memo of :func:`phdesc.pencil.feedback_analysis` for one test."""
+    monkeypatch.setattr(pencil, "_ANALYSIS", None)

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from phdesc import pencil
 from phdesc.cli import main
 from phdesc.fileio import load_feedback, load_system, save_system
 from phdesc.model import PHSystem
@@ -37,6 +38,21 @@ class TestGenValidateAnalyze:
         assert run("analyze", "--input", sys_path, "--report", r1) == 0
         assert run("analyze", "--input", sys_path, "--report", r2) == 0
         assert r1.read_bytes() == r2.read_bytes()
+
+    def test_analyze_compresses_the_feedthrough_once(self, monkeypatch, tmp_path, cold_analysis):
+        # The three conditions read one analysis, and so one split of S + N.
+        calls = []
+        compress = pencil.compress_feedthrough
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return compress(*args, **kwargs)
+
+        monkeypatch.setattr(pencil, "compress_feedthrough", counting)
+        sys_path = tmp_path / "sys.json"
+        run("gen", "--n", 6, "--m", 2, "--seed", 5, "--output", sys_path)
+        assert run("analyze", "--input", sys_path, "--report", tmp_path / "r.json") == 0
+        assert len(calls) == 1
 
     def test_validate_fails_on_invalid_structure(self, tmp_path):
         sys_path = tmp_path / "bad.json"

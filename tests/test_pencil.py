@@ -20,10 +20,10 @@ from phdesc.model import PHSystem, apply_feedback
 from phdesc.pencil import (
     StabilityClass,
     compress_feedthrough,
+    feedback_analysis,
     imaginary_axis_full_rank,
     index_one_rank_condition,
     index_reduction_rank_condition,
-    input_range_blocks,
     kronecker_staircase,
     pencil_report,
     stabilizability_rank_condition,
@@ -31,7 +31,7 @@ from phdesc.pencil import (
     undamped_block_nonsingularity_condition,
     undamped_block_stability_condition,
 )
-from phdesc.synthesis import synthesize_stabilizing
+from phdesc.synthesis import synthesize_passifying, synthesize_stabilizing
 from conftest import (
     assert_spectra_match,
     brute_force_rank_on_axis,
@@ -347,6 +347,24 @@ class TestPencilReport:
         assert len(shifted) == 1
         assert np.array_equal(shifted[0], lam * r.regular_E - r.regular_A)
 
+    @pytest.mark.parametrize("family", ["plain", "axis-mode", "singular"])
+    def test_spectrum_in_canonical_order(self, family):
+        # Sorted by real part, then imaginary part, on either route.
+        for seed in range(4):
+            sys = random_ph(9, 2, seed, **FAMILIES[family])
+            evs = pencil_report(sys.E, sys.A).finite_eigenvalues
+            assert evs.size and np.array_equal(evs, np.sort(evs))
+
+    def test_axis_multiplicity_without_margin_refused(self, cold_report):
+        # Below rounding, sigma_min(lam E_reg - A_reg) at the oscillator's
+        # eigenvalue is 4.2e-16 against a cutoff of 4.7e-16: no tenfold
+        # margin, so the geometric multiplicity is refused, not guessed.
+        sys = random_ph(11, 3, 5, force_axis_modes=True)
+        with pytest.raises(ToleranceBreakdown, match="geometric multiplicity"):
+            pencil_report(sys.E, sys.A, ToleranceConfig(rank_rtol=1e-17))
+        r = pencil_report(sys.E, sys.A)
+        assert r.stability_class is StabilityClass.STABLE_NOT_ASYMPTOTIC
+
     def test_singular_pencil(self):
         r = pencil_report(ZERO, ZERO)
         assert not r.regular and r.index is None
@@ -577,7 +595,7 @@ class TestFeedbackExistenceConditions:
 
     def test_input_range_blocks_shapes(self):
         sys = scalar_system(E=1, G=1)
-        B1, B3 = input_range_blocks(sys)
+        B1, B3 = feedback_analysis(sys).input_blocks
         assert B1.shape == (1, 0)
         assert B3.shape == (1, 1) and abs(abs(B3[0, 0]) - 1.0) < 1e-14
 
@@ -632,7 +650,7 @@ class TestStabilizabilityPBH:
         assert not ok
         assert len(wit) == 2 and wit[0] == wit[1].conjugate()
         assert abs(wit[0].real) <= DEFAULT_TOL.axis_tol and wit[1].imag > 0
-        B = np.hstack(input_range_blocks(sys))
+        B = np.hstack(feedback_analysis(sys).input_blocks)
         assert imaginary_axis_full_rank(sys.E, sys.A, B) == (False, wit)
         for w in wit:
             M = np.hstack([w * sys.E - sys.A, B])
@@ -728,7 +746,7 @@ class TestStabilizabilityPBH:
         assert_spectra_match(wit, [-1j, 1j], atol=1e-12)
 
     def test_svd_count(self, svd_calls):
-        # After the analysis's report: three SVDs in input_range_blocks and
+        # After the analysis's report: three SVDs in the feedthrough split and
         # one PBH test per axis pair.
         sys = random_ph(60, 1, 1, force_axis_modes=True)
         pencil_report(sys.E, sys.A)
@@ -822,7 +840,7 @@ class TestFeedthroughSplit:
             sys = random_ph(n, m, seed, rank_w=rank_w, **FAMILIES[family])
             dc = compress_feedthrough(sys.S, sys.N)
             groups.add((dc.m1 > 0, dc.m2 > 0, dc.m3 > 0))
-            B1, B3 = input_range_blocks(sys)
+            B1, B3 = feedback_analysis(sys).input_blocks
             ref1 = sys.B @ pseudo_inverse(sys.D) @ range_basis(sys.S)
             ref3 = sys.B @ nullspace_basis(sys.D)
             assert B1.shape == ref1.shape and B3.shape == ref3.shape
@@ -845,7 +863,7 @@ class TestFeedthroughSplit:
                        G=rng.normal(size=(4, 3)), P=np.zeros((4, 3)), S=S, N=N)
         dc = compress_feedthrough(sys.S, sys.N)
         assert (dc.m1, dc.m2, dc.m3) == (1, 1, 1)
-        B1, B3 = input_range_blocks(sys)
+        B1, B3 = feedback_analysis(sys).input_blocks
         assert _relative_error(B1, sys.B @ pseudo_inverse(sys.D) @ range_basis(sys.S)) <= 1e-12
         assert _relative_error(B3, sys.B @ nullspace_basis(sys.D)) <= 1e-12
 
@@ -876,3 +894,87 @@ class TestFeedthroughSplit:
         synthesize_stabilizing(sys)
         assert len(svd_calls) <= 5, [a.shape for a, _ in svd_calls]
         assert sum(a.shape == (6, 6) for a, _ in svd_calls) <= 3
+
+
+# Every array of a system, by its PHSystem field name.
+SYSTEM_ARRAYS = ("E", "J", "R", "G", "P", "S", "N")
+
+
+class TestFeedbackAnalysis:
+    """feedback_analysis keeps one analysis per system and tolerance, and
+    the conditions and both syntheses read it."""
+
+    @pytest.mark.parametrize("which", SYSTEM_ARRAYS)
+    def test_in_place_change_forces_a_fresh_analysis(self, cold_analysis, which):
+        sys = random_ph(5, 2, 2)
+        first = feedback_analysis(sys)
+        before = getattr(first.sys, which).copy()
+        assert feedback_analysis(sys) is first
+        getattr(sys, which)[0, 0] += 1.0
+        assert feedback_analysis(sys) is not first
+        # The stored analysis does not alias the caller's arrays.
+        assert np.array_equal(getattr(first.sys, which), before)
+
+    def test_another_tolerance_or_system_misses(self, cold_analysis):
+        sys, other = random_ph(6, 2, 0), random_ph(6, 2, 1)
+        a = feedback_analysis(sys)
+        tight = feedback_analysis(sys, ToleranceConfig(axis_tol=1e-6))
+        assert tight is not a
+        # An equal configuration is the same key.
+        assert feedback_analysis(sys, ToleranceConfig(axis_tol=1e-6)) is tight
+        b = feedback_analysis(other)
+        assert b is not a and feedback_analysis(other) is b
+        assert feedback_analysis(sys) is not a
+
+    def test_stored_arrays_are_read_only(self, cold_analysis):
+        a = feedback_analysis(random_ph(6, 3, 0, rank_w=1))
+        dc = a.compression
+        for arr in (*a.input_blocks, dc.U, dc.D11, dc.D12, dc.D22, dc.S11, a.sys.E):
+            assert not arr.flags.writeable
+
+    def test_stabilizing_synthesis_after_the_conditions(self, monkeypatch, cold_analysis,
+                                                        cold_report, svd_calls):
+        # Only the state compression's SVDs, of B3 (n x m3) and of the rows
+        # of B1 S11^(1/2) below it (at most n x m1): no PBH test and no
+        # SVD of [E, A Z_E, B1, B3].
+        sys = random_ph(60, 6, 0, rank_w=1)
+        assert stabilizability_rank_condition(sys)[0] and index_reduction_rank_condition(sys)
+        strict_passifiability_condition(sys)
+        svd_calls.clear()
+        F, _ = synthesize_stabilizing(sys)
+        assert svd_calls and all(a.shape[1] <= sys.m for a, _ in svd_calls), \
+            [a.shape for a, _ in svd_calls]
+        monkeypatch.setattr(pencil, "_ANALYSIS", None)
+        assert np.array_equal(synthesize_stabilizing(sys)[0], F)
+
+    def test_passifying_synthesis_after_the_conditions(self, monkeypatch, cold_analysis):
+        sys = random_ph(20, 3, 0, s_definite=True)
+        assert strict_passifiability_condition(sys)
+        shapes = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting(a, *args, **kwargs):
+            shapes.append(a.shape)
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        synthesize_passifying(sys)
+        assert (sys.n, sys.n) not in shapes
+
+    def test_cold_passifying_synthesis_takes_no_svd(self, cold_analysis, cold_report, svd_calls):
+        # The passifiability condition reads neither the feedthrough split
+        # nor the pencil, so a passify never runs a PBH test.
+        synthesize_passifying(random_ph(20, 3, 0, s_definite=True))
+        assert svd_calls == []
+
+    def test_refusal_witnesses_do_not_reach_the_analysis(self, cold_analysis):
+        sys = random_ph(60, 1, 0, force_axis_modes=True)
+        with pytest.raises(ConditionsNotMet) as info:
+            synthesize_stabilizing(sys)
+        witnesses = list(info.value.witnesses)
+        assert witnesses
+        info.value.witnesses.clear()
+        ok, again = stabilizability_rank_condition(sys)
+        assert not ok and again == witnesses
+        again.append(0j)
+        assert stabilizability_rank_condition(sys) == (False, witnesses)

@@ -13,6 +13,7 @@ from phdesc.linalg import (
 from phdesc.model import PHSystem, apply_feedback, dissipation_matrix
 from phdesc.pencil import (
     StabilityClass,
+    compress_feedthrough,
     imaginary_axis_full_rank,
     index_one_rank_condition,
     index_reduction_rank_condition,
@@ -22,7 +23,6 @@ from phdesc.pencil import (
 )
 from phdesc.synthesis import (
     build_stabilizing_feedback,
-    compress_feedthrough,
     feedback_admissible,
     passifying_feedback_formula,
     synthesize_passifying,
