@@ -3,7 +3,8 @@
 
 Runs the four ``random_ph`` families through validation, the pencil report,
 the three existence conditions, both syntheses with certification, and the
-``phdesc`` CLI (in-process ``phdesc.cli.main``), and writes one JSON record
+``phdesc`` CLI (in-process ``phdesc.cli.main``: ``certify`` and ``simulate``
+on the stabilizing and on a seeded random feedback), and writes one JSON record
 of what the importable ``phdesc`` returned: verdicts, witnesses, exception
 types and messages, the SHA-256 of every feedback's bytes, spectra as
 multisets and CLI exit codes with their stderr.  Spectra are stored sorted,
@@ -146,6 +147,9 @@ def _cli(s, seed: int, tol_args: list[str], work: Path) -> dict:
         "certify-own": ["certify", "--input", str(system), "--feedback", str(stab_F)],
         "simulate": ["simulate", "--input", str(system), "--feedback", str(stab_F),
                      "--T", "0.02", "--dt", "0.001", "--output", str(work / "traj.csv")],
+        # The random loop may be singular or of index > 1: the refusals count too.
+        "simulate-random": ["simulate", "--input", str(system), "--feedback", str(rand_F),
+                            "--T", "0.02", "--dt", "0.001", "--output", str(work / "traj.csv")],
     }
     out = {}
     for name, argv in runs.items():

@@ -11,6 +11,11 @@ computation would give.  One is the SVD of E, which feedback keeps
 so that the closed loop's A has the same bits as the plant's.  It does not
 read :func:`phdesc.pencil.feedback_analysis`.  Every verdict is still
 reached from scratch.
+
+The overall verdict reads only its goal's checks, in order.  The passify
+verdict reads W and the index but no spectrum: W > 0 already forces
+asymptotic stability.  The closed loop's spectrum is computed when
+:meth:`CertReport.to_dict` (or a caller) first reads it.
 """
 
 from __future__ import annotations
@@ -27,6 +32,30 @@ GOALS = ("stabilize", "passify")
 # The checks whose conjunction is each goal's overall verdict.
 _REQUIRED = {"stabilize": ("ph_structure", "index_at_most_one", "asymptotically_stable"),
              "passify": ("strictly_passive", "index_at_most_one")}
+
+# Each check reads only what it reports: the spectrum only for stability.
+_CHECKS = {
+    "ph_structure": lambda rep, w, tol: {
+        "passed": bool(w.is_semidefinite),
+        "lambda_min_w": float(w.min_eigenvalue),
+        "tolerance": w.band,
+    },
+    "regular": lambda rep, w, tol: {"passed": bool(rep.regular)},
+    "index_at_most_one": lambda rep, w, tol: {
+        "passed": bool(rep.regular and rep.index <= 1),
+        "index": rep.index,
+    },
+    "asymptotically_stable": lambda rep, w, tol: {
+        "passed": rep.stability_class is StabilityClass.ASYMPTOTICALLY_STABLE,
+        "spectral_abscissa": rep.spectral_abscissa,
+        "tolerance": tol.stability_margin,
+    },
+    "strictly_passive": lambda rep, w, tol: {
+        "passed": bool(w.is_definite),
+        "lambda_min_w": float(w.min_eigenvalue),
+        "tolerance": w.band,
+    },
+}
 
 
 @dataclass(frozen=True)
@@ -46,34 +75,10 @@ class CertReport:
             "kind": "certification",
             "goal": self.goal,
             "overall": bool(self.overall),
-            "checks": _checks(self.pencil, self.w, self.tol),
+            "checks": {name: check(self.pencil, self.w, self.tol)
+                       for name, check in _CHECKS.items()},
             "spectrum": complex_pairs(self.pencil.finite_eigenvalues),
         }
-
-
-def _checks(rep: PencilReport, w: Definiteness, tol: ToleranceConfig) -> dict:
-    return {
-        "ph_structure": {
-            "passed": bool(w.is_semidefinite),
-            "lambda_min_w": float(w.min_eigenvalue),
-            "tolerance": w.band,
-        },
-        "regular": {"passed": bool(rep.regular)},
-        "index_at_most_one": {
-            "passed": bool(rep.regular and rep.index <= 1),
-            "index": rep.index,
-        },
-        "asymptotically_stable": {
-            "passed": rep.stability_class is StabilityClass.ASYMPTOTICALLY_STABLE,
-            "spectral_abscissa": rep.spectral_abscissa,
-            "tolerance": tol.stability_margin,
-        },
-        "strictly_passive": {
-            "passed": bool(w.is_definite),
-            "lambda_min_w": float(w.min_eigenvalue),
-            "tolerance": w.band,
-        },
-    }
 
 
 def certify_closed_loop(
@@ -89,13 +94,12 @@ def certify_closed_loop(
     eigenvalues at least ``stability_margin`` inside the left half plane.
     For goal "passify" it requires the dissipation matrix positive definite
     together with regularity and index at most one (definiteness already
-    forces asymptotic stability, which is still reported).
+    forces asymptotic stability, which is still reported, but not read).
     """
     if goal not in GOALS:
         raise ValueError(f"goal must be one of {GOALS}")
     closed = apply_feedback(sys, F)
     w = classify_definiteness(dissipation_matrix(closed), tol)
     rep = pencil_report(closed.E, closed.A, tol)
-    checks = _checks(rep, w, tol)
-    return CertReport(goal=goal, overall=all(checks[k]["passed"] for k in _REQUIRED[goal]),
-                      closed_loop=closed, pencil=rep, w=w, tol=tol)
+    overall = all(_CHECKS[k](rep, w, tol)["passed"] for k in _REQUIRED[goal])
+    return CertReport(goal=goal, overall=overall, closed_loop=closed, pencil=rep, w=w, tol=tol)

@@ -50,8 +50,11 @@ class ToleranceConfig:
         feedback constructions compress, whose "exact zeros" land well
         above eps.
     psd_tol
-        Absolute eigenvalue threshold for (semi)definiteness decisions,
-        applied after scaling by ``max(1, ||M||_2)``.
+        Relative eigenvalue threshold for (semi)definiteness decisions:
+        the band is ``psd_tol * ||H||_2``, H the symmetric part of M, so a
+        verdict does not move when M is scaled by a positive constant.
+        Structure violations (asymmetry, skewness, block form) are still
+        judged against ``psd_tol * max(1, ||.||_2)``.
     axis_tol
         An eigenvalue is treated as purely imaginary when ``|Re| <= axis_tol``.
     stability_margin
@@ -255,7 +258,8 @@ def classify_definiteness(M, tol: ToleranceConfig = DEFAULT_TOL) -> Definiteness
     """Classify the symmetric part of a square matrix by its spectrum.
 
     The input is symmetrized as ``(M + M^T)/2`` before the eigendecomposition;
-    the decision band, reported as ``band``, is ``psd_tol * max(1, ||M||_2)``.
+    the decision band, reported as ``band``, is ``psd_tol * ||H||_2`` with
+    ``H`` that symmetric part, relative to H at every scale.
     """
     A = as_matrix(M)
     _require_square(A)
@@ -264,7 +268,7 @@ def classify_definiteness(M, tol: ToleranceConfig = DEFAULT_TOL) -> Definiteness
     H = (A + A.T) / 2.0
     w = np.linalg.eigvalsh(H)
     lo, hi = float(w[0]), float(w[-1])
-    band = tol.psd_tol * max(1.0, max(abs(lo), abs(hi)))
+    band = tol.psd_tol * max(abs(lo), abs(hi))
     if lo > band:
         kind = DefinitenessKind.POSITIVE_DEFINITE
     elif hi < -band:

@@ -20,7 +20,9 @@ k x k block ``A22 = U2^T A V2`` on ker E, and its regular part is
 the QZ cutoff, ``sigma_min(A22) * _QZ_COND > ||A||_F``, and sigma_min(A22)
 tenfold clear of the rank cutoffs of the staircase steps it skips; any
 other pencil runs the staircase.  A fresh report logs its route at DEBUG
-level.
+level.  Either route decides the block sizes, so regularity and the index,
+at once; the finite spectrum and the stability class are computed on first
+read and then kept, so a verdict that reads neither pays no eigensolve.
 
 "Full row rank of ``[s E - A, B]`` on the imaginary axis" is decided at the
 points where it can fail.  For a regular pencil the rank can drop only at
@@ -45,7 +47,8 @@ from __future__ import annotations
 import enum
 import logging
 from dataclasses import dataclass, field
-from functools import cached_property
+from collections.abc import Callable
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -96,17 +99,57 @@ class StabilityClass(enum.Enum):
 @dataclass(frozen=True)
 class PencilReport:
     """Kronecker structure and stability class of the pencil ``s E - A`` of
-    shape rows x cols; a rectangular pencil is singular."""
+    shape rows x cols; a rectangular pencil is singular.
+
+    The block sizes are decided when the report is made.  The finite
+    spectrum (``eigensolve`` on the regular part, dropped after its one use)
+    and the stability class are each computed when first read, and then
+    kept.  A spectrum-stage :class:`NumericalBreakdown` rises at the first
+    read of the spectrum, and the :class:`ToleranceBreakdown` of an axis
+    eigenvalue's multiplicity, which only the class decides, at the first
+    read of the class.
+    """
 
     rows: int
     cols: int
-    finite_eigenvalues: np.ndarray          # complex, eigenvalues of the regular part
     infinite_block_sizes: tuple[int, ...]   # one entry per infinite elementary divisor
     right_minimal_indices: tuple[int, ...]  # epsilon value per right singular block
     left_minimal_indices: tuple[int, ...]   # eta value per left singular block
-    stability_class: StabilityClass
     regular_A: np.ndarray = field(repr=False)
     regular_E: np.ndarray = field(repr=False)
+    eigensolve: Callable[[], np.ndarray] | None = field(repr=False, compare=False)
+    tol: ToleranceConfig = field(repr=False)
+
+    def __post_init__(self):
+        if self.dimension_accounting() != (self.rows, self.cols):
+            raise NumericalBreakdown("staircase block sizes do not account for the pencil shape")
+
+    @cached_property
+    def finite_eigenvalues(self) -> np.ndarray:
+        """Complex eigenvalues of the regular part, read-only, sorted by real
+        then imaginary part: equal spectra read the same on either route."""
+        solve = self.eigensolve
+        if solve is None:  # a concurrent first read has stored it
+            return self.__dict__["finite_eigenvalues"]
+        finite = solve() if self.n_regular else np.zeros(0, dtype=complex)
+        if not np.all(np.isfinite(finite)):
+            raise NumericalBreakdown("non-finite eigenvalues in the deflated regular part")
+        # Stored, then the factors the solver holds (up to two n x n) are let go.
+        self.__dict__["finite_eigenvalues"] = finite = _freeze(np.sort(finite))[0]
+        object.__setattr__(self, "eigensolve", None)
+        return finite
+
+    @cached_property
+    def stability_class(self) -> StabilityClass:
+        finite, tol = self.finite_eigenvalues, self.tol
+        if not self.regular:
+            return StabilityClass.SINGULAR
+        if finite.size == 0 or np.all(finite.real <= -tol.stability_margin):
+            return StabilityClass.ASYMPTOTICALLY_STABLE
+        if np.any(finite.real > tol.axis_tol) or not _axis_eigenvalues_semisimple(
+                finite, self.regular_A, self.regular_E, tol):
+            return StabilityClass.UNSTABLE
+        return StabilityClass.STABLE_NOT_ASYMPTOTIC
 
     @property
     def n_regular(self) -> int:
@@ -268,14 +311,14 @@ def _regular_eigenvalues(A_reg, E_reg, svd_e2t) -> np.ndarray:
 
 
 def _index_one_exit(A, E, svd_e, r, tol: ToleranceConfig):
-    """``(A_reg, E_reg, eigenvalues)`` of a square pencil of index at most
+    """``(A_reg, E_reg, eigensolve)`` of a square pencil of index at most
     one with the exit's margin, else None; r is the rank decided on the SVD
     svd_e of E.  At r = n the regular part is the pencil, as in the staircase."""
     u, s, vh = svd_e
     if r and s[0] > _QZ_COND * s[r - 1]:
         return None
     if r == len(s):
-        return A, E, _regular_eigenvalues(A, E, (vh.T, s, u.T))
+        return A, E, partial(_regular_eigenvalues, A, E, (vh.T, s, u.T))
     Ah = u.T @ A @ vh.T
     A22 = Ah[r:, r:]
     # ||A||_F bounds ||A||_2.  The 1 / _QZ_COND margin keeps
@@ -288,7 +331,7 @@ def _index_one_exit(A, E, svd_e, r, tol: ToleranceConfig):
     if not np.linalg.svd(A22, compute_uv=False)[-1] > margin * np.linalg.norm(A):
         return None
     S = Ah[:r, :r] - Ah[:r, r:] @ np.linalg.solve(A22, Ah[r:, :r])
-    return S, np.diag(s[:r]), _scaled_eigenvalues(S, s[:r])
+    return S, np.diag(s[:r]), partial(_scaled_eigenvalues, S, s[:r])
 
 
 def kronecker_staircase(A, E, tol: ToleranceConfig = DEFAULT_TOL) -> PencilReport:
@@ -310,8 +353,7 @@ def kronecker_staircase(A, E, tol: ToleranceConfig = DEFAULT_TOL) -> PencilRepor
     logger.debug("pencil %dx%d: %s, k = %d", p, q,
                  "staircase" if exit_ is None else "index-one exit", q - r)
     if exit_ is not None:
-        A_reg, E_reg, finite = exit_
-        return _classified_report(p, q, finite, (1,) * (q - r), (), (), A_reg, E_reg, tol)
+        return PencilReport(p, q, (1,) * (q - r), (), (), *exit_, tol)
     thr_a = tol.rank_rtol * maxdim * spectral_norm(A)
 
     nu_r, ss_r, A1, E1, svd_e1 = _deflate_right_and_infinite(
@@ -331,45 +373,8 @@ def kronecker_staircase(A, E, tol: ToleranceConfig = DEFAULT_TOL) -> PencilRepor
     A_reg, E_reg = A2t.T, E2t.T
     if A_reg.shape[0] != A_reg.shape[1]:
         raise NumericalBreakdown("regular part is not square after deflation")
-    finite = (_regular_eigenvalues(A_reg, E_reg, svd_e2t) if A_reg.shape[0]
-              else np.zeros(0, dtype=complex))
-    return _classified_report(p, q, finite, infinite_sizes, right_minimal, left_minimal,
-                              A_reg, E_reg, tol)
-
-
-def _classified_report(p, q, finite, infinite_sizes, right_minimal, left_minimal,
-                       A_reg, E_reg, tol: ToleranceConfig) -> PencilReport:
-    """The report of either route's block data, with its stability class."""
-    if not np.all(np.isfinite(finite)):
-        raise NumericalBreakdown("non-finite eigenvalues in the deflated regular part")
-    # By real part, then imaginary part: equal spectra read the same on either route.
-    finite = np.sort(finite)
-    re = finite.real
-    if p != q or right_minimal or left_minimal:
-        cls = StabilityClass.SINGULAR
-    elif finite.size == 0 or np.all(re <= -tol.stability_margin):
-        cls = StabilityClass.ASYMPTOTICALLY_STABLE
-    elif np.any(re > tol.axis_tol):
-        cls = StabilityClass.UNSTABLE
-    elif _axis_eigenvalues_semisimple(finite, A_reg, E_reg, tol):
-        cls = StabilityClass.STABLE_NOT_ASYMPTOTIC
-    else:
-        cls = StabilityClass.UNSTABLE
-
-    report = PencilReport(
-        rows=p,
-        cols=q,
-        finite_eigenvalues=finite,
-        infinite_block_sizes=tuple(infinite_sizes),
-        right_minimal_indices=tuple(right_minimal),
-        left_minimal_indices=tuple(left_minimal),
-        stability_class=cls,
-        regular_A=A_reg,
-        regular_E=E_reg,
-    )
-    if report.dimension_accounting() != (p, q):
-        raise NumericalBreakdown("staircase block sizes do not account for the pencil shape")
-    return report
+    return PencilReport(p, q, tuple(infinite_sizes), tuple(right_minimal), tuple(left_minimal),
+                        A_reg, E_reg, partial(_regular_eigenvalues, A_reg, E_reg, svd_e2t), tol)
 
 
 def _axis_eigenvalues_semisimple(evs, A_reg, E_reg, tol: ToleranceConfig) -> bool:
@@ -400,7 +405,8 @@ def pencil_report(E, A, tol: ToleranceConfig = DEFAULT_TOL) -> PencilReport:
     """:func:`kronecker_staircase` of a square pencil ``s E - A``, remembered.
 
     The report of the last ``(E, A, tol)`` is remembered (see
-    :func:`phdesc.linalg.remembered`); its arrays are read-only.
+    :func:`phdesc.linalg.remembered`), with its spectrum once read; its
+    arrays are read-only.
     """
     global _REPORT
     E = as_matrix(E)
@@ -416,7 +422,7 @@ def _pencil_report(E, A, tol: ToleranceConfig) -> PencilReport:
     # the input, here the memo's private copy, after a direct call the
     # caller's array, which a read-only view would not stop from changing.
     report = kronecker_staircase(A, E, tol)
-    _freeze(report.finite_eigenvalues, report.regular_A, report.regular_E)
+    _freeze(report.regular_A, report.regular_E)
     return report
 
 

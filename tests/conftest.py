@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import settings
 
 from phdesc import linalg, pencil
@@ -107,6 +108,20 @@ def svd_calls(monkeypatch):
         return svd(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counting)
+    return calls
+
+
+@pytest.fixture
+def eigvals_calls(monkeypatch):
+    """Every ``np.linalg.eigvals`` and ``scipy.linalg.eigvals`` call from
+    here on, as the name of its module."""
+    calls = []
+    for module in (np.linalg, scipy.linalg):
+        def counting(*args, _eigvals=module.eigvals, _name=module.__name__, **kwargs):
+            calls.append(_name)
+            return _eigvals(*args, **kwargs)
+
+        monkeypatch.setattr(module, "eigvals", counting)
     return calls
 
 

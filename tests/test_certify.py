@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from phdesc import linalg, pencil
 from phdesc.certify import certify_closed_loop
 from phdesc.fileio import feedback_from_dict, feedback_to_dict
 from phdesc.generators import random_ph
-from phdesc.model import PHSystem, validate
+from phdesc.model import PHSystem, apply_feedback, validate
 from phdesc.pencil import StabilityClass, pencil_report
 from phdesc.synthesis import synthesize_passifying, synthesize_stabilizing
 
@@ -79,6 +81,41 @@ class TestCertifyClosedLoop:
                                       "asymptotically_stable", "strictly_passive"}
         for check in doc["checks"].values():
             assert "passed" in check
+
+
+class TestSpectrumOnDemand:
+    """The passify verdict reads W and the index but no spectrum; the report
+    still lists all five checks and the closed loop's spectrum."""
+
+    @pytest.mark.parametrize("rank_e", [None, 9])
+    def test_passify_verdict_takes_no_eigvals(self, monkeypatch, cold_report, eigvals_calls,
+                                              rank_e):
+        sys = random_ph(12, 2, 0, rank_e=rank_e)
+        F = synthesize_passifying(sys)
+        eigvals_calls.clear()
+        cert = certify_closed_loop(sys, F, "passify")
+        assert cert.overall and eigvals_calls == []
+        lazy = json.dumps(cert.to_dict())
+        assert len(eigvals_calls) == 1
+        assert list(json.loads(lazy)["checks"]) == [
+            "ph_structure", "regular", "index_at_most_one", "asymptotically_stable",
+            "strictly_passive"]
+        # The same certification with the closed loop's spectrum read first.
+        monkeypatch.setattr(pencil, "_REPORT", None)
+        closed = apply_feedback(sys, F)
+        pencil_report(closed.E, closed.A).finite_eigenvalues
+        eager = certify_closed_loop(sys, F, "passify")
+        assert eager.pencil is not cert.pencil
+        assert json.dumps(eager.to_dict()) == lazy
+
+    def test_stabilize_verdict_reads_the_spectrum(self, monkeypatch, cold_report,
+                                                  eigvals_calls):
+        sys = random_ph(12, 2, 0)
+        F, _ = synthesize_stabilizing(sys)
+        monkeypatch.setattr(pencil, "_REPORT", None)
+        eigvals_calls.clear()
+        assert certify_closed_loop(sys, F, "stabilize").overall
+        assert len(eigvals_calls) == 1
 
 
 class TestSharedSvdOfE:

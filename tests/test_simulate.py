@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from phdesc import pencil
 from phdesc.certify import certify_closed_loop
 from phdesc.errors import NotIndexOne, ShapeMismatch, SolveFailure
 from phdesc.generators import random_ph
@@ -11,6 +12,7 @@ from phdesc.model import (
     hamiltonian,
     power_balance_residual,
 )
+from phdesc.pencil import pencil_report
 from phdesc.simulate import consistent_projection, simulate_closed_loop, write_trajectory_csv
 from phdesc.synthesis import synthesize_stabilizing
 
@@ -58,6 +60,19 @@ class TestConsistentProjection:
 
 
 class TestSimulateClosedLoop:
+    def test_takes_no_eigensolve(self, monkeypatch, eigvals_calls):
+        # Simulation reads the closed loop's regularity and index only; its
+        # report stays in the memo with the spectrum unread.
+        sys = random_ph(12, 2, 0, rank_e=9)
+        F, _ = synthesize_stabilizing(sys)
+        monkeypatch.setattr(pencil, "_REPORT", None)
+        eigvals_calls.clear()
+        simulate_closed_loop(sys, F, np.ones(sys.n), T=0.01, dt=1e-3)
+        assert eigvals_calls == []
+        closed = apply_feedback(sys, F)
+        pencil_report(closed.E, closed.A).finite_eigenvalues
+        assert len(eigvals_calls) == 1
+
     def test_zero_everything_stays_zero(self):
         sys = scalar_system(E=1, G=1)
         traj = simulate_closed_loop(sys, [[-2.0]], [0.0], T=0.5, dt=0.01)
