@@ -7,7 +7,9 @@ the three existence conditions, both syntheses with certification, and the
 on the stabilizing and on a seeded random feedback), and writes one JSON record
 of what the importable ``phdesc`` returned: verdicts, witnesses, exception
 types and messages, the SHA-256 of every feedback's bytes, spectra as
-multisets and CLI exit codes with their stderr.  Spectra are stored sorted,
+multisets and CLI exit codes with their stderr; each ``simulate`` starts from
+a seeded state under a seeded constant input and adds its power-balance
+residual and the SHA-256 of its trajectory CSV.  Spectra are stored sorted,
 so two trees that list the same eigenvalues in another order agree.
 
 Record one tree, then another, then compare:
@@ -45,20 +47,32 @@ FAMILIES = {
 
 
 def systems():
-    """(name, n, m, seed, family, run_cli) of every system in the sweep."""
+    """(family, n, m, seed, run_cli, knobs) of every system in the sweep;
+    knobs are further ``random_ph`` keywords."""
     for family in FAMILIES:
         for n in range(3, 13):
             for m in range(1, 5):
                 for seed in range(6):
-                    yield family, n, m, seed, m <= 2
+                    yield family, n, m, seed, m <= 2, {}
         for n in (20, 60):
             for seed in range(2):
-                yield family, n, n // 10, seed, n == 20
+                yield family, n, n // 10, seed, n == 20, {}
         for n in (150, 200, 300):
-            yield family, n, n // 10, 0, False
+            yield family, n, n // 10, 0, False, {}
+        # Inputless systems: B, S, N and every input block are empty.
+        for n in range(3, 13):
+            for seed in range(3):
+                yield family, n, 0, seed, n <= 8, {}
+        # Lossless plants (rank_w = 0: m1 = 0, often m3 > 0) and rank-one
+        # dissipation (rank_w = 1: m2 > 0 once m > 1).
+        for rank_w in (0, 1):
+            for n in range(3, 9):
+                for m in range(1, 4):
+                    for seed in range(2):
+                        yield family, n, m, seed, m <= 2, {"rank_w": rank_w}
     # Narrow-input axis-mode systems whose oscillator no input reaches.
     for seed in range(12):
-        yield "axis-mode", 60, 1, seed, True
+        yield "axis-mode", 60, 1, seed, True, {}
 
 
 def _hex(values) -> list[list[str]]:
@@ -131,11 +145,17 @@ def _cli(s, seed: int, tol_args: list[str], work: Path) -> dict:
     from phdesc.fileio import save_feedback, save_system
 
     system, stab_F, rand_F = work / "sys.json", work / "F_stab.json", work / "F_rand.json"
+    report, traj = work / "report.json", work / "traj.csv"
     for path in (stab_F, rand_F):
         path.unlink(missing_ok=True)
     save_system(system, s)
-    save_feedback(rand_F, np.random.default_rng(seed).normal(size=(s.m, s.n)))
-    report = str(work / "report.json")
+    rng = np.random.default_rng(seed)
+    save_feedback(rand_F, rng.normal(size=(s.m, s.n)))
+    # A seeded initial state and constant input, so that the power balance
+    # and the dissipation check run on a nonzero trajectory.
+    excite = [f"--x0={_csv(rng.normal(size=s.n))}"]
+    if s.m:
+        excite.append(f"--u={_csv(rng.normal(size=s.m))}")
     runs = {
         "analyze": ["analyze", "--input", str(system)],
         "stabilize": ["stabilize", "--input", str(system), "--output", str(stab_F)],
@@ -146,20 +166,30 @@ def _cli(s, seed: int, tol_args: list[str], work: Path) -> dict:
                                    str(rand_F), "--goal", "passify"],
         "certify-own": ["certify", "--input", str(system), "--feedback", str(stab_F)],
         "simulate": ["simulate", "--input", str(system), "--feedback", str(stab_F),
-                     "--T", "0.02", "--dt", "0.001", "--output", str(work / "traj.csv")],
+                     "--T", "0.02", "--dt", "0.001", "--output", str(traj), *excite],
         # The random loop may be singular or of index > 1: the refusals count too.
         "simulate-random": ["simulate", "--input", str(system), "--feedback", str(rand_F),
-                            "--T", "0.02", "--dt", "0.001", "--output", str(work / "traj.csv")],
+                            "--T", "0.02", "--dt", "0.001", "--output", str(traj), *excite],
     }
     out = {}
     for name, argv in runs.items():
         if name in ("certify-own", "simulate") and not stab_F.exists():
             continue
+        for path in (report, traj):
+            path.unlink(missing_ok=True)
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
-            code = main(argv + ["--report", report] + tol_args)
+            code = main(argv + ["--report", str(report)] + tol_args)
         out[name] = {"exit": code, "stderr": err.getvalue()}
+        if name.startswith("simulate") and traj.exists():
+            doc = json.loads(report.read_text())
+            out[name].update(power_balance_residual=float(doc["power_balance_residual"]).hex(),
+                             trajectory_sha256=hashlib.sha256(traj.read_bytes()).hexdigest())
     return out
+
+
+def _csv(values) -> str:
+    return ",".join(repr(float(v)) for v in values)
 
 
 def record(tol_value: float | None) -> dict:
@@ -172,10 +202,11 @@ def record(tol_value: float | None) -> dict:
         tol_args = ["--tol", repr(tol_value)]
     records = {}
     with tempfile.TemporaryDirectory() as tmp:
-        for family, n, m, seed, run_cli in systems():
-            key = f"{family} n={n} m={m} seed={seed}"
+        for family, n, m, seed, run_cli, knobs in systems():
+            key = f"{family} n={n} m={m} seed={seed}" + "".join(
+                f" {k}={v}" for k, v in knobs.items())
             try:
-                s = phdesc.random_ph(n, m, seed, **FAMILIES[family])
+                s = phdesc.random_ph(n, m, seed, **FAMILIES[family], **knobs)
             except phdesc.PhdescError as exc:
                 records[key] = {"generate": _error(exc)}
                 continue

@@ -59,7 +59,6 @@ from .pencil import (
     imaginary_axis_full_rank,
     index_one_rank_condition,
     index_reduction_rank_condition,
-    kronecker_staircase,
     pencil_report,
     stabilizability_rank_condition,
     strict_passifiability_condition,

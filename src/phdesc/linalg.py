@@ -1,12 +1,15 @@
 """Tolerance-aware dense linear algebra primitives.
 
-Every operation in the toolkit routes its rank, nullspace, and definiteness
-decisions through this module so that a single :class:`ToleranceConfig`
-governs all of them.  There is one rank rule: a singular value sigma counts
-when ``sigma > rank_rtol * sigma_1 * max(rows, cols)``, the same cutoff in
-a one-shot rank test, a staircase compression or an existence condition.
-Matrices are plain ``numpy.ndarray`` values; matrices with zero rows or
-columns are first-class and propagate through every operation.
+A single :class:`ToleranceConfig` governs every rank, nullspace, and
+definiteness decision.  There is one cutoff formula, :func:`rank_threshold`:
+a singular value sigma counts when ``sigma > rank_rtol * sigma_1 *
+max(rows, cols)``.  Three policies refuse a value near it with
+ToleranceBreakdown: :func:`singular_value_rank` never, the staircase's
+``pencil._decide_rank`` when the smallest kept and the largest dropped
+value are both within tenfold, and ``pencil._deficiency`` (the PBH and
+multiplicity tests) when any value is.  Matrices with zero rows or columns
+take the same path as any other: numpy's decompositions return identity
+factors and empty spectra for them.
 
 State feedback never changes a pencil's E, so one analysis chain (report,
 existence conditions, synthesis, certification, simulation) decomposes the
@@ -198,19 +201,12 @@ def numerical_rank(M, tol: ToleranceConfig = DEFAULT_TOL) -> int:
     The zero matrix and matrices with an empty dimension have rank 0.
     """
     A = as_matrix(M)
-    if min(A.shape) == 0:
-        return 0
     return singular_value_rank(np.linalg.svd(A, compute_uv=False), A.shape, tol)
 
 
 def nullspace_basis(M, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal basis of the numerical right nullspace (cols x nullity)."""
     A = as_matrix(M)
-    q = A.shape[1]
-    if q == 0:
-        return np.zeros((0, 0))
-    if A.shape[0] == 0:
-        return np.eye(q)
     _, s, vh = np.linalg.svd(A)
     return vh[singular_value_rank(s, A.shape, tol):, :].conj().T
 
@@ -218,8 +214,6 @@ def nullspace_basis(M, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
 def range_basis(M, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal basis of the numerical column space (rows x rank)."""
     A = as_matrix(M)
-    if min(A.shape) == 0:
-        return np.zeros((A.shape[0], 0))
     u, s, _ = np.linalg.svd(A)
     return u[:, :singular_value_rank(s, A.shape, tol)]
 
@@ -227,9 +221,6 @@ def range_basis(M, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
 def pseudo_inverse(M, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Moore-Penrose inverse with the same truncation rule as numerical_rank."""
     A = as_matrix(M)
-    p, q = A.shape
-    if min(p, q) == 0:
-        return np.zeros((q, p))
     u, s, vh = np.linalg.svd(A, full_matrices=False)
     thr = rank_threshold(s, A.shape, tol)
     inv = np.where(s > thr, 1.0 / np.where(s > thr, s, 1.0), 0.0)

@@ -1,16 +1,16 @@
 """Structural analysis of matrix pencils ``s E - A``.
 
-The workhorse is a staircase reduction with orthogonal transformations that
-deflates a (possibly rectangular, possibly singular) real pencil into its
-Kronecker constituents: right/left minimal indices, infinite elementary
-divisors, and a square regular part with invertible E whose generalized
-eigenvalues are the finite spectrum.  Each E-block is decomposed once.  The
-first E-compression takes its SVD from :func:`phdesc.linalg.e_svd`, which
-remembers it across calls (feedback keeps E, so a closed loop reuses the
-plant's).  The left pass starts from the transpose of the right pass's last
-SVD instead of taking its own.  :func:`pencil_report` remembers its last
-``(E, A, tol)`` report the same way, so the existence conditions and the
-synthesis of one system read the report that the analysis computed.
+The one entry, :func:`pencil_report`, runs a staircase reduction with
+orthogonal transformations that deflates a (possibly rectangular, possibly
+singular) real pencil into its Kronecker constituents: right/left minimal
+indices, infinite elementary divisors, and a square regular part with
+invertible E whose generalized eigenvalues are the finite spectrum.  Each
+E-block is decomposed once.  The first E-compression takes its SVD from
+:func:`phdesc.linalg.e_svd`, which remembers it across calls (feedback keeps
+E, so a closed loop reuses the plant's).  The left pass starts from the
+transpose of the right pass's last SVD instead of taking its own.
+:func:`pencil_report` remembers its last ``(E, A, tol)`` report the same way,
+so the conditions and the synthesis of one system read the analysis's report.
 
 A square pencil of index at most one, as every closed loop of the syntheses
 is, leaves after that SVD (the semi-explicit form, Kunkel & Mehrmann, EMS
@@ -56,7 +56,6 @@ from .errors import (
     HypothesisViolated,
     NotPSD,
     NotSkew,
-    NotSquare,
     NumericalBreakdown,
     ShapeMismatch,
     ToleranceBreakdown,
@@ -101,10 +100,10 @@ class PencilReport:
     """Kronecker structure and stability class of the pencil ``s E - A`` of
     shape rows x cols; a rectangular pencil is singular.
 
-    The block sizes are decided when the report is made.  The finite
-    spectrum (``eigensolve`` on the regular part, dropped after its one use)
-    and the stability class are each computed when first read, and then
-    kept.  A spectrum-stage :class:`NumericalBreakdown` rises at the first
+    The block sizes are decided, and the regular part made read-only, when
+    the report is made.  The finite spectrum (``eigensolve`` on the regular
+    part, dropped after its one use) and the stability class are each
+    computed when first read, and then kept.  A spectrum-stage :class:`NumericalBreakdown` rises at the first
     read of the spectrum, and the :class:`ToleranceBreakdown` of an axis
     eigenvalue's multiplicity, which only the class decides, at the first
     read of the class.
@@ -121,6 +120,7 @@ class PencilReport:
     tol: ToleranceConfig = field(repr=False)
 
     def __post_init__(self):
+        _freeze(self.regular_A, self.regular_E)
         if self.dimension_accounting() != (self.rows, self.cols):
             raise NumericalBreakdown("staircase block sizes do not account for the pencil shape")
 
@@ -334,15 +334,31 @@ def _index_one_exit(A, E, svd_e, r, tol: ToleranceConfig):
     return S, np.diag(s[:r]), partial(_scaled_eigenvalues, S, s[:r])
 
 
-def kronecker_staircase(A, E, tol: ToleranceConfig = DEFAULT_TOL) -> PencilReport:
-    """Kronecker structure and stability class of ``s E - A`` (rectangular allowed)."""
-    A = as_matrix(A)
+# remembered() slot of pencil_report: (key, report) of the last (E, A, tol).
+_REPORT = None
+
+
+def pencil_report(E, A, tol: ToleranceConfig = DEFAULT_TOL) -> PencilReport:
+    """Kronecker structure and stability class of the real pencil ``s E - A``
+    (rectangular allowed), remembered.
+
+    The report of the last ``(E, A, tol)`` is remembered (see
+    :func:`phdesc.linalg.remembered`), with its spectrum once read; its
+    arrays are read-only and never alias E or A.
+    """
+    global _REPORT
     E = as_matrix(E)
+    A = as_matrix(A)
     if A.shape != E.shape:
         raise ShapeMismatch(f"pencil blocks differ in shape: {A.shape} vs {E.shape}")
     if np.iscomplexobj(A) or np.iscomplexobj(E):
         # The compressions use plain transposes, orthogonal only for real data.
         raise HypothesisViolated("the Kronecker staircase needs real E and A")
+    report, _REPORT = remembered(_REPORT, (E, A, tol), _staircase)
+    return report
+
+
+def _staircase(E, A, tol: ToleranceConfig) -> PencilReport:
     p, q = A.shape
     maxdim = max(p, q, 1)
     svd_e = e_svd(E) if q else None
@@ -395,35 +411,6 @@ def _axis_eigenvalues_semisimple(evs, A_reg, E_reg, tol: ToleranceConfig) -> boo
         if geo < alg:
             return False
     return True
-
-
-# remembered() slot of pencil_report: (key, report) of the last (E, A, tol).
-_REPORT = None
-
-
-def pencil_report(E, A, tol: ToleranceConfig = DEFAULT_TOL) -> PencilReport:
-    """:func:`kronecker_staircase` of a square pencil ``s E - A``, remembered.
-
-    The report of the last ``(E, A, tol)`` is remembered (see
-    :func:`phdesc.linalg.remembered`), with its spectrum once read; its
-    arrays are read-only.
-    """
-    global _REPORT
-    E = as_matrix(E)
-    A = as_matrix(A)
-    if E.shape[0] != E.shape[1] or A.shape != E.shape:
-        raise NotSquare("pencil_report requires square E and A of equal shape")
-    report, _REPORT = remembered(_REPORT, (E, A, tol), _pencil_report)
-    return report
-
-
-def _pencil_report(E, A, tol: ToleranceConfig) -> PencilReport:
-    # Frozen only here: when nothing deflates, the regular part is a view of
-    # the input, here the memo's private copy, after a direct call the
-    # caller's array, which a read-only view would not stop from changing.
-    report = kronecker_staircase(A, E, tol)
-    _freeze(report.regular_A, report.regular_E)
-    return report
 
 
 def _deficiency(M, tol: ToleranceConfig, stage: str) -> int:

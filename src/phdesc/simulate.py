@@ -62,8 +62,6 @@ def consistent_projection(
         raise ShapeMismatch(f"x0 has length {x0.shape[0]}, expected {sys_closed.n}")
     u, s, _ = e_svd(sys_closed.E)
     Uc = u[:, singular_value_rank(s, sys_closed.E.shape, tol):]
-    if Uc.shape[1] == 0:
-        return x0.copy()
     C = Uc.T @ sys_closed.A
     rhs = np.zeros(Uc.shape[1])
     if u0 is not None and sys_closed.m:

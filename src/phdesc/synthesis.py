@@ -97,9 +97,7 @@ def _state_compression(B3, B1_shalf, R, tol):
     patterns intact.
     """
     n = R.shape[0]
-    m3 = B3.shape[1]
-    m1 = B1_shalf.shape[1]
-    if m3 > 0:
+    if B3.shape[1] > 0:
         u, s, vh = np.linalg.svd(B3)
         mu1 = singular_value_rank(s, B3.shape, tol)
         V3 = vh.T
@@ -112,20 +110,14 @@ def _state_compression(B3, B1_shalf, R, tol):
 
     T = Za @ B1_shalf
     T_top, T_rest = T[:mu1, :], T[mu1:, :]
-    if m1 > 0 and T_rest.shape[0] > 0:
-        uc, sc, vch = np.linalg.svd(T_rest)
-        mu2 = singular_value_rank(sc, T_rest.shape, tol)
-        V1 = vch.T
-        Y = uc.T.copy()
-        Y[:mu2, :] /= sc[:mu2, None]
-        Xc = np.zeros((mu1, T_rest.shape[0]))
-        Xc[:, :mu2] = -(T_top @ V1)[:, :mu2] / sc[:mu2]
-        X = Xc @ uc.T
-    else:
-        mu2 = 0
-        V1 = np.eye(m1)
-        Y = np.eye(T_rest.shape[0])
-        X = np.zeros((mu1, T_rest.shape[0]))
+    uc, sc, vch = np.linalg.svd(T_rest)
+    mu2 = singular_value_rank(sc, T_rest.shape, tol)
+    V1 = vch.T
+    Y = uc.T.copy()
+    Y[:mu2, :] /= sc[:mu2, None]
+    Xc = np.zeros((mu1, T_rest.shape[0]))
+    Xc[:, :mu2] = -(T_top @ V1)[:, :mu2] / sc[:mu2]
+    X = Xc @ uc.T
     Zb = np.block([[np.eye(mu1), X], [np.zeros((T_rest.shape[0], mu1)), Y]])
     B12 = (T_top @ V1)[:, mu2:]
 
@@ -136,20 +128,15 @@ def _state_compression(B3, B1_shalf, R, tol):
     R_kr = Rp[:rho, rho:]
     R_rr = Rp[rho:, rho:]
     r = R_rr.shape[0]
-    if r > 0:
-        w, Q = np.linalg.eigh(R_rr)
-        order = np.argsort(-w)
-        w, Q = w[order], Q[:, order]
-        # w[0] <= 0 puts the cutoff at or above w[0] (rank_rtol * r < 1): mu3 = 0.
-        mu3 = singular_value_rank(w, R_rr.shape, tol)
-        Yc = Q.T.copy()
-        Yc[:mu3, :] /= np.sqrt(w[:mu3, None])
-        Rrr_pinv = (Q[:, :mu3] / w[:mu3]) @ Q[:, :mu3].T
-        Xc2 = -R_kr @ Rrr_pinv
-    else:
-        mu3 = 0
-        Yc = np.zeros((0, 0))
-        Xc2 = np.zeros((rho, 0))
+    w, Q = np.linalg.eigh(R_rr)
+    order = np.argsort(-w)
+    w, Q = w[order], Q[:, order]
+    # w[0] <= 0 puts the cutoff at or above w[0] (rank_rtol * r < 1): mu3 = 0.
+    mu3 = singular_value_rank(w, R_rr.shape, tol)
+    Yc = Q.T.copy()
+    Yc[:mu3, :] /= np.sqrt(w[:mu3, None])
+    Rrr_pinv = (Q[:, :mu3] / w[:mu3]) @ Q[:, :mu3].T
+    Xc2 = -R_kr @ Rrr_pinv
     Zc = np.block([[np.eye(rho), Xc2], [np.zeros((r, rho)), Yc]])
     Z = Zc @ Zab
     mu4 = n - rho - mu3
@@ -168,7 +155,7 @@ def build_stabilizing_feedback(
     analysis = feedback_analysis(sys, tol)
     sys, dc = analysis.sys, analysis.compression
     B1, B3 = analysis.input_blocks
-    n, m = sys.n, sys.m
+    n = sys.n
     m1, m2, m3 = dc.m1, dc.m2, dc.m3
     U = dc.U
     PU = sys.P @ U
@@ -208,7 +195,7 @@ def build_stabilizing_feedback(
     F3 = V3 @ np.linalg.solve(Z, F3_rows.T).T
 
     stacked = np.vstack([F1, np.zeros((m2, n)), F3])
-    F = U @ np.linalg.solve(dc.dhat, stacked) if m else np.zeros((0, n))
+    F = U @ np.linalg.solve(dc.dhat, stacked)
 
     trace = SynthesisTrace(
         compression=dc, B1=B1, B3=B3, P2=P2, P3=P3, F1=F1, Z=Z, mu=mu,
@@ -249,8 +236,6 @@ def passifying_feedback_formula(sys: PHSystem) -> np.ndarray:
     Requires S+N invertible; does not check the existence condition.
     """
     D = sys.D
-    if sys.m == 0:
-        return np.zeros((0, sys.n))
     try:
         first = np.linalg.solve(D, (sys.G + sys.P).T)
         second = np.linalg.solve(D.T, sys.B.T)

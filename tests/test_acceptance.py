@@ -27,7 +27,6 @@ from phdesc.pencil import (
     imaginary_axis_full_rank,
     index_one_rank_condition,
     index_reduction_rank_condition,
-    kronecker_staircase,
     pencil_report,
     stabilizability_rank_condition,
     strict_passifiability_condition,
@@ -193,8 +192,8 @@ def test_criterion_5_axis_oracle_agreement():
         else:
             B = rng.normal(size=(n, int(rng.integers(1, 4))))
         ok, witnesses = imaginary_axis_full_rank(sys.E, sys.A, B)
-        aug = kronecker_staircase(np.hstack([sys.A, B]),
-                                  np.hstack([sys.E, np.zeros((n, B.shape[1]))]))
+        aug = pencil_report(np.hstack([sys.E, np.zeros((n, B.shape[1]))]),
+                            np.hstack([sys.A, B]))
         grid = np.concatenate([base_grid,
                                [w.imag for w in witnesses],
                                aug.finite_eigenvalues.imag])

@@ -46,7 +46,7 @@ class TestCertifyClosedLoop:
         assert not rep.w.is_semidefinite and not rep.overall
 
     def test_tolerance_is_the_decision_band(self):
-        # classify_definiteness decides within psd_tol * max(1, |lambda|max),
+        # classify_definiteness decides within psd_tol * |lambda|max,
         # so -5e-9 passes next to R's 100 and both checks name that band.
         sys = PHSystem(E=np.eye(2), J=np.zeros((2, 2)), R=np.diag([100.0, -5e-9]),
                        G=np.zeros((2, 1)), P=np.zeros((2, 1)), S=[[0.0]], N=[[0.0]])

@@ -105,6 +105,27 @@ class TestNullspaceRange:
                 assert spectral_norm(M @ B) <= 10 * max(thr, 1e-300) + 1e-13 * spectral_norm(M)
 
 
+# (nullspace basis, range basis) of the zero matrix of each empty shape.
+EMPTY_BASES = {
+    (0, 0): (np.zeros((0, 0)), np.zeros((0, 0))),
+    (0, 3): (np.eye(3), np.zeros((0, 0))),
+    (3, 0): (np.zeros((0, 0)), np.zeros((3, 0))),
+}
+
+
+@pytest.mark.parametrize("shape", EMPTY_BASES, ids=lambda s: f"{s[0]}x{s[1]}")
+def test_empty_operands_exact(shape):
+    # Blocks such as B1, B3 or a kernel basis are often empty; numpy's SVD
+    # of an empty matrix gives identity factors, so no special case is needed.
+    M = np.zeros(shape)
+    null, rng_ = EMPTY_BASES[shape]
+    assert numerical_rank(M) == 0
+    for got, want in [(nullspace_basis(M), null), (range_basis(M), rng_),
+                      (pseudo_inverse(M), np.zeros(shape[::-1]))]:
+        assert got.dtype == np.float64 and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
 class TestPseudoInverse:
     def test_identity(self):
         assert np.allclose(pseudo_inverse(np.eye(2)), np.eye(2))

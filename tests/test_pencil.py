@@ -27,7 +27,6 @@ from phdesc.pencil import (
     imaginary_axis_full_rank,
     index_one_rank_condition,
     index_reduction_rank_condition,
-    kronecker_staircase,
     pencil_report,
     stabilizability_rank_condition,
     strict_passifiability_condition,
@@ -52,20 +51,20 @@ def scalar_system(E=1.0, J=0.0, R=0.0, G=0.0, P=0.0, S=0.0, N=0.0):
 
 class TestStaircase:
     def test_ordinary_pencil(self):
-        s = kronecker_staircase(np.diag([-1.0, -2.0]), np.eye(2))
+        s = pencil_report(np.eye(2), np.diag([-1.0, -2.0]))
         assert s.regular and s.index == 0
         assert sorted(s.finite_eigenvalues.real) == pytest.approx([-2.0, -1.0])
         assert not s.infinite_block_sizes
 
     def test_index_two_block(self):
-        s = kronecker_staircase(np.array([[0.0, 1.0], [-1.0, 0.0]]),
-                                np.array([[1.0, 0.0], [0.0, 0.0]]))
+        s = pencil_report(np.array([[1.0, 0.0], [0.0, 0.0]]),
+                          np.array([[0.0, 1.0], [-1.0, 0.0]]))
         assert s.regular and s.index == 2
         assert s.finite_eigenvalues.size == 0
         assert s.infinite_block_sizes == (2,)
 
     def test_zero_pencil_singular(self):
-        s = kronecker_staircase(ZERO, ZERO)
+        s = pencil_report(ZERO, ZERO)
         assert not s.regular
         assert s.right_minimal_indices == (0,)
         assert s.left_minimal_indices == (0,)
@@ -75,7 +74,7 @@ class TestStaircase:
         # one right singular chain of order 1 plus a simple infinite divisor
         E = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
         A = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-        s = kronecker_staircase(A, E)
+        s = pencil_report(E, A)
         assert s.right_minimal_indices == (1,)
         assert s.infinite_block_sizes == (1,)
         assert s.left_minimal_indices == ()
@@ -90,7 +89,7 @@ class TestStaircase:
                 E[:, : q // 2] = 0.0
             if rng.random() < 0.3:
                 A[p // 2 :, :] = 0.0
-            s = kronecker_staircase(A, E)
+            s = pencil_report(E, A)
             assert s.dimension_accounting() == (p, q)
 
     def test_orthogonal_equivalence_invariance(self, rng):
@@ -99,10 +98,10 @@ class TestStaircase:
             n = int(srng.integers(2, 7))
             sys = random_ph(n, 2, seed)
             A, E = sys.A, sys.E
-            s1 = kronecker_staircase(A, E)
+            s1 = pencil_report(E, A)
             q1, _ = np.linalg.qr(srng.normal(size=(n, n)))
             q2, _ = np.linalg.qr(srng.normal(size=(n, n)))
-            s2 = kronecker_staircase(q1 @ A @ q2, q1 @ E @ q2)
+            s2 = pencil_report(q1 @ E @ q2, q1 @ A @ q2)
             assert s1.infinite_block_sizes == s2.infinite_block_sizes
             assert s1.right_minimal_indices == s2.right_minimal_indices
             assert s1.left_minimal_indices == s2.left_minimal_indices
@@ -116,8 +115,6 @@ class TestStaircase:
         E = Q @ np.diag([1.0, 2.0, 0.0]) @ Q.conj().T
         A = -Q @ np.diag([1.0, 3.0, 1.0]) @ Q.conj().T
         with pytest.raises(HypothesisViolated, match="real"):
-            kronecker_staircase(A, E)
-        with pytest.raises(HypothesisViolated, match="real"):
             pencil_report(E, A)
 
     def test_rectangular_pencil_is_singular(self, rng):
@@ -125,35 +122,18 @@ class TestStaircase:
             A = rng.normal(size=(p, q))
             E = rng.normal(size=(p, q))
             E[:, 0] = 0.0
-            s = kronecker_staircase(A, E)
+            s = pencil_report(E, A)
             assert s.stability_class is StabilityClass.SINGULAR
             assert not s.regular and s.index is None
             assert s.rank_E == np.linalg.matrix_rank(E)
             assert s.normal_rank == np.linalg.matrix_rank(0.37 * E - A) == min(p, q)
-
-    def test_square_staircase_is_the_report(self, cold_report):
-        for seed in range(12):
-            sys = random_ph(6, 2, seed, force_axis_modes=seed % 3 == 0,
-                            force_singular=seed % 4 == 1)
-            assert (kronecker_staircase(sys.A, sys.E).to_dict()
-                    == pencil_report(sys.E, sys.A).to_dict())
-
-    def test_direct_call_leaves_the_inputs_writeable(self):
-        # Nothing deflates, so the regular part is a view of these arrays;
-        # marking it read-only would promise an immutability A does not have.
-        A = -np.diag([1.0, 2.0])
-        E = np.eye(2)
-        s = kronecker_staircase(A, E)
-        assert np.shares_memory(s.regular_A, A) and np.shares_memory(s.regular_E, E)
-        assert A.flags.writeable and E.flags.writeable
-        assert s.regular_A.flags.writeable and s.regular_E.flags.writeable
 
     def test_ambiguous_rank_raises(self):
         # singular values straddle the cutoff within a factor of ten on
         # both sides, so no block size can be certified
         E = np.diag([1.0, 5e-13, 5e-14])
         with pytest.raises(ToleranceBreakdown):
-            kronecker_staircase(np.eye(3), E)
+            pencil_report(E, np.eye(3))
 
 
 class TestRegularEigenvalues:
@@ -161,14 +141,14 @@ class TestRegularEigenvalues:
         for _ in range(40):
             n = int(rng.integers(1, 13))
             E, J, R, _ = random_dissipative_pencil(rng, n, 0)
-            s = kronecker_staircase(J - R, E)
+            s = pencil_report(E, J - R)
             if s.n_regular == 0:
                 continue
             qz = scipy.linalg.eigvals(s.regular_A, s.regular_E)
             assert_spectra_match(s.finite_eigenvalues, qz, atol=1e-10)
 
     @pytest.mark.parametrize("factor, qz_calls", [(0.99, 0), (1.01, 1)])
-    def test_qz_only_above_the_cutoff(self, monkeypatch, factor, qz_calls):
+    def test_qz_only_above_the_cutoff(self, monkeypatch, cold_report, factor, qz_calls):
         c = factor * pencil._QZ_COND
         E = np.diag([1.0, 0.5, 1.0 / c])
         A = -np.diag([1.0, 2.0, 3.0])
@@ -180,7 +160,7 @@ class TestRegularEigenvalues:
             return eigvals(*args, **kwargs)
 
         monkeypatch.setattr(scipy.linalg, "eigvals", counting)
-        s = kronecker_staircase(A, E)
+        s = pencil_report(E, A)
         assert s.finite_eigenvalues.dtype == complex
         assert len(calls) == qz_calls
         assert_spectra_match(s.finite_eigenvalues, [-1.0, -4.0, -3.0 * c], atol=1e-12)
@@ -436,8 +416,8 @@ class TestImaginaryAxisFullRank:
             B = sys.B if seed % 2 else np.zeros((n, 0))
             ok, wit = imaginary_axis_full_rank(sys.E, sys.A, B)
             full_grid = np.concatenate([grid, [w.imag for w in wit]])
-            aug = kronecker_staircase(np.hstack([sys.A, B]),
-                                      np.hstack([sys.E, np.zeros((n, B.shape[1]))]))
+            aug = pencil_report(np.hstack([sys.E, np.zeros((n, B.shape[1]))]),
+                                np.hstack([sys.A, B]))
             full_grid = np.concatenate([full_grid, aug.finite_eigenvalues.imag])
             assert brute_force_rank_on_axis(sys.E, sys.A, B, full_grid) == ok
 
@@ -449,7 +429,7 @@ class TestImaginaryAxisFullRank:
         E = np.diag([1.0, 1.0, 0.0])
         A = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
         b = np.array([[1.0], [0.0], [1.0]])
-        assert kronecker_staircase(A, E).left_minimal_indices == (2,)
+        assert pencil_report(E, A).left_minimal_indices == (2,)
         assert brute_force_rank_on_axis(E, A, b, [1.0]) is False
         with pytest.raises(HypothesisViolated, match="left minimal index"):
             imaginary_axis_full_rank(E, A, b)
@@ -464,6 +444,14 @@ class TestImaginaryAxisFullRank:
         assert imaginary_axis_full_rank(sys.E, sys.A, B) == (False, [0j])
         assert brute_force_rank_on_axis(sys.E, sys.A, B, [0.0, 0.7, 3.0]) is False
         assert imaginary_axis_full_rank(sys.E, sys.A, sys.B) == (True, [])
+
+
+# (generator keywords, route, k = n - rank E) of one pencil per route.
+LAZY_ROUTES = {
+    "exit-index-0": ({}, "index-one exit", 0),
+    "exit-index-1": ({"rank_e": 9}, "index-one exit", 3),
+    "staircase": ({"force_singular": True}, "staircase", 1),
+}
 
 
 class TestRememberedReport:
@@ -493,6 +481,26 @@ class TestRememberedReport:
             with pytest.raises(ValueError):
                 a[0] = 0.0
 
+    @pytest.mark.parametrize("case", LAZY_ROUTES)
+    def test_regular_part_read_only_on_every_route(self, route_log, cold_report, case):
+        kwargs, route, k = LAZY_ROUTES[case]
+        sys = random_ph(12, 2, 0, **kwargs)
+        r = pencil_report(sys.E, sys.A)
+        assert _routes(route_log) == [(route, k)]
+        for a in (r.regular_A, r.regular_E):
+            assert a.size and not a.flags.writeable
+
+    def test_rectangular_pencil_leaves_the_inputs_alone(self, cold_report):
+        # A 2 x 2 regular part beside a zero column, a right minimal index 0.
+        E = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        A = np.array([[-1.0, 0.0, 0.0], [0.0, -2.0, 0.0]])
+        r = pencil_report(E, A)
+        assert r.right_minimal_indices == (0,) and r.n_regular == 2
+        assert A.flags.writeable and E.flags.writeable
+        for a in (r.regular_A, r.regular_E):
+            assert not a.flags.writeable
+            assert not (np.shares_memory(a, A) or np.shares_memory(a, E))
+
     @pytest.mark.parametrize("which", ["E", "A"])
     def test_in_place_change_forces_a_fresh_report(self, monkeypatch, cold_report, which):
         sys = random_ph(5, 1, 2)
@@ -514,14 +522,6 @@ class TestRememberedReport:
         assert other is not r
         # An equal configuration is the same key.
         assert pencil_report(sys.E, sys.A, ToleranceConfig(axis_tol=1e-6)) is other
-
-
-# (generator keywords, route, k = n - rank E) of one pencil per route.
-LAZY_ROUTES = {
-    "exit-index-0": ({}, "index-one exit", 0),
-    "exit-index-1": ({"rank_e": 9}, "index-one exit", 3),
-    "staircase": ({"force_singular": True}, "staircase", 1),
-}
 
 
 class TestLazySpectrum:
@@ -549,9 +549,10 @@ class TestLazySpectrum:
         r.stability_class, r.spectral_abscissa, r.to_dict()
         assert len(eigvals_calls) == 1
 
-    def test_concurrent_first_reads(self, cold_report):
+    def test_concurrent_first_reads(self, monkeypatch, cold_report):
         sys = random_ph(60, 6, 0, force_singular=True)
-        eager = kronecker_staircase(sys.A, sys.E).finite_eigenvalues
+        eager = pencil_report(sys.E, sys.A).finite_eigenvalues
+        monkeypatch.setattr(pencil, "_REPORT", None)
         r = pencil_report(sys.E, sys.A)
         start, seen = threading.Barrier(8), []
 
@@ -577,7 +578,7 @@ class TestLazySpectrum:
         sys = random_ph(12, 2, 0, **LAZY_ROUTES[case][0])
         late = pencil_report(sys.E, sys.A)
         pencil_report(np.eye(2), -np.eye(2)).finite_eigenvalues
-        eager = kronecker_staircase(sys.A, sys.E)
+        eager = pencil_report(sys.E, sys.A)
         eager.finite_eigenvalues
         assert late.to_dict() == eager.to_dict()
         assert np.array_equal(late.finite_eigenvalues, eager.finite_eigenvalues)

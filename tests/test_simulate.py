@@ -33,6 +33,15 @@ class TestConsistentProjection:
         x = consistent_projection(sys, [1.0, 2.0])
         assert np.array_equal(x, [1.0, 2.0])
 
+    def test_index_zero_loop_returns_x0_bitwise(self):
+        # No algebraic constraint: x0 comes back bit for bit, signed zeros
+        # and subnormals included, whatever the input.
+        sys = random_ph(5, 2, 0, rank_e=5)
+        assert pencil_report(sys.E, sys.A).index == 0
+        x0 = np.array([1.5, -0.0, 3e-320, -2.0, 0.0])
+        x = consistent_projection(sys, x0, u0=[1.0, -1.0])
+        assert x is not x0 and x.tobytes() == x0.tobytes()
+
     def test_constraint_row(self):
         sys = no_input_system(np.diag([1.0, 0.0]), np.zeros((2, 2)), np.eye(2))
         x = consistent_projection(sys, [1.0, 5.0])
