@@ -27,8 +27,6 @@ from .model import PHSystem
 
 
 def _random_orthogonal(rng: np.random.Generator, k: int) -> np.ndarray:
-    if k == 0:
-        return np.zeros((0, 0))
     q, r = np.linalg.qr(rng.normal(size=(k, k)))
     return q * np.sign(np.diag(r))
 

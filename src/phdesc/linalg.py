@@ -11,22 +11,9 @@ multiplicity tests) when any value is.  Matrices with zero rows or columns
 take the same path as any other: numpy's decompositions return identity
 factors and empty spectra for them.
 
-State feedback never changes a pencil's E, so one analysis chain (report,
-existence conditions, synthesis, certification, simulation) decomposes the
-same E several times, and the conditions and the syntheses read the same
-open-loop analysis.  :func:`remembered` is a one-slot memo for these: it
-keeps the value of the last call, keyed by private copies of its array
-arguments (compared entry by entry) and its other arguments (compared with
-==).  :func:`e_svd` keeps the full SVD of the last E it was given,
-:func:`phdesc.pencil.pencil_report` the report of the last ``(E, A, tol)``,
-and :func:`phdesc.pencil.feedback_analysis` the existence conditions of the
-last system and tolerance.
-The stored values are read-only and exactly the bits a fresh computation
-on the same arguments returns, so no verdict can tell a remembered value
-from a new one.  Only the call sites that decompose a pencil's E use
-:func:`e_svd` (the staircase's first step, Z_E of the index-one condition,
-the constraint rows of the consistent projection); any other matrix would
-evict E.
+Every function here is a pure function of its arguments; the module keeps
+no state.  A pencil's E is decomposed only by :mod:`phdesc.pencil`, whose
+report hands out E's rank and kernels.
 """
 
 from __future__ import annotations
@@ -57,7 +44,10 @@ class ToleranceConfig:
         the band is ``psd_tol * ||H||_2``, H the symmetric part of M, so a
         verdict does not move when M is scaled by a positive constant.
         Structure violations (asymmetry, skewness, block form) are still
-        judged against ``psd_tol * max(1, ||.||_2)``.
+        judged against ``psd_tol * max(1, ||.||_2)``, absolute below unit
+        norm: ``model.validate`` takes the norm of the violation itself,
+        ``compress_feedthrough`` and ``undamped_block_stability_condition``
+        the norm of the judged matrix (S, N or R).
     axis_tol
         An eigenvalue is treated as purely imaginary when ``|Re| <= axis_tol``.
     stability_margin
@@ -130,55 +120,6 @@ def spectral_norm(M) -> float:
     if not A.any():
         return 0.0
     return float(np.linalg.svd(A, compute_uv=False)[0])
-
-
-def remembered(slot, args: tuple, compute):
-    """One-slot memo: ``(compute(*args), slot)`` with the slot updated.
-
-    ``slot`` is None or ``(key, value)`` of the last call.  When args match
-    the key (arrays entry by entry, other arguments with ==), the stored
-    value and the same slot come back.  Otherwise compute runs on the new
-    key, whose arrays are private read-only copies, so the value cannot
-    alias the caller's arrays, and changing them in place forces a fresh
-    value on the next call.  The new slot is one tuple, so a concurrent
-    reader never pairs one call's key with another's value.
-    """
-    if slot is not None and all(
-            np.array_equal(k, a) if isinstance(k, np.ndarray) else k == a
-            for k, a in zip(slot[0], args)):
-        return slot[1], slot
-    key = tuple(_read_only_copy(a) if isinstance(a, np.ndarray) else a for a in args)
-    value = compute(*key)
-    return value, (key, value)
-
-
-def _read_only_copy(a: np.ndarray) -> np.ndarray:
-    c = np.array(a, copy=True)
-    c.flags.writeable = False
-    return c
-
-
-def _read_only_svd(E: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    factors = np.linalg.svd(E)
-    for f in factors:
-        f.flags.writeable = False
-    return factors
-
-
-# remembered() slot of e_svd: (key, factors) of the last E.
-_E_SVD = None
-
-
-def e_svd(E: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Full SVD ``(U, s, Vh)`` of a pencil's E, remembered for the last E.
-
-    A call with a matrix equal to the remembered one returns the stored
-    read-only factors without a new decomposition; any other matrix
-    replaces them (see :func:`remembered`).
-    """
-    global _E_SVD
-    factors, _E_SVD = remembered(_E_SVD, (E,), _read_only_svd)
-    return factors
 
 
 def rank_threshold(s: np.ndarray, shape: tuple[int, int], tol: ToleranceConfig) -> float:

@@ -254,7 +254,7 @@ def power_balance_residual(sys: PHSystem, traj: Trajectory) -> float:
     supply = np.einsum("ki,ki->k", traj.y, traj.u)
     dHdt = (H[2:] - H[:-2]) / (traj.t[2:] - traj.t[:-2])
     res = np.abs(dHdt + quad[1:-1] - supply[1:-1])
-    return float(res.max()) if res.size else 0.0
+    return float(res.max())
 
 
 def dissipation_inequality_check(
@@ -276,7 +276,7 @@ def dissipation_inequality_check(
     cumulative = np.concatenate([[0.0], np.cumsum(0.5 * dt * (supply[1:] + supply[:-1]))])
     if slack is None:
         quad = quadratic_forms(dissipation_matrix(sys), traj.x, traj.u)
-        peak = float(np.max(np.abs(quad) + np.abs(supply))) if quad.size else 0.0
+        peak = float(np.max(np.abs(quad) + np.abs(supply)))
         span = float(traj.t[-1] - traj.t[0])
         slack = 10.0 * float(dt.max()) * max(1.0, peak) * max(1.0, span)
         slack += tol.psd_tol * max(1.0, float(np.max(np.abs(H))))

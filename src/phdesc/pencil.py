@@ -5,12 +5,14 @@ orthogonal transformations that deflates a (possibly rectangular, possibly
 singular) real pencil into its Kronecker constituents: right/left minimal
 indices, infinite elementary divisors, and a square regular part with
 invertible E whose generalized eigenvalues are the finite spectrum.  Each
-E-block is decomposed once.  The first E-compression takes its SVD from
-:func:`phdesc.linalg.e_svd`, which remembers it across calls (feedback keeps
-E, so a closed loop reuses the plant's).  The left pass starts from the
-transpose of the right pass's last SVD instead of taking its own.
-:func:`pencil_report` remembers its last ``(E, A, tol)`` report the same way,
-so the conditions and the synthesis of one system read the analysis's report.
+E-block is decomposed once, and no other module decomposes a pencil's E:
+the first E-compression's SVD is remembered for the last E (feedback keeps
+E, so a closed loop reuses the plant's), and the report hands out E's
+kernel and cokernel at ``rank_E`` as views of its factors.  The left pass
+starts from the transpose of the right pass's last SVD instead of taking
+its own.  :func:`pencil_report` remembers its last ``(E, A, tol)`` report
+the same way (:func:`remembered`), so the conditions and the synthesis of
+one system read the analysis's report.
 
 A square pencil of index at most one, as every closed loop of the syntheses
 is, leaves after that SVD (the semi-explicit form, Kunkel & Mehrmann, EMS
@@ -66,13 +68,10 @@ from .linalg import (
     ToleranceConfig,
     as_matrix,
     classify_definiteness,
-    e_svd,
     nullspace_basis,
     numerical_rank,
     range_basis,
     rank_threshold,
-    remembered,
-    singular_value_rank,
     spectral_norm,
 )
 from .model import PHSystem
@@ -107,6 +106,11 @@ class PencilReport:
     read of the spectrum, and the :class:`ToleranceBreakdown` of an axis
     eigenvalue's multiplicity, which only the class decides, at the first
     read of the class.
+
+    ``kernel_E`` (cols x (cols - rank_E)) and ``cokernel_E``
+    (rows x (rows - rank_E)) are orthonormal bases of the kernel and the
+    cokernel of E at ``rank_E``: read-only views of the trailing columns of
+    V and U in the SVD of E that the report was decided on.
     """
 
     rows: int
@@ -118,9 +122,11 @@ class PencilReport:
     regular_E: np.ndarray = field(repr=False)
     eigensolve: Callable[[], np.ndarray] | None = field(repr=False, compare=False)
     tol: ToleranceConfig = field(repr=False)
+    kernel_E: np.ndarray = field(repr=False)
+    cokernel_E: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        _freeze(self.regular_A, self.regular_E)
+        _freeze(self.regular_A, self.regular_E, self.kernel_E, self.cokernel_E)
         if self.dimension_accounting() != (self.rows, self.cols):
             raise NumericalBreakdown("staircase block sizes do not account for the pencil shape")
 
@@ -334,8 +340,42 @@ def _index_one_exit(A, E, svd_e, r, tol: ToleranceConfig):
     return S, np.diag(s[:r]), partial(_scaled_eigenvalues, S, s[:r])
 
 
-# remembered() slot of pencil_report: (key, report) of the last (E, A, tol).
+def remembered(slot, args: tuple, compute):
+    """One-slot memo: ``(compute(*args), slot)`` with the slot updated.
+
+    ``slot`` is None or ``(key, value)`` of the last call.  When args match
+    the key (arrays entry by entry, other arguments with ==), the stored
+    value and the same slot come back.  Otherwise compute runs on the new
+    key, whose arrays are private read-only copies, so the value cannot
+    alias the caller's arrays, and changing them in place forces a fresh
+    value on the next call.  The new slot is one tuple, so a concurrent
+    reader never pairs one call's key with another's value.  The stored
+    values are read-only and exactly the bits a fresh computation on the
+    same arguments returns, so no verdict can tell a remembered value from
+    a new one.
+    """
+    if slot is not None and all(
+            np.array_equal(k, a) if isinstance(k, np.ndarray) else k == a
+            for k, a in zip(slot[0], args)):
+        return slot[1], slot
+    key = tuple(_freeze(np.array(a))[0] if isinstance(a, np.ndarray) else a for a in args)
+    value = compute(*key)
+    return value, (key, value)
+
+
+# remembered() slots: (key, value) of the last call of _e_svd, pencil_report
+# and feedback_analysis.
+_E_SVD = None
 _REPORT = None
+_ANALYSIS = None
+
+
+def _e_svd(E: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Full SVD ``(U, s, Vh)`` of a pencil's E, read-only and remembered
+    for the last E."""
+    global _E_SVD
+    factors, _E_SVD = remembered(_E_SVD, (E,), lambda E: _freeze(*np.linalg.svd(E)))
+    return factors
 
 
 def pencil_report(E, A, tol: ToleranceConfig = DEFAULT_TOL) -> PencilReport:
@@ -343,8 +383,8 @@ def pencil_report(E, A, tol: ToleranceConfig = DEFAULT_TOL) -> PencilReport:
     (rectangular allowed), remembered.
 
     The report of the last ``(E, A, tol)`` is remembered (see
-    :func:`phdesc.linalg.remembered`), with its spectrum once read; its
-    arrays are read-only and never alias E or A.
+    :func:`remembered`), with its spectrum once read; its arrays are
+    read-only and never alias E or A.
     """
     global _REPORT
     E = as_matrix(E)
@@ -360,16 +400,16 @@ def pencil_report(E, A, tol: ToleranceConfig = DEFAULT_TOL) -> PencilReport:
 
 def _staircase(E, A, tol: ToleranceConfig) -> PencilReport:
     p, q = A.shape
-    maxdim = max(p, q, 1)
-    svd_e = e_svd(E) if q else None
-    s_e = svd_e[1] if q else np.zeros(0)
+    maxdim = max(p, q)
+    svd_e = u_e, s_e, vh_e = _e_svd(E)
     thr_e = tol.rank_rtol * maxdim * (float(s_e[0]) if s_e.size else 0.0)
     r = _decide_rank(s_e, thr_e, "right pass: E-compression, step 1")
-    exit_ = _index_one_exit(A, E, svd_e, r, tol) if p == q and q else None
+    kernels = vh_e[r:, :].T, u_e[:, r:]
+    exit_ = _index_one_exit(A, E, svd_e, r, tol) if p == q else None
     logger.debug("pencil %dx%d: %s, k = %d", p, q,
                  "staircase" if exit_ is None else "index-one exit", q - r)
     if exit_ is not None:
-        return PencilReport(p, q, (1,) * (q - r), (), (), *exit_, tol)
+        return PencilReport(p, q, (1,) * (q - r), (), (), *exit_, tol, *kernels)
     thr_a = tol.rank_rtol * maxdim * spectral_norm(A)
 
     nu_r, ss_r, A1, E1, svd_e1 = _deflate_right_and_infinite(
@@ -390,7 +430,8 @@ def _staircase(E, A, tol: ToleranceConfig) -> PencilReport:
     if A_reg.shape[0] != A_reg.shape[1]:
         raise NumericalBreakdown("regular part is not square after deflation")
     return PencilReport(p, q, tuple(infinite_sizes), tuple(right_minimal), tuple(left_minimal),
-                        A_reg, E_reg, partial(_regular_eigenvalues, A_reg, E_reg, svd_e2t), tol)
+                        A_reg, E_reg, partial(_regular_eigenvalues, A_reg, E_reg, svd_e2t), tol,
+                        *kernels)
 
 
 def _axis_eigenvalues_semisimple(evs, A_reg, E_reg, tol: ToleranceConfig) -> bool:
@@ -653,13 +694,9 @@ def _freeze(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return arrays
 
 
-# remembered() slot of feedback_analysis: (key, analysis) of the last system and tol.
-_ANALYSIS = None
-
-
 def feedback_analysis(sys: PHSystem, tol: ToleranceConfig = DEFAULT_TOL) -> FeedbackAnalysis:
     """The :class:`FeedbackAnalysis` of ``(sys, tol)``, remembered for the
-    last system and tolerance (see :func:`phdesc.linalg.remembered`)."""
+    last system and tolerance (see :func:`remembered`)."""
     global _ANALYSIS
     analysis, _ANALYSIS = remembered(
         _ANALYSIS, (sys.E, sys.J, sys.R, sys.G, sys.P, sys.S, sys.N, tol),
@@ -693,13 +730,14 @@ def strict_passifiability_condition(sys: PHSystem, tol: ToleranceConfig = DEFAUL
 
 def index_one_rank_condition(E, A, B, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """Rank test guaranteeing that dissipation-preserving feedback through B
-    yields a regular pencil of index at most one: rank([E, A Z_E, B]) == n."""
+    yields a regular pencil of index at most one: rank([E, A Z_E, B]) == n,
+    with Z_E the kernel basis of ``pencil_report(E, A, tol)``, so the test
+    raises that report's refusals."""
     E = as_matrix(E)
     A = as_matrix(A)
     B = as_matrix(B) if B is not None else np.zeros((E.shape[0], 0))
     n = E.shape[0]
     if E.shape != (n, n) or A.shape != (n, n) or B.shape[0] != n:
         raise ShapeMismatch("index_one_rank_condition expects n x n pencils and n x k B")
-    _, s, vh = e_svd(E)
-    Z_E = vh[singular_value_rank(s, E.shape, tol):, :].T
+    Z_E = pencil_report(E, A, tol).kernel_E
     return numerical_rank(np.hstack([E, A @ Z_E, B]), tol) == n

@@ -6,7 +6,9 @@ unconditionally stable on the dissipative pencils produced here and handles
 the index-one algebraic part without any special treatment, because every
 step solves the algebraic constraints exactly for the currently held input.
 One numpy solve with the step matrix forms a propagator up front, so each
-step is then a single matrix-vector product.
+step is then a single matrix-vector product.  Consistent initialization
+reads the cokernel of E from the loop's pencil report, so simulation takes
+no SVD of E and no rank decision on it of its own.
 """
 
 from __future__ import annotations
@@ -16,16 +18,9 @@ import logging
 import numpy as np
 
 from .errors import NotIndexOne, ShapeMismatch, SolveFailure
-from .linalg import (
-    DEFAULT_TOL,
-    ToleranceConfig,
-    e_svd,
-    numerical_rank,
-    pseudo_inverse,
-    singular_value_rank,
-)
+from .linalg import DEFAULT_TOL, ToleranceConfig, numerical_rank, pseudo_inverse
 from .model import PHSystem, Trajectory, apply_feedback, quadratic_forms
-from .pencil import pencil_report
+from .pencil import PencilReport, pencil_report
 
 logger = logging.getLogger(__name__)
 
@@ -34,12 +29,13 @@ logger = logging.getLogger(__name__)
 _CSV_BLOCK_ROWS = 64
 
 
-def _require_index_one(sys_closed: PHSystem, tol: ToleranceConfig):
+def _require_index_one(sys_closed: PHSystem, tol: ToleranceConfig) -> PencilReport:
     rep = pencil_report(sys_closed.E, sys_closed.A, tol)
     if not rep.regular:
         raise NotIndexOne("closed-loop pencil is singular")
     if (rep.index or 0) > 1:
         raise NotIndexOne(f"closed-loop pencil has index {rep.index}")
+    return rep
 
 
 def consistent_projection(
@@ -51,17 +47,15 @@ def consistent_projection(
     """Closest state satisfying the algebraic constraints of an index-one loop.
 
     The constraints are the rows of the system on the cokernel of E:
-    with ``U_c`` an orthonormal basis of that cokernel they read
-    ``U_c^T ((J-R) x + (G-P) u0) = 0``.  The returned state is the Euclidean
-    projection of x0 onto that affine set; consistent states are returned
-    unchanged.
+    with ``U_c`` the cokernel basis of the loop's :class:`PencilReport`
+    they read ``U_c^T ((J-R) x + (G-P) u0) = 0``.  The returned state is
+    the Euclidean projection of x0 onto that affine set; consistent states
+    are returned unchanged.
     """
-    _require_index_one(sys_closed, tol)
+    Uc = _require_index_one(sys_closed, tol).cokernel_E
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     if x0.shape[0] != sys_closed.n:
         raise ShapeMismatch(f"x0 has length {x0.shape[0]}, expected {sys_closed.n}")
-    u, s, _ = e_svd(sys_closed.E)
-    Uc = u[:, singular_value_rank(s, sys_closed.E.shape, tol):]
     C = Uc.T @ sys_closed.A
     rhs = np.zeros(Uc.shape[1])
     if u0 is not None and sys_closed.m:

@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 from hypothesis import settings
 
-from phdesc import linalg, pencil
+from phdesc import pencil
 from phdesc.linalg import DEFAULT_TOL, as_matrix, nullspace_basis, numerical_rank, pseudo_inverse
 
 settings.register_profile("suite", deadline=None, max_examples=50, derandomize=True)
@@ -127,8 +127,8 @@ def eigvals_calls(monkeypatch):
 
 @pytest.fixture
 def cold_e_svd(monkeypatch):
-    """Empty the SVD memo of :func:`phdesc.linalg.e_svd` for one test."""
-    monkeypatch.setattr(linalg, "_E_SVD", None)
+    """Empty the SVD memo of a pencil's E in :mod:`phdesc.pencil` for one test."""
+    monkeypatch.setattr(pencil, "_E_SVD", None)
 
 
 @pytest.fixture

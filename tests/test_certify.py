@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from phdesc import linalg, pencil
+from phdesc import pencil
 from phdesc.certify import certify_closed_loop
 from phdesc.fileio import feedback_from_dict, feedback_to_dict
 from phdesc.generators import random_ph
@@ -158,7 +158,7 @@ class TestSharedSvdOfE:
             return F, Fp, cs, certify_closed_loop(sys, Fp, goal="passify")
 
         def forget():
-            monkeypatch.setattr(linalg, "_E_SVD", None)
+            monkeypatch.setattr(pencil, "_E_SVD", None)
             monkeypatch.setattr(pencil, "_REPORT", None)
 
         # Cold: every stage decomposes E and reports the open loop afresh.

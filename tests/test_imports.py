@@ -176,3 +176,17 @@ def test_no_private_names_across_modules():
                 crossing += [f"{path.name}: {alias.name}" for alias in node.names
                              if alias.name.startswith("_")]
     assert crossing == []
+
+
+def test_memo_slots_live_in_pencil_only():
+    # pencil.py is the one owner of remembered values (E's SVD, the last
+    # report, the last analysis); every other module, linalg included,
+    # keeps no state that a function rebinds.
+    slots = {}
+    for path in sorted(_PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = sorted(name for node in ast.walk(tree) if isinstance(node, ast.Global)
+                       for name in node.names)
+        if names:
+            slots[path.name] = names
+    assert slots == {"pencil.py": ["_ANALYSIS", "_E_SVD", "_REPORT"]}

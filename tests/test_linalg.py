@@ -9,7 +9,6 @@ from phdesc.linalg import (
     DefinitenessKind,
     ToleranceConfig,
     classify_definiteness,
-    e_svd,
     nullspace_basis,
     numerical_rank,
     pseudo_inverse,
@@ -194,35 +193,3 @@ class TestSymSkewSplit:
         assert np.array_equal(S, S.T)
         assert np.array_equal(N, -N.T)
         assert np.allclose(S + N, M, rtol=0, atol=1e-9 * max(1.0, np.abs(M).max()))
-
-
-class TestESvd:
-    def test_equals_a_fresh_svd_and_decomposes_once(self, rng, cold_e_svd, svd_calls):
-        E = rng.normal(size=(5, 5))
-        first = e_svd(E)
-        again = e_svd(E.copy())
-        assert len(svd_calls) == 1
-        for f, g, h in zip(first, again, np.linalg.svd(E)):
-            assert f is g
-            assert np.array_equal(f, h)
-
-    def test_factors_are_read_only(self, rng, cold_e_svd):
-        u, s, vh = e_svd(rng.normal(size=(4, 4)))
-        for f in (u, s, vh):
-            with pytest.raises(ValueError):
-                f[0] = 0.0
-
-    def test_in_place_change_forces_a_fresh_svd(self, rng, cold_e_svd, svd_calls):
-        E = rng.normal(size=(4, 4))
-        e_svd(E)
-        E[0, 0] += 1.0
-        _, s, _ = e_svd(E)
-        assert len(svd_calls) == 2
-        assert np.array_equal(s, np.linalg.svd(E)[1])
-
-    def test_another_matrix_takes_the_slot(self, rng, cold_e_svd, svd_calls):
-        E, F = rng.normal(size=(3, 3)), rng.normal(size=(3, 3))
-        e_svd(E)
-        e_svd(F)
-        e_svd(E)
-        assert len(svd_calls) == 3

@@ -135,6 +135,17 @@ class TestStaircase:
         with pytest.raises(ToleranceBreakdown):
             pencil_report(E, np.eye(3))
 
+    @pytest.mark.parametrize("shape, right, left", [
+        ((0, 0), (), ()), ((3, 0), (), (0, 0, 0)), ((0, 3), (0, 0, 0), ())],
+        ids=["0x0", "3x0", "0x3"])
+    def test_empty_dimension(self, cold_e_svd, cold_report, shape, right, left):
+        # The SVD of an E with no rows or no columns has identity factors and
+        # no singular values, so such a pencil takes the general path.
+        r = pencil_report(np.zeros(shape), np.zeros(shape))
+        assert (r.right_minimal_indices, r.left_minimal_indices) == (right, left)
+        assert r.regular == (shape == (0, 0)) and r.rank_E == 0 and r.n_regular == 0
+        assert r.kernel_E.shape == (shape[1],) * 2 and r.cokernel_E.shape == (shape[0],) * 2
+
 
 class TestRegularEigenvalues:
     def test_match_qz(self, rng):
@@ -454,6 +465,40 @@ LAZY_ROUTES = {
 }
 
 
+class TestESvd:
+    """The SVD of a pencil's E is remembered for the last E."""
+
+    def test_equals_a_fresh_svd_and_decomposes_once(self, rng, cold_e_svd, svd_calls):
+        E = rng.normal(size=(5, 5))
+        first = pencil._e_svd(E)
+        again = pencil._e_svd(E.copy())
+        assert len(svd_calls) == 1
+        for f, g, h in zip(first, again, np.linalg.svd(E)):
+            assert f is g
+            assert np.array_equal(f, h)
+
+    def test_factors_are_read_only(self, rng, cold_e_svd):
+        u, s, vh = pencil._e_svd(rng.normal(size=(4, 4)))
+        for f in (u, s, vh):
+            with pytest.raises(ValueError):
+                f[0] = 0.0
+
+    def test_in_place_change_forces_a_fresh_svd(self, rng, cold_e_svd, svd_calls):
+        E = rng.normal(size=(4, 4))
+        pencil._e_svd(E)
+        E[0, 0] += 1.0
+        _, s, _ = pencil._e_svd(E)
+        assert len(svd_calls) == 2
+        assert np.array_equal(s, np.linalg.svd(E)[1])
+
+    def test_another_matrix_takes_the_slot(self, rng, cold_e_svd, svd_calls):
+        E, F = rng.normal(size=(3, 3)), rng.normal(size=(3, 3))
+        pencil._e_svd(E)
+        pencil._e_svd(F)
+        pencil._e_svd(E)
+        assert len(svd_calls) == 3
+
+
 class TestRememberedReport:
     """pencil_report keeps the report of its last (E, A, tol)."""
 
@@ -514,6 +559,29 @@ class TestRememberedReport:
         assert np.array_equal(first.regular_A, before)
         monkeypatch.setattr(pencil, "_REPORT", None)
         self._compare(again, pencil_report(mats["E"].copy(), mats["A"].copy()))
+
+    @pytest.mark.parametrize("case", ["exit-index-1", "staircase"])
+    def test_kernels_of_e_are_views_of_its_svd(self, cold_e_svd, cold_report, case):
+        # Either route hands out the trailing columns of V and U in the
+        # remembered SVD of E, at rank_E, without copying them.
+        kwargs, _, k = LAZY_ROUTES[case]
+        sys = random_ph(12, 2, 0, **kwargs)
+        r = pencil_report(sys.E, sys.A)
+        u, _, vh = pencil._e_svd(sys.E)
+        assert r.kernel_E.shape == r.cokernel_E.shape == (12, k) and r.rank_E == 12 - k
+        assert np.shares_memory(r.kernel_E, vh) and np.shares_memory(r.cokernel_E, u)
+        assert np.array_equal(r.kernel_E, vh[12 - k:].T)
+        assert np.array_equal(r.cokernel_E, u[:, 12 - k:])
+        for a in (r.kernel_E, r.cokernel_E):
+            assert not a.flags.writeable
+
+    def test_kernels_of_a_rectangular_e(self, cold_report):
+        # E is 2 x 3 of rank 2: one kernel column, an empty cokernel.
+        E = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        r = pencil_report(E, -E)
+        assert r.rank_E == 2
+        assert r.kernel_E.shape == (3, 1) and r.cokernel_E.shape == (2, 0)
+        assert np.allclose(E @ r.kernel_E, 0.0, atol=1e-15)
 
     def test_another_tolerance_misses(self, cold_report):
         sys = random_ph(6, 2, 0)
@@ -674,6 +742,29 @@ class TestFeedbackExistenceConditions:
         assert index_one_rank_condition(np.eye(2), np.zeros((2, 2)), np.zeros((2, 0)))
         assert index_one_rank_condition(ZERO, ZERO, ONE)
         assert not index_one_rank_condition(ZERO, ZERO, ZERO)
+
+    def test_index_condition_raises_the_report_refusal(self, cold_report, cold_analysis):
+        # At rank_rtol = 1e-17 the first E-compression of this plant has no
+        # margin.  The condition reads Z_E from the plant's report, so it
+        # refuses with the report instead of deciding rank E on its own.
+        tol = ToleranceConfig(rank_rtol=1e-17)
+        sys = random_ph(5, 1, 1, force_axis_modes=True)
+        with pytest.raises(ToleranceBreakdown, match="right pass: E-compression, step 1"):
+            pencil_report(sys.E, sys.A, tol)
+        with pytest.raises(ToleranceBreakdown, match="right pass: E-compression, step 1"):
+            index_reduction_rank_condition(sys, tol)
+
+    def test_index_condition_takes_no_svd_of_e(self, monkeypatch, cold_analysis, svd_calls):
+        # With the report warm and E's SVD memo emptied, Z_E is the report's
+        # kernel basis: the only SVD is the rank of [E, A Z_E, B].
+        sys = random_ph(12, 2, 1)
+        B = np.hstack(feedback_analysis(sys).input_blocks)
+        k = 12 - pencil_report(sys.E, sys.A).rank_E
+        assert k > 0
+        monkeypatch.setattr(pencil, "_E_SVD", None)
+        svd_calls.clear()
+        assert index_one_rank_condition(sys.E, sys.A, B)
+        assert [a.shape for a, _ in svd_calls] == [(12, 12 + k + B.shape[1])]
 
 
 def _transformed(sys, Q, c):

@@ -67,6 +67,20 @@ class TestConsistentProjection:
         with pytest.raises(NotIndexOne):
             consistent_projection(sys, [1.0, 1.0])
 
+    def test_takes_no_svd_of_e(self, monkeypatch, svd_calls):
+        # The constraint rows are the loop report's cokernel basis: with the
+        # report warm and E's SVD memo emptied, the only SVD is the
+        # pseudo-inverse's, of the k x n constraint block.
+        sys = random_ph(12, 2, 1)
+        F, _ = synthesize_stabilizing(sys)
+        closed = apply_feedback(sys, F)
+        k = closed.n - pencil_report(closed.E, closed.A).rank_E
+        assert k > 0
+        monkeypatch.setattr(pencil, "_E_SVD", None)
+        svd_calls.clear()
+        consistent_projection(closed, np.ones(closed.n))
+        assert [a.shape for a, _ in svd_calls] == [(k, closed.n)]
+
 
 class TestSimulateClosedLoop:
     def test_takes_no_eigensolve(self, monkeypatch, eigvals_calls):
