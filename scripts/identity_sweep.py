@@ -9,8 +9,12 @@ of what the importable ``phdesc`` returned: verdicts, witnesses, exception
 types and messages, the SHA-256 of every feedback's bytes, spectra as
 multisets and CLI exit codes with their stderr; each ``simulate`` starts from
 a seeded state under a seeded constant input and adds its power-balance
-residual and the SHA-256 of its trajectory CSV.  Spectra are stored sorted,
-so two trees that list the same eigenvalues in another order agree.
+residual and the SHA-256 of its trajectory CSV.  One system per family adds
+a 10 s ``simulate`` (10,001 rows) under its stabilizing feedback, or its
+open loop where there is none, so the record also pins a trajectory CSV
+long enough to be formatted in parts on a host with several CPUs.  Spectra
+are stored sorted, so two trees that list the same eigenvalues in another
+order agree.
 
 Record one tree, then another, then compare:
 
@@ -44,6 +48,9 @@ FAMILIES = {
     "axis-mode": {"force_axis_modes": True},
     "singular": {"force_singular": True},
 }
+
+# (n, seed) of the system per family whose CLI runs add the 10 s simulation.
+LONG_HORIZON = (20, 0)
 
 
 def systems():
@@ -140,7 +147,7 @@ def _chain(phdesc, s, tol) -> dict:
     }
 
 
-def _cli(s, seed: int, tol_args: list[str], work: Path) -> dict:
+def _cli(s, seed: int, tol_args: list[str], work: Path, long_horizon: bool) -> dict:
     from phdesc.cli import main
     from phdesc.fileio import save_feedback, save_system
 
@@ -171,10 +178,15 @@ def _cli(s, seed: int, tol_args: list[str], work: Path) -> dict:
         "simulate-random": ["simulate", "--input", str(system), "--feedback", str(rand_F),
                             "--T", "0.02", "--dt", "0.001", "--output", str(traj), *excite],
     }
+    if long_horizon:
+        runs["simulate-long"] = ["simulate", "--input", str(system), "--T", "10",
+                                 "--dt", "0.001", "--output", str(traj), *excite]
     out = {}
     for name, argv in runs.items():
         if name in ("certify-own", "simulate") and not stab_F.exists():
             continue
+        if name == "simulate-long" and stab_F.exists():
+            argv = argv + ["--feedback", str(stab_F)]
         for path in (report, traj):
             path.unlink(missing_ok=True)
         err = io.StringIO()
@@ -212,7 +224,7 @@ def record(tol_value: float | None) -> dict:
                 continue
             rec = _chain(phdesc, s, tol)
             if run_cli:
-                rec["cli"] = _cli(s, seed, tol_args, Path(tmp))
+                rec["cli"] = _cli(s, seed, tol_args, Path(tmp), (n, seed) == LONG_HORIZON)
             records[key] = rec
     return {"numpy": np.__version__, "tol": dataclasses.asdict(tol), "records": records}
 

@@ -45,7 +45,6 @@ from .model import (
     apply_feedback,
     dissipation_inequality_check,
     dissipation_matrix,
-    hamiltonian,
     power_balance_residual,
     validate,
 )

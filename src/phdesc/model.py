@@ -179,14 +179,6 @@ def validate(sys: PHSystem, tol: ToleranceConfig = DEFAULT_TOL) -> ValidationRep
     )
 
 
-def hamiltonian(sys: PHSystem, x) -> float:
-    """Stored energy ``H(x) = x^T E x / 2``."""
-    v = np.asarray(x, dtype=float).reshape(-1)
-    if v.shape[0] != sys.n:
-        raise ShapeMismatch(f"state has length {v.shape[0]}, expected {sys.n}")
-    return 0.5 * float(v @ sys.E @ v)
-
-
 # Rows per block of quadratic_forms: the block products stay a few hundred
 # kilobytes however long the trajectory is.
 _FORM_BLOCK_ROWS = 512

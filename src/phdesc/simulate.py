@@ -9,11 +9,26 @@ One numpy solve with the step matrix forms a propagator up front, so each
 step is then a single matrix-vector product.  Consistent initialization
 reads the cokernel of E from the loop's pencil report, so simulation takes
 no SVD of E and no rank decision on it of its own.
+
+The trajectory CSV spells every value as its shortest round-trip ``repr``,
+which costs about 0.3 us per value on one core.  A long trajectory is
+therefore split into contiguous parts, one per available CPU: the caller
+formats the first part straight into the output, and a forked child formats
+each other part into an anonymous temporary file that the caller then copies
+after it, in order, so the bytes are those of a serial write and the output
+may be a pipe.  Small files, one CPU or a platform without ``os.fork`` take
+the serial loop; nothing else selects the path.  A child formats text only
+and never calls BLAS, so the ``DeprecationWarning`` that ``os.fork`` may
+emit on Python >= 3.12 when BLAS threads exist does not concern it.
 """
 
 from __future__ import annotations
 
+import io
 import logging
+import os
+import shutil
+import tempfile
 
 import numpy as np
 
@@ -27,6 +42,12 @@ logger = logging.getLogger(__name__)
 # Rows formatted per write: enough to amortize the per-block calls, few
 # enough that the text of one block stays small next to the trajectory.
 _CSV_BLOCK_ROWS = 64
+# Fewest values in one part of a parallel CSV write.  Forking a formatter,
+# reaping it and copying its part back cost 2.2 ms (median of 200 writes of
+# a 100-row n = 60, m = 6 trajectory in two 50-row parts against the serial
+# write; 2-CPU x86-64 host, Python 3.11), and 50,000 values take about 15 ms
+# to format, so a part's overhead stays below a fifth of the time it saves.
+_CSV_PART_VALUES = 50_000
 
 
 def _require_index_one(sys_closed: PHSystem, tol: ToleranceConfig) -> PencilReport:
@@ -143,7 +164,9 @@ def simulate_closed_loop(
 def write_trajectory_csv(path, traj: Trajectory, sys: PHSystem) -> None:
     """Write the trajectory with header t,x1..xn,u1..um,y1..ym,H.
 
-    Numbers are serialized with full round-trip precision.
+    Numbers are serialized with full round-trip precision.  A file of at
+    least twice ``_CSV_PART_VALUES`` values is formatted on every available
+    CPU, with the bytes of a serial write (see the module docstring).
     """
     n = traj.x.shape[1]
     m = traj.u.shape[1]
@@ -153,11 +176,89 @@ def write_trajectory_csv(path, traj: Trajectory, sys: PHSystem) -> None:
               + [f"y{i + 1}" for i in range(m)]
               + ["H"])
     H = 0.5 * quadratic_forms(sys.E, traj.x)
+    rows = H.shape[0]
+    parts = 1
+    if hasattr(os, "fork"):
+        parts = max(1, min(_available_cpus(), rows * len(header) // _CSV_PART_VALUES))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        for start in range(0, H.shape[0], _CSV_BLOCK_ROWS):
-            rows = slice(start, start + _CSV_BLOCK_ROWS)
-            block = np.column_stack([traj.t[rows], traj.x[rows], traj.u[rows],
-                                     traj.y[rows], H[rows]])
-            # repr of a Python float is its shortest round-trip text.
-            fh.write("".join(",".join(map(repr, row)) + "\n" for row in block.tolist()))
+        if parts == 1:
+            _write_rows(fh, traj, H, 0, rows)
+        else:
+            _write_parts(fh, traj, H, [rows * k // parts for k in range(parts + 1)])
+
+
+def _available_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _write_rows(fh, traj: Trajectory, H: np.ndarray, start: int, stop: int) -> None:
+    """Write CSV rows ``start:stop``, ``_CSV_BLOCK_ROWS`` at a time."""
+    for lo in range(start, stop, _CSV_BLOCK_ROWS):
+        rows = slice(lo, min(lo + _CSV_BLOCK_ROWS, stop))
+        block = np.column_stack([traj.t[rows], traj.x[rows], traj.u[rows],
+                                 traj.y[rows], H[rows]])
+        # repr of a Python float is its shortest round-trip text.
+        fh.write("".join(",".join(map(repr, row)) + "\n" for row in block.tolist()))
+
+
+def _write_parts(fh, traj: Trajectory, H: np.ndarray, bounds: list[int]) -> None:
+    """Write the rows between consecutive ``bounds``: the first part here,
+    each other part in a forked child, copied after it in order.
+
+    Every child is reaped before this returns or raises; on any failure the
+    children still running are killed first.
+    """
+    files, pids = [], []
+    try:
+        for start, stop in zip(bounds[1:-1], bounds[2:]):
+            files.append(tempfile.TemporaryFile())
+            pids.append(_fork_formatter(files[-1], traj, H, start, stop))
+        _write_rows(fh, traj, H, bounds[0], bounds[1])
+        fh.flush()
+        for k, part in enumerate(files):
+            _, status = os.waitpid(pids[k], 0)
+            pids[k] = None
+            code = os.waitstatus_to_exitcode(status)
+            if code:
+                raise ChildProcessError(
+                    f"formatting part {k + 1} of the trajectory CSV failed (exit status {code})")
+            part.seek(0)
+            # A chunked copy: a part is never read into memory whole.
+            shutil.copyfileobj(part, fh.buffer)
+    finally:
+        # Imported here: `signal` costs every CLI process its enum set-up.
+        import signal
+
+        for pid in pids:
+            if pid is not None:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+        for part in files:
+            part.close()
+
+
+def _fork_formatter(part, traj: Trajectory, H: np.ndarray, start: int, stop: int) -> int:
+    """Fork a child that writes CSV rows ``start:stop`` to the binary file
+    ``part`` and exits; return its pid.
+
+    Every way out of the child, an exception or a signal handler's
+    ``SystemExit`` included, ends in ``os._exit``: the child never returns
+    into the caller's stack and flushes no buffer it inherited.
+    """
+    parent = os.getpid()
+    status = 1
+    try:
+        pid = os.fork()
+        if pid == 0:
+            out = io.TextIOWrapper(part, encoding="utf-8")
+            _write_rows(out, traj, H, start, stop)
+            out.flush()
+            status = 0
+    finally:
+        if os.getpid() != parent:
+            os._exit(status)
+    return pid

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -84,11 +86,30 @@ def brute_force_rank_on_axis(E, A, B, omega_grid, tol=DEFAULT_TOL):
     return True
 
 
+def hamiltonian(sys, x) -> float:
+    """Energy oracle: ``H(x) = x^T E x / 2`` of one state, by the formula."""
+    v = np.asarray(x, dtype=float).reshape(-1)
+    assert v.shape == (sys.n,)
+    return 0.5 * float(v @ sys.E @ v)
+
+
 def singular_common_nullspace(sys) -> bool:
     """True when E, J, R share a nullspace direction: the nullspace of the
     stack ``[E; J; R]`` that ``phdesc analyze`` reports.  For valid
     port-Hamiltonian data this is equivalent to ``s E - (J - R)`` being singular."""
     return nullspace_basis(np.vstack([sys.E, sys.J, sys.R])).shape[1] > 0
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Fail a test that leaves a child process running or unreaped."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail("a child process is still running" if pid == 0
+                else f"child process {pid} was left unreaped")
 
 
 @pytest.fixture

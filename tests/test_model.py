@@ -13,11 +13,11 @@ from phdesc.model import (
     dissipation_inequality_check,
     dissipation_matrix,
     _FORM_BLOCK_ROWS,
-    hamiltonian,
     power_balance_residual,
     quadratic_forms,
     validate,
 )
+from conftest import hamiltonian
 
 ONE = np.array([[1.0]])
 ZERO = np.array([[0.0]])
@@ -79,26 +79,31 @@ class TestDissipationMatrix:
         assert np.array_equal(W, [[2.0, 1.0], [1.0, 1.0]])
 
 
+def energy(sys, x) -> float:
+    """``H(x) = x^T E x / 2`` of one state, through ``quadratic_forms``."""
+    return 0.5 * float(quadratic_forms(sys.E, np.array([x], dtype=float))[0])
+
+
 class TestHamiltonian:
     def test_identity(self):
         sys = PHSystem(E=np.eye(2), J=np.zeros((2, 2)), R=np.zeros((2, 2)),
                        G=np.zeros((2, 0)), P=np.zeros((2, 0)),
                        S=np.zeros((0, 0)), N=np.zeros((0, 0)))
-        assert hamiltonian(sys, [1.0, 1.0]) == pytest.approx(1.0)
-        assert hamiltonian(sys, [0.0, 0.0]) == 0.0
+        assert energy(sys, [1.0, 1.0]) == pytest.approx(1.0)
+        assert energy(sys, [0.0, 0.0]) == 0.0
 
     def test_weighted(self):
         sys = PHSystem(E=np.diag([2.0, 0.0]), J=np.zeros((2, 2)), R=np.zeros((2, 2)),
                        G=np.zeros((2, 0)), P=np.zeros((2, 0)),
                        S=np.zeros((0, 0)), N=np.zeros((0, 0)))
-        assert hamiltonian(sys, [3.0, 5.0]) == pytest.approx(9.0)
+        assert energy(sys, [3.0, 5.0]) == pytest.approx(9.0)
 
     def test_nonnegative_on_valid_systems(self, rng):
         for seed in range(20):
             sys = random_ph(5, 2, seed)
             for _ in range(10):
                 x = rng.normal(size=5)
-                assert hamiltonian(sys, x) >= -DEFAULT_TOL.psd_tol * float(x @ x)
+                assert energy(sys, x) >= -DEFAULT_TOL.psd_tol * float(x @ x)
 
 
 class TestQuadraticForms:

@@ -1,7 +1,11 @@
+import os
+import threading
+import time
+
 import numpy as np
 import pytest
 
-from phdesc import pencil
+from phdesc import pencil, simulate
 from phdesc.certify import certify_closed_loop
 from phdesc.errors import NotIndexOne, ShapeMismatch, SolveFailure
 from phdesc.generators import random_ph
@@ -9,12 +13,12 @@ from phdesc.model import (
     PHSystem,
     apply_feedback,
     dissipation_inequality_check,
-    hamiltonian,
     power_balance_residual,
 )
 from phdesc.pencil import pencil_report
 from phdesc.simulate import consistent_projection, simulate_closed_loop, write_trajectory_csv
 from phdesc.synthesis import synthesize_stabilizing
+from conftest import hamiltonian
 
 
 def scalar_system(E=1.0, J=0.0, R=0.0, G=0.0, P=0.0, S=0.0, N=0.0):
@@ -221,6 +225,48 @@ class TestSimulateClosedLoop:
         assert residuals[1] / residuals[2] >= 1.8
 
 
+def long_loop(m):
+    """(trajectory, closed loop) of a few thousand rows: an index-one loop
+    under a varying input with m inputs, or an inputless one for m = 0."""
+    if m:
+        sys = random_ph(6, m, 3, rank_e=4)
+        F, _ = synthesize_stabilizing(sys)
+        u = np.random.default_rng(m).normal(size=(3000, m))
+    else:
+        sys = no_input_system(np.diag([1.0, 2.0, 0.0]), np.array(
+            [[0.0, 1.0, 0.5], [-1.0, 0.0, 0.0], [-0.5, 0.0, 0.0]]), np.eye(3))
+        F, u = np.zeros((0, 3)), None
+    traj = simulate_closed_loop(sys, F, np.linspace(1.0, -2.0, sys.n), u=u, T=3.0, dt=1e-3)
+    return traj, apply_feedback(sys, F)
+
+
+def csv_values(traj):
+    """Values in the trajectory's CSV: t, x, u, y and H of every row."""
+    return traj.t.shape[0] * (2 + traj.x.shape[1] + 2 * traj.u.shape[1])
+
+
+def force_parts(monkeypatch, traj, parts):
+    """Make write_trajectory_csv split this trajectory into ``parts`` parts,
+    whatever the host's CPUs; return the list of os.fork calls it makes."""
+    monkeypatch.setattr(simulate, "_available_cpus", lambda: parts)
+    monkeypatch.setattr(simulate, "_CSV_PART_VALUES", csv_values(traj) // parts)
+    forks = []
+    fork = os.fork
+
+    def counting():
+        forks.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting)
+    return forks
+
+
+def serial_bytes(tmp_path, traj, closed):
+    path = tmp_path / "serial.csv"
+    write_trajectory_csv(path, traj, closed)
+    return path.read_bytes()
+
+
 class TestTrajectoryCsv:
     def test_round_trip(self, tmp_path):
         sys = scalar_system(E=1, G=1)
@@ -256,3 +302,91 @@ class TestTrajectoryCsv:
             assert fields[:-1] == [repr(float(v)) for v in values]
             H = hamiltonian(closed, traj.x[k])
             assert abs(float(fields[-1]) - H) <= 1e-12 * abs(H)
+
+    @pytest.mark.parametrize("m", [2, 0])
+    def test_bytes_identical_for_any_part_count(self, tmp_path, monkeypatch, m):
+        traj, closed = long_loop(m)
+        expected = serial_bytes(tmp_path, traj, closed)
+        assert expected.count(b"\n") == 3002
+        for parts in (1, 2, 3):
+            forks = force_parts(monkeypatch, traj, parts)
+            path = tmp_path / f"parts-{parts}.csv"
+            write_trajectory_csv(path, traj, closed)
+            assert len(forks) == parts - 1
+            assert path.read_bytes() == expected
+
+    def test_pipe_output_same_bytes(self, tmp_path, monkeypatch):
+        traj, closed = long_loop(2)
+        expected = serial_bytes(tmp_path, traj, closed)
+        forks = force_parts(monkeypatch, traj, 3)
+        fifo = tmp_path / "traj.fifo"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()),
+                                  daemon=True)
+        reader.start()
+        write_trajectory_csv(fifo, traj, closed)
+        reader.join(timeout=60)
+        assert not reader.is_alive()
+        assert len(forks) == 2
+        assert received == [expected]
+
+    def test_small_file_never_forks(self, tmp_path, monkeypatch):
+        # A short trajectory (201 rows of 26 values) stays serial however
+        # many CPUs there are; so does one just short of two full parts.
+        def no_fork():
+            raise AssertionError("os.fork called")
+
+        traj, closed = long_loop(2)
+        sys = random_ph(10, 7, 0)
+        short = simulate_closed_loop(sys, np.zeros((7, 10)), np.ones(10), T=0.2, dt=1e-3)
+        assert csv_values(short) == 201 * 26
+        monkeypatch.setattr(simulate, "_available_cpus", lambda: 64)
+        monkeypatch.setattr(os, "fork", no_fork)
+        write_trajectory_csv(tmp_path / "short.csv", short, apply_feedback(sys, np.zeros((7, 10))))
+        monkeypatch.setattr(simulate, "_CSV_PART_VALUES", csv_values(traj) // 2 + 1)
+        path = tmp_path / "long.csv"
+        write_trajectory_csv(path, traj, closed)
+        monkeypatch.undo()
+        assert path.read_bytes() == serial_bytes(tmp_path, traj, closed)
+
+    @pytest.mark.parametrize("exc", [RuntimeError("formatter failed"), SystemExit(0),
+                                     KeyboardInterrupt()], ids=type)
+    def test_failing_child_raises_and_is_reaped(self, tmp_path, monkeypatch, exc):
+        traj, closed = long_loop(2)
+        forks = force_parts(monkeypatch, traj, 3)
+        parent = os.getpid()
+        write_rows = simulate._write_rows
+
+        def failing_in_child(fh, *args):
+            if os.getpid() != parent:
+                raise exc
+            write_rows(fh, *args)
+
+        monkeypatch.setattr(simulate, "_write_rows", failing_in_child)
+        with pytest.raises(ChildProcessError, match=r"part 1 .*exit status 1"):
+            write_trajectory_csv(tmp_path / "traj.csv", traj, closed)
+        assert len(forks) == 2
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_failing_parent_kills_running_children(self, tmp_path, monkeypatch):
+        traj, closed = long_loop(2)
+        forks = force_parts(monkeypatch, traj, 3)
+        parent = os.getpid()
+        write_rows = simulate._write_rows
+
+        def slow_child_failing_parent(fh, *args):
+            if os.getpid() != parent:
+                time.sleep(60)
+                write_rows(fh, *args)
+            raise ValueError("parent's part failed")
+
+        monkeypatch.setattr(simulate, "_write_rows", slow_child_failing_parent)
+        t0 = time.monotonic()
+        with pytest.raises(ValueError, match="parent's part failed"):
+            write_trajectory_csv(tmp_path / "traj.csv", traj, closed)
+        assert time.monotonic() - t0 < 30
+        assert len(forks) == 2
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
