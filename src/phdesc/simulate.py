@@ -177,12 +177,10 @@ def write_trajectory_csv(path, traj: Trajectory, sys: PHSystem) -> None:
               + ["H"])
     H = 0.5 * quadratic_forms(sys.E, traj.x)
     rows = H.shape[0]
-    parts = 1
-    if hasattr(os, "fork"):
-        parts = max(1, min(_available_cpus(), rows * len(header) // _CSV_PART_VALUES))
+    parts = min(_available_cpus(), rows * len(header) // _CSV_PART_VALUES)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        if parts == 1:
+        if parts < 2 or not hasattr(os, "fork"):
             _write_rows(fh, traj, H, 0, rows)
         else:
             _write_parts(fh, traj, H, [rows * k // parts for k in range(parts + 1)])
