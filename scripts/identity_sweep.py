@@ -23,14 +23,21 @@ Record one tree, then another, then compare:
     python3 scripts/identity_sweep.py --compare old.json new.json
 
 ``--tol X`` sets ``rank_rtol`` for the in-process calls and passes
-``--tol X`` to the CLI.  ``--compare`` lists every difference and exits 1
-when there is one.  Pin BLAS to one thread (``OPENBLAS_NUM_THREADS=1``)
-on both sides, since the bits of a decomposition may depend on it.
+``--tol X`` to the CLI.  ``--compare`` lists every difference, ends with one
+tally line that counts the moves by kind, and exits 1 when there is one.  A
+move to or from an exception, or between two of them, counts once (as
+verdict->refusal, refusal->refusal or refusal->verdict), and so does a CLI
+run whose exit code moves (as exit a->b) or that exits 2 on both sides (as
+refusal->refusal).  Every other differing value counts as verdict->verdict,
+and a key that only one record has as one side only.  Pin BLAS to one
+thread (``OPENBLAS_NUM_THREADS=1``) on both sides, since the bits of a
+decomposition may depend on it.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import dataclasses
 import hashlib
@@ -240,6 +247,29 @@ def _differences(a, b, path: str):
         yield f"{path}: {json.dumps(a)} -> {json.dumps(b)}"
 
 
+def _tally(a, b, counts: collections.Counter):
+    """Add the moves between two values of the record to counts by kind."""
+    if a == b:
+        return
+    refused = tuple(isinstance(v, dict) and "error" in v for v in (a, b))
+    if any(refused):
+        counts[{(False, True): "verdict->refusal", (True, True): "refusal->refusal",
+                (True, False): "refusal->verdict"}[refused]] += 1
+    elif isinstance(a, dict) and isinstance(b, dict):
+        if "exit" in a and "exit" in b and (a["exit"] != b["exit"] or a["exit"] == 2):
+            # A CLI run: an exit move, or a refusal's text on both sides.
+            kind = "refusal->refusal" if a["exit"] == b["exit"] else f"exit {a['exit']}->{b['exit']}"
+            counts[kind] += 1
+            return
+        for k in set(a) | set(b):
+            if k in a and k in b:
+                _tally(a[k], b[k], counts)
+            else:
+                counts["one side only"] += 1
+    else:
+        counts["verdict->verdict"] += 1
+
+
 def compare(first: Path, second: Path) -> int:
     a, b = (json.loads(p.read_text()) for p in (first, second))
     if a["tol"] != b["tol"]:
@@ -249,6 +279,11 @@ def compare(first: Path, second: Path) -> int:
     for line in diffs:
         print(line)
     print(f"{len(a['records'])} vs {len(b['records'])} systems, {len(diffs)} differences")
+    counts = collections.Counter({kind: 0 for kind in (
+        "verdict->refusal", "refusal->refusal", "refusal->verdict", "verdict->verdict",
+        "one side only")})
+    _tally(a["records"], b["records"], counts)
+    print("tally: " + ", ".join(f"{kind} {n}" for kind, n in counts.items()))
     return 1 if diffs else 0
 
 

@@ -61,14 +61,11 @@ from .pencil import (
     pencil_report,
     stabilizability_rank_condition,
     strict_passifiability_condition,
-    undamped_block_nonsingularity_condition,
-    undamped_block_stability_condition,
 )
 from .simulate import consistent_projection, simulate_closed_loop, write_trajectory_csv
 from .synthesis import (
     SynthesisTrace,
     build_stabilizing_feedback,
-    feedback_admissible,
     passifying_feedback_formula,
     synthesize_passifying,
     synthesize_stabilizing,

@@ -157,7 +157,8 @@ def _cmd_analyze(args) -> int:
     sys_ = load_system(args.input)
     tol = _tol_from_args(args)
     rep = pencil_report(sys_.E, sys_.A, tol)
-    basis = nullspace_basis(np.vstack([sys_.E, sys_.J, sys_.R]), tol)
+    basis = nullspace_basis(np.vstack([sys_.E, sys_.J, sys_.R]), tol,
+                            "common nullspace of E, J, R")
     singular = basis.shape[1] > 0
     doc = {
         "kind": "analysis",

@@ -28,8 +28,10 @@ class GridTooShort(PhdescError, ValueError):
 
 
 class ToleranceBreakdown(PhdescError, ArithmeticError):
-    """A rank decision was ambiguous: singular values crowd the threshold
-    from both sides, so the staircase cannot certify the block sizes."""
+    """A rank decision had no tenfold margin from its cutoff, so it is
+    refused rather than guessed; ``stage`` names the decision (a staircase
+    step, a PBH test, an axis eigenvalue's multiplicity, a synthesis block
+    size, a named rank or nullspace)."""
 
     def __init__(self, stage: str, threshold: float, kept_min: float, dropped_max: float):
         self.stage = stage

@@ -3,13 +3,22 @@
 A single :class:`ToleranceConfig` governs every rank, nullspace, and
 definiteness decision.  There is one cutoff formula, :func:`rank_threshold`:
 a singular value sigma counts when ``sigma > rank_rtol * sigma_1 *
-max(rows, cols)``.  Three policies refuse a value near it with
-ToleranceBreakdown: :func:`singular_value_rank` never, the staircase's
-``pencil._decide_rank`` when the smallest kept and the largest dropped
-value are both within tenfold, and ``pencil._deficiency`` (the PBH and
-multiplicity tests) when any value is.  Matrices with zero rows or columns
-take the same path as any other: numpy's decompositions return identity
-factors and empty spectra for them.
+max(rows, cols)``.  The staircase and the multiplicity test anchor the same
+formula to the pencil's norms instead of sigma_1.  Every rank is decided by
+one of two rules, each of which refuses a value without a tenfold margin
+from the cutoff with a :class:`ToleranceBreakdown` that names the decision:
+
+- :func:`decide_rank` refuses when the smallest kept and the largest
+  dropped value are both within tenfold.  It decides the staircase's
+  compressions, :func:`numerical_rank`, :func:`nullspace_basis`,
+  :func:`range_basis` and :func:`pseudo_inverse` (so the feedthrough split,
+  the index-reduction rank, simulate's step matrix and the consistent
+  projection), and synthesis's mu1..mu3.
+- :func:`deficiency` refuses when any value is within tenfold.  It decides
+  the PBH tests and the geometric multiplicity of an axis eigenvalue.
+
+Matrices with zero rows or columns take the same path as any other: numpy's
+decompositions return identity factors and empty spectra for them.
 
 Every function here is a pure function of its arguments; the module keeps
 no state.  A pencil's E is decomposed only by :mod:`phdesc.pencil`, whose
@@ -23,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotSquare
+from .errors import NotSquare, ToleranceBreakdown
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -46,8 +55,7 @@ class ToleranceConfig:
         Structure violations (asymmetry, skewness, block form) are still
         judged against ``psd_tol * max(1, ||.||_2)``, absolute below unit
         norm: ``model.validate`` takes the norm of the violation itself,
-        ``compress_feedthrough`` and ``undamped_block_stability_condition``
-        the norm of the judged matrix (S, N or R).
+        ``compress_feedthrough`` the norm of the judged matrix (S or N).
     axis_tol
         An eigenvalue is treated as purely imaginary when ``|Re| <= axis_tol``.
     stability_margin
@@ -130,41 +138,66 @@ def rank_threshold(s: np.ndarray, shape: tuple[int, int], tol: ToleranceConfig) 
     return tol.rank_rtol * float(s[0]) * max(shape)
 
 
-def singular_value_rank(s: np.ndarray, shape: tuple[int, int], tol: ToleranceConfig) -> int:
-    """Number of entries of the descending values s above
-    :func:`rank_threshold`."""
-    return int(np.sum(s > rank_threshold(s, shape, tol)))
+def decide_rank(s: np.ndarray, thr: float, stage: str) -> int:
+    """Number of entries of the descending values s above the cutoff thr.
+
+    Raises :class:`ToleranceBreakdown`, naming ``stage``, when the smallest
+    kept and the largest dropped value both lie within a factor of ten of
+    thr.
+    """
+    r = int(np.sum(s > thr))
+    kept_min = float(s[r - 1]) if r > 0 else np.inf
+    dropped_max = float(s[r]) if r < s.size else 0.0
+    if kept_min < 10.0 * thr and dropped_max > thr / 10.0:
+        raise ToleranceBreakdown(stage, thr, kept_min, dropped_max)
+    return r
 
 
-def numerical_rank(M, tol: ToleranceConfig = DEFAULT_TOL) -> int:
-    """Number of singular values above the relative cutoff.
+def deficiency(s: np.ndarray, thr: float, stage: str) -> int:
+    """Number of entries of the descending values s at or below the cutoff
+    thr: the rank deficiency of a matrix with no more rows than columns.
+
+    Raises :class:`ToleranceBreakdown`, naming ``stage``, when any value
+    lies within a factor of ten of thr.
+    """
+    if np.any((s > thr / 10.0) & (s < 10.0 * thr)):
+        kept, dropped = s[s > thr], s[s <= thr]
+        raise ToleranceBreakdown(stage, thr, float(kept[-1]) if kept.size else np.inf,
+                                 float(dropped[0]) if dropped.size else 0.0)
+    return int(np.sum(s <= thr))
+
+
+def numerical_rank(M, tol: ToleranceConfig = DEFAULT_TOL, stage: str = "numerical rank") -> int:
+    """Rank of M by :func:`decide_rank` at :func:`rank_threshold`.
 
     The zero matrix and matrices with an empty dimension have rank 0.
     """
     A = as_matrix(M)
-    return singular_value_rank(np.linalg.svd(A, compute_uv=False), A.shape, tol)
+    s = np.linalg.svd(A, compute_uv=False)
+    return decide_rank(s, rank_threshold(s, A.shape, tol), stage)
 
 
-def nullspace_basis(M, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+def nullspace_basis(M, tol: ToleranceConfig = DEFAULT_TOL, stage: str = "nullspace") -> np.ndarray:
     """Orthonormal basis of the numerical right nullspace (cols x nullity)."""
     A = as_matrix(M)
     _, s, vh = np.linalg.svd(A)
-    return vh[singular_value_rank(s, A.shape, tol):, :].conj().T
+    return vh[decide_rank(s, rank_threshold(s, A.shape, tol), stage):, :].conj().T
 
 
-def range_basis(M, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+def range_basis(M, tol: ToleranceConfig = DEFAULT_TOL, stage: str = "range") -> np.ndarray:
     """Orthonormal basis of the numerical column space (rows x rank)."""
     A = as_matrix(M)
     u, s, _ = np.linalg.svd(A)
-    return u[:, :singular_value_rank(s, A.shape, tol)]
+    return u[:, :decide_rank(s, rank_threshold(s, A.shape, tol), stage)]
 
 
-def pseudo_inverse(M, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """Moore-Penrose inverse with the same truncation rule as numerical_rank."""
+def pseudo_inverse(M, tol: ToleranceConfig = DEFAULT_TOL,
+                   stage: str = "pseudo-inverse") -> np.ndarray:
+    """Moore-Penrose inverse truncated at the rank numerical_rank decides."""
     A = as_matrix(M)
     u, s, vh = np.linalg.svd(A, full_matrices=False)
-    thr = rank_threshold(s, A.shape, tol)
-    inv = np.where(s > thr, 1.0 / np.where(s > thr, s, 1.0), 0.0)
+    kept = np.arange(s.size) < decide_rank(s, rank_threshold(s, A.shape, tol), stage)
+    inv = np.where(kept, 1.0 / np.where(kept, s, 1.0), 0.0)
     return (vh.conj().T * inv) @ u.conj().T
 
 

@@ -253,25 +253,23 @@ def dissipation_inequality_check(
     sys: PHSystem,
     traj: Trajectory,
     tol: ToleranceConfig = DEFAULT_TOL,
-    slack: float | None = None,
 ) -> bool:
     """True when H(x(t2)) - H(x(t1)) <= int y^T u dt + slack for all t1 < t2.
 
-    The supply integral uses the trapezoid rule.  When ``slack`` is None it
-    is set from the grid spacing and the peak power, which absorbs the
-    first-order discretization error of sampled trajectories.
+    The supply integral uses the trapezoid rule.  The slack is set from the
+    grid spacing and the peak power, which absorbs the first-order
+    discretization error of sampled trajectories.
     """
     _check_trajectory(sys, traj)
     H = 0.5 * quadratic_forms(sys.E, traj.x)
     supply = np.einsum("ki,ki->k", traj.y, traj.u)
     dt = np.diff(traj.t)
     cumulative = np.concatenate([[0.0], np.cumsum(0.5 * dt * (supply[1:] + supply[:-1]))])
-    if slack is None:
-        quad = quadratic_forms(dissipation_matrix(sys), traj.x, traj.u)
-        peak = float(np.max(np.abs(quad) + np.abs(supply)))
-        span = float(traj.t[-1] - traj.t[0])
-        slack = 10.0 * float(dt.max()) * max(1.0, peak) * max(1.0, span)
-        slack += tol.psd_tol * max(1.0, float(np.max(np.abs(H))))
+    quad = quadratic_forms(dissipation_matrix(sys), traj.x, traj.u)
+    peak = float(np.max(np.abs(quad) + np.abs(supply)))
+    span = float(traj.t[-1] - traj.t[0])
+    slack = 10.0 * float(dt.max()) * max(1.0, peak) * max(1.0, span)
+    slack += tol.psd_tol * max(1.0, float(np.max(np.abs(H))))
     # H(t2) - H(t1) <= C(t2) - C(t1) + slack for all pairs is equivalent to
     # the running minimum of H - C never being exceeded by more than slack.
     gap = H - cumulative

@@ -85,7 +85,7 @@ def consistent_projection(
             raise ShapeMismatch(f"u0 has length {u0.shape[0]}, expected {sys_closed.m}")
         rhs = -(Uc.T @ (sys_closed.B @ u0))
     residual = C @ x0 - rhs
-    return x0 - pseudo_inverse(C, tol) @ residual
+    return x0 - pseudo_inverse(C, tol, "consistent projection") @ residual
 
 
 def simulate_closed_loop(
@@ -133,7 +133,7 @@ def simulate_closed_loop(
         logger.info("initial state projected onto the constraint set (moved %.3e)", shift)
 
     step_matrix = closed.E - dt * closed.A
-    if numerical_rank(step_matrix, tol) < n:
+    if numerical_rank(step_matrix, tol, "step matrix E - dt A") < n:
         raise SolveFailure("step matrix numerically singular", t=0.0)
     prop = np.linalg.solve(step_matrix, np.hstack([closed.E, dt * closed.B]))
     Phi, Gam = prop[:, :n], prop[:, n:]

@@ -33,15 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConditionsNotMet, NumericalBreakdown, ShapeMismatch
-from .linalg import (
-    DEFAULT_TOL,
-    ToleranceConfig,
-    as_matrix,
-    classify_definiteness,
-    numerical_rank,
-    singular_value_rank,
-)
+from .errors import ConditionsNotMet, NumericalBreakdown
+from .linalg import DEFAULT_TOL, ToleranceConfig, decide_rank, rank_threshold
 from .model import PHSystem
 from .pencil import DCompression, feedback_analysis
 
@@ -99,7 +92,7 @@ def _state_compression(B3, B1_shalf, R, tol):
     n = R.shape[0]
     if B3.shape[1] > 0:
         u, s, vh = np.linalg.svd(B3)
-        mu1 = singular_value_rank(s, B3.shape, tol)
+        mu1 = decide_rank(s, rank_threshold(s, B3.shape, tol), "synthesis: mu1")
         V3 = vh.T
         Za = u.T.copy()
         Za[:mu1, :] /= s[:mu1, None]
@@ -111,7 +104,7 @@ def _state_compression(B3, B1_shalf, R, tol):
     T = Za @ B1_shalf
     T_top, T_rest = T[:mu1, :], T[mu1:, :]
     uc, sc, vch = np.linalg.svd(T_rest)
-    mu2 = singular_value_rank(sc, T_rest.shape, tol)
+    mu2 = decide_rank(sc, rank_threshold(sc, T_rest.shape, tol), "synthesis: mu2")
     V1 = vch.T
     Y = uc.T.copy()
     Y[:mu2, :] /= sc[:mu2, None]
@@ -132,7 +125,7 @@ def _state_compression(B3, B1_shalf, R, tol):
     order = np.argsort(-w)
     w, Q = w[order], Q[:, order]
     # w[0] <= 0 puts the cutoff at or above w[0] (rank_rtol * r < 1): mu3 = 0.
-    mu3 = singular_value_rank(w, R_rr.shape, tol)
+    mu3 = decide_rank(w, rank_threshold(w, R_rr.shape, tol), "synthesis: mu3")
     Yc = Q.T.copy()
     Yc[:mu3, :] /= np.sqrt(w[:mu3, None])
     Rrr_pinv = (Q[:, :mu3] / w[:mu3]) @ Q[:, :mu3].T
@@ -257,19 +250,3 @@ def synthesize_passifying(sys: PHSystem, tol: ToleranceConfig = DEFAULT_TOL) -> 
         raise ConditionsNotMet(refusal)
     return passifying_feedback_formula(sys)
 
-
-def feedback_admissible(R, B, F, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    """Dissipation-preservation certificate for a feedback acting through B:
-    ``R~ = R - (B F + F^T B^T)/2`` stays PSD and keeps rank equal to
-    ``rank [R, B]``."""
-    R = as_matrix(R)
-    B = as_matrix(B)
-    F = as_matrix(F)
-    n = R.shape[0]
-    if R.shape != (n, n) or B.shape[0] != n or F.shape != (B.shape[1], n):
-        raise ShapeMismatch("inconsistent shapes for admissibility check")
-    K = B @ F
-    R_cl = R - 0.5 * (K + K.T)
-    if not classify_definiteness(R_cl, tol).is_semidefinite:
-        return False
-    return numerical_rank(R_cl, tol) == numerical_rank(np.hstack([R, B]), tol)

@@ -6,7 +6,18 @@ import scipy.linalg
 from hypothesis import settings
 
 from phdesc import pencil
-from phdesc.linalg import DEFAULT_TOL, as_matrix, nullspace_basis, numerical_rank, pseudo_inverse
+from phdesc.errors import HypothesisViolated, ShapeMismatch
+from phdesc.linalg import (
+    DEFAULT_TOL,
+    ToleranceConfig,
+    as_matrix,
+    classify_definiteness,
+    nullspace_basis,
+    numerical_rank,
+    pseudo_inverse,
+    spectral_norm,
+)
+from phdesc.pencil import imaginary_axis_full_rank
 
 settings.register_profile("suite", deadline=None, max_examples=50, derandomize=True)
 settings.load_profile("suite")
@@ -84,6 +95,66 @@ def brute_force_rank_on_axis(E, A, B, omega_grid, tol=DEFAULT_TOL):
         if numerical_rank(M, tol) < n:
             return False
     return True
+
+
+def undamped_block_stability_condition(E, J, R, n1: int,
+                                       tol: ToleranceConfig = DEFAULT_TOL) -> bool:
+    """Asymptotic-stability test for pencils whose dissipation is confined to
+    a leading PD block ``R = diag(R11, 0)`` with ``R11`` of size n1.
+
+    The pencil ``s E - (J - R)`` has all finite eigenvalues in the open left
+    half plane exactly when the trailing block row
+    ``[s E12^T + J12^T, s E22 - J22]`` keeps full row rank on the axis.  For
+    symmetric E those rows are ``y^T [s E - (J - R)]`` over the y with
+    ``y^T R = 0``, so this is :func:`imaginary_axis_full_rank` with B = R.
+    """
+    E = as_matrix(E)
+    J = as_matrix(J)
+    R = as_matrix(R)
+    n = E.shape[0]
+    if not (E.shape == J.shape == R.shape == (n, n)):
+        raise ShapeMismatch("E, J, R must be square of equal size")
+    if not 0 <= n1 <= n:
+        raise ShapeMismatch(f"n1 must be in [0, {n}]")
+    # A zero violation is within any band, so its scale is never needed.
+    violation = max(spectral_norm(R[:n1, n1:]), spectral_norm(R[n1:, n1:]))
+    if violation and violation > tol.psd_tol * max(1.0, spectral_norm(R)):
+        raise HypothesisViolated("R is not of the block form diag(R11, 0)")
+    if n1 > 0 and not classify_definiteness(R[:n1, :n1], tol).is_definite:
+        raise HypothesisViolated("leading dissipation block R11 is not positive definite")
+    return imaginary_axis_full_rank(E, J - R, R, tol)[0]
+
+
+def undamped_block_nonsingularity_condition(J, n1: int,
+                                            tol: ToleranceConfig = DEFAULT_TOL) -> bool:
+    """Companion rank test: with ``R = diag(R11 > 0, 0)``, the matrix
+    ``J - R`` is nonsingular exactly when ``[-J12^T, J22]`` has full row rank."""
+    J = as_matrix(J)
+    n = J.shape[0]
+    if J.shape != (n, n) or not 0 <= n1 <= n:
+        raise ShapeMismatch("J must be square and n1 within range")
+    n2 = n - n1
+    if n2 == 0:
+        return True
+    M = np.hstack([-J[:n1, n1:].T, J[n1:, n1:]])
+    return numerical_rank(M, tol) == n2
+
+
+def feedback_admissible(R, B, F, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
+    """Dissipation-preservation certificate for a feedback acting through B:
+    ``R~ = R - (B F + F^T B^T)/2`` stays PSD and keeps rank equal to
+    ``rank [R, B]``."""
+    R = as_matrix(R)
+    B = as_matrix(B)
+    F = as_matrix(F)
+    n = R.shape[0]
+    if R.shape != (n, n) or B.shape[0] != n or F.shape != (B.shape[1], n):
+        raise ShapeMismatch("inconsistent shapes for admissibility check")
+    K = B @ F
+    R_cl = R - 0.5 * (K + K.T)
+    if not classify_definiteness(R_cl, tol).is_semidefinite:
+        return False
+    return numerical_rank(R_cl, tol) == numerical_rank(np.hstack([R, B]), tol)
 
 
 def hamiltonian(sys, x) -> float:

@@ -30,21 +30,21 @@ from phdesc.pencil import (
     pencil_report,
     stabilizability_rank_condition,
     strict_passifiability_condition,
-    undamped_block_nonsingularity_condition,
-    undamped_block_stability_condition,
 )
 from phdesc.simulate import simulate_closed_loop
 from phdesc.synthesis import (
     build_stabilizing_feedback,
-    feedback_admissible,
     passifying_feedback_formula,
     synthesize_passifying,
     synthesize_stabilizing,
 )
 from conftest import (
     brute_force_rank_on_axis,
+    feedback_admissible,
     random_admissible_feedback,
     random_dissipative_pencil,
+    undamped_block_nonsingularity_condition,
+    undamped_block_stability_condition,
 )
 
 

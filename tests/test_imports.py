@@ -178,6 +178,32 @@ def test_no_private_names_across_modules():
     assert crossing == []
 
 
+def test_every_public_definition_is_used():
+    # Library code serves the package, the benchmark or the scripts; a
+    # statement that only tests call belongs in tests/conftest.py as an
+    # oracle.  A re-export from __init__.py is not a use.
+    def used(path):
+        names = set()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.ImportFrom) and path.name != "__init__.py":
+                names.update(alias.name for alias in node.names)
+        return names
+
+    sources = [p for p in sorted(_PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+    users = [*sources, *sorted((_REPO / "bench").glob("*.py")),
+             *sorted((_REPO / "scripts").glob("*.py"))]
+    referenced = set().union(*(used(p) for p in users))
+    unused = [f"{path.name}: {node.name}" for path in sources
+              for node in ast.parse(path.read_text(encoding="utf-8")).body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_") and node.name not in referenced]
+    assert unused == []
+
+
 def test_memo_slots_live_in_pencil_only():
     # pencil.py is the one owner of remembered values (E's SVD, the last
     # report, the last analysis); every other module, linalg included,

@@ -3,12 +3,14 @@ import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from phdesc.errors import NotSquare
+from phdesc.errors import NotSquare, ToleranceBreakdown
 from phdesc.linalg import (
     DEFAULT_TOL,
     DefinitenessKind,
     ToleranceConfig,
     classify_definiteness,
+    decide_rank,
+    deficiency,
     nullspace_basis,
     numerical_rank,
     pseudo_inverse,
@@ -63,6 +65,34 @@ class TestNumericalRank:
             M = rng.normal(size=(p, r)) @ rng.normal(size=(r, q)) if r else np.zeros((p, q))
             assert numerical_rank(M) == r
             assert numerical_rank(M) + nullspace_basis(M).shape[1] == q
+
+
+    def test_no_margin_refused(self):
+        # The cutoff is 1e-16 * 1 * 3 = 3e-16: 5e-16 kept and 1e-16 dropped
+        # both lie within tenfold of it.
+        with pytest.raises(ToleranceBreakdown, match="numerical rank"):
+            numerical_rank(np.diag([1.0, 5e-16, 1e-16]), ToleranceConfig(rank_rtol=1e-16))
+
+
+class TestRankRules:
+    def test_lone_value_near_cutoff(self):
+        # Dropped at 0.4x the cutoff with nothing kept: the pair rule has a
+        # clear side, the any-value rule does not.
+        s, thr = np.array([3.4e-13]), 8.2e-13
+        assert decide_rank(s, thr, "step") == 0
+        with pytest.raises(ToleranceBreakdown, match="at step: threshold 8.200e-13"):
+            deficiency(s, thr, "step")
+
+    def test_clear_margin(self):
+        s = np.array([2.0, 1.0, 1e-3, 1e-9])
+        assert decide_rank(s, 1e-6, "step") == 3
+        assert deficiency(s, 1e-6, "step") == 1
+
+    def test_pair_within_margin(self):
+        with pytest.raises(ToleranceBreakdown) as info:
+            decide_rank(np.array([1.0, 5e-6, 5e-7]), 1e-6, "pair")
+        assert (info.value.stage, info.value.kept_min, info.value.dropped_max) == \
+            ("pair", 5e-6, 5e-7)
 
 
 class TestNullspaceRange:

@@ -1,3 +1,4 @@
+import itertools
 import logging
 import re
 import sys as sys_module
@@ -19,7 +20,7 @@ from phdesc.linalg import (
     pseudo_inverse,
     range_basis,
 )
-from phdesc.model import PHSystem, apply_feedback
+from phdesc.model import PHSystem, apply_feedback, validate
 from phdesc.pencil import (
     StabilityClass,
     compress_feedthrough,
@@ -30,8 +31,6 @@ from phdesc.pencil import (
     pencil_report,
     stabilizability_rank_condition,
     strict_passifiability_condition,
-    undamped_block_nonsingularity_condition,
-    undamped_block_stability_condition,
 )
 from phdesc.synthesis import synthesize_passifying, synthesize_stabilizing
 from conftest import (
@@ -39,6 +38,8 @@ from conftest import (
     brute_force_rank_on_axis,
     random_dissipative_pencil,
     singular_common_nullspace,
+    undamped_block_nonsingularity_condition,
+    undamped_block_stability_condition,
 )
 
 ONE = np.array([[1.0]])
@@ -380,6 +381,27 @@ class TestPencilReport:
             assert r.stability_class is not StabilityClass.UNSTABLE
             if r.regular:
                 assert r.index <= 2
+
+    def test_one_by_one_regular_part_is_stable(self):
+        # `phdesc gen --n 3 --m 1 --seed 1 --rank-w 0`: the regular part is
+        # 1 x 1 with eigenvalue 8.9e-17, simple, so semisimple.  Anchored to
+        # sigma_max of the shifted part alone, roundoff, the multiplicity
+        # test found geometric multiplicity 0.
+        sys = random_ph(3, 1, 1, rank_w=0)
+        r = pencil_report(sys.E, sys.A)
+        assert r.n_regular == 1 and abs(r.finite_eigenvalues[0]) < 1e-15
+        assert r.stability_class is StabilityClass.STABLE_NOT_ASYMPTOTIC
+
+    def test_validated_plants_never_unstable(self):
+        # Dissipative Hamiltonian pencils have their finite eigenvalues in
+        # the closed left half plane, semisimple on the axis (Mehl, Mehrmann
+        # and Wojtylak, SIMAX 2018).
+        grid = itertools.product(FAMILIES, range(3, 9), range(4), range(4), (None, 0, 1))
+        for family, n, m, seed, rank_w in grid:
+            sys = random_ph(n, m, seed, rank_w=rank_w, **FAMILIES[family])
+            assert validate(sys).passed
+            r = pencil_report(sys.E, sys.A)
+            assert r.stability_class is not StabilityClass.UNSTABLE, (family, n, m, seed, rank_w)
 
 
 class TestSingularCommonNullspace:

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from phdesc.certify import certify_closed_loop
-from phdesc.errors import ConditionsNotMet, NotPSD, NotSkew
+from phdesc.errors import ConditionsNotMet, NotPSD, NotSkew, ToleranceBreakdown
 from phdesc.generators import random_ph
 from phdesc.linalg import (
     DEFAULT_TOL,
+    ToleranceConfig,
     classify_definiteness,
     numerical_rank,
     spectral_norm,
@@ -23,12 +24,16 @@ from phdesc.pencil import (
 )
 from phdesc.synthesis import (
     build_stabilizing_feedback,
-    feedback_admissible,
     passifying_feedback_formula,
     synthesize_passifying,
     synthesize_stabilizing,
 )
-from conftest import random_admissible_feedback, random_dissipative_pencil, skew
+from conftest import (
+    feedback_admissible,
+    random_admissible_feedback,
+    random_dissipative_pencil,
+    skew,
+)
 
 ONE = np.array([[1.0]])
 ZERO = np.array([[0.0]])
@@ -97,6 +102,13 @@ class TestSynthesizeStabilizing:
         with pytest.raises(ConditionsNotMet) as exc:
             synthesize_stabilizing(scalar_system(E=1))
         assert exc.value.witnesses == [0j]
+
+    def test_block_size_without_margin_refused(self):
+        # Below roundoff, an eigenvalue of the compressed R on the remaining
+        # rows sits within tenfold of the cutoff on both sides: mu3 is
+        # refused, not guessed.
+        with pytest.raises(ToleranceBreakdown, match="synthesis: mu3"):
+            synthesize_stabilizing(random_ph(5, 1, 0, rank_w=1), ToleranceConfig(rank_rtol=1e-17))
 
     def test_zero_input_column_still_certifies(self):
         # conditions hold through R alone; the construction returns a
