@@ -1,15 +1,17 @@
 #!/usr/bin/env python3
 """Identity sweep: record every verdict of the full chain, or compare two records.
 
-Runs the four ``random_ph`` families through validation, the pencil report,
-the three existence conditions, both syntheses with certification, and the
-``phdesc`` CLI (in-process ``phdesc.cli.main``: ``certify`` and ``simulate``
-on the stabilizing and on a seeded random feedback), and writes one JSON record
-of what the importable ``phdesc`` returned: verdicts, witnesses, exception
-types and messages, the SHA-256 of every feedback's bytes, spectra as
-multisets and CLI exit codes with their stderr; each ``simulate`` starts from
-a seeded state under a seeded constant input and adds its power-balance
-residual and the SHA-256 of its trajectory CSV.  One system per family adds
+Runs the four ``random_ph`` families, and a "damped-floor" family of lossless
+plants given R = delta I, through validation, the pencil report, the three
+existence conditions, both syntheses with certification, and the ``phdesc``
+CLI (in-process ``phdesc.cli.main``: ``certify`` and ``simulate`` on the
+stabilizing and on a seeded random feedback), and writes one JSON record of
+what the importable ``phdesc`` returned: verdicts, witnesses, exception types
+and messages, the SHA-256 of every feedback's bytes, spectra as multisets,
+the certifications' checks, and CLI exit codes with their stderr and the
+SHA-256 of their reports (the work folder's path masked); each ``simulate``
+starts from a seeded state under a seeded constant input and adds its
+power-balance residual and the SHA-256 of its trajectory CSV.  One system per family adds
 a 10 s ``simulate`` (10,001 rows) under its stabilizing feedback, or its
 open loop where there is none, so the record also pins a trajectory CSV
 long enough to be formatted in parts on a host with several CPUs.  Spectra
@@ -59,6 +61,11 @@ FAMILIES = {
 # (n, seed) of the system per family whose CLI runs add the 10 s simulation.
 LONG_HORIZON = (20, 0)
 
+# R = delta I on a lossless plant (rank_w = 0): the dissipation bound
+# delta / ||E||_2 sits below, near and above the tenfold cutoffs
+# 10 axis_tol and 10 stability_margin (1e-7 at the defaults).
+DAMPED_FLOOR = (1e-9, 1e-7, 1e-6)
+
 
 def systems():
     """(family, n, m, seed, run_cli, knobs) of every system in the sweep;
@@ -87,6 +94,19 @@ def systems():
     # Narrow-input axis-mode systems whose oscillator no input reaches.
     for seed in range(12):
         yield "axis-mode", 60, 1, seed, True, {}
+    for damping in DAMPED_FLOOR:
+        for n in range(3, 13):
+            for m in (1, 2):
+                for seed in range(2):
+                    yield "damped-floor", n, m, seed, n <= 6, {"rank_w": 0, "damping": damping}
+
+
+def _system(phdesc, family: str, n: int, m: int, seed: int, knobs: dict):
+    """The generated system; a "damping" knob replaces R by damping * I."""
+    knobs = dict(knobs)
+    damping = knobs.pop("damping", None)
+    s = phdesc.random_ph(n, m, seed, **FAMILIES.get(family, {}), **knobs)
+    return s if damping is None else dataclasses.replace(s, R=damping * np.eye(n))
 
 
 def _hex(values) -> list[list[str]]:
@@ -133,7 +153,8 @@ def _synthesis(phdesc, s, goal, tol) -> dict:
         return {**_error(exc), "witnesses": _hex(exc.witnesses)}
     cert = phdesc.certify_closed_loop(s, F, goal, tol)
     out.update(feedback_sha256=_sha(F), overall=bool(cert.overall),
-               certification=_report(cert.pencil), w=cert.w.kind.value)
+               certification=_report(cert.pencil), checks=cert.to_dict()["checks"],
+               w=cert.w.kind.value)
     return out
 
 
@@ -200,6 +221,10 @@ def _cli(s, seed: int, tol_args: list[str], work: Path, long_horizon: bool) -> d
         with contextlib.redirect_stderr(err):
             code = main(argv + ["--report", str(report)] + tol_args)
         out[name] = {"exit": code, "stderr": err.getvalue()}
+        if report.exists():
+            # Reports name their files, which lie in a fresh temporary folder.
+            text = report.read_text().replace(str(work), "WORK")
+            out[name]["report_sha256"] = hashlib.sha256(text.encode()).hexdigest()
         if name.startswith("simulate") and traj.exists():
             doc = json.loads(report.read_text())
             out[name].update(power_balance_residual=float(doc["power_balance_residual"]).hex(),
@@ -225,7 +250,7 @@ def record(tol_value: float | None) -> dict:
             key = f"{family} n={n} m={m} seed={seed}" + "".join(
                 f" {k}={v}" for k, v in knobs.items())
             try:
-                s = phdesc.random_ph(n, m, seed, **FAMILIES[family], **knobs)
+                s = _system(phdesc, family, n, m, seed, knobs)
             except phdesc.PhdescError as exc:
                 records[key] = {"generate": _error(exc)}
                 continue

@@ -50,10 +50,12 @@ from .model import (
 )
 from .pencil import (
     DCompression,
+    DissipationBound,
     FeedbackAnalysis,
     PencilReport,
     StabilityClass,
     compress_feedthrough,
+    dissipation_bound,
     feedback_analysis,
     imaginary_axis_full_rank,
     index_one_rank_condition,

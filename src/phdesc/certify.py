@@ -13,8 +13,14 @@ reached from scratch.
 
 The overall verdict reads only its goal's checks, in order.  The passify
 verdict reads W and the index but no spectrum: W > 0 already forces
-asymptotic stability.  The closed loop's spectrum is computed when
-:meth:`CertReport.to_dict` (or a caller) first reads it.
+asymptotic stability.  The stabilize verdict reads no spectrum either when
+:func:`phdesc.pencil.dissipation_bound` keeps every eigenvalue of the
+regular loop more than ten times ``stability_margin`` inside the left half
+plane, the case for a loop with R~ > 0 and E PSD; otherwise it reads the
+closed loop's stability class.  The closed loop's spectrum is computed when
+:meth:`CertReport.to_dict` (or a caller) first reads it, so a spectrum-stage
+refusal rises there and not in :func:`certify_closed_loop` when the bound
+decided.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from dataclasses import dataclass, field
 from .fileio import complex_pairs
 from .linalg import DEFAULT_TOL, Definiteness, ToleranceConfig, classify_definiteness
 from .model import PHSystem, apply_feedback, dissipation_matrix
-from .pencil import PencilReport, StabilityClass, pencil_report
+from .pencil import PencilReport, StabilityClass, dissipation_bound, pencil_report
 
 GOALS = ("stabilize", "passify")
 
@@ -32,50 +38,57 @@ GOALS = ("stabilize", "passify")
 _REQUIRED = {"stabilize": ("ph_structure", "index_at_most_one", "asymptotically_stable"),
              "passify": ("strictly_passive", "index_at_most_one")}
 
-# Each check reads only what it reports: the spectrum only for stability.
+# Per check, whether it passed and what it reports beside that.  A verdict
+# reads only the first, so only the stability check reads the spectrum, and
+# not even it when the dissipation bound decided.
 _CHECKS = {
-    "ph_structure": lambda rep, w, tol: {
-        "passed": bool(w.is_semidefinite),
-        "lambda_min_w": float(w.min_eigenvalue),
-        "tolerance": w.band,
-    },
-    "regular": lambda rep, w, tol: {"passed": bool(rep.regular)},
-    "index_at_most_one": lambda rep, w, tol: {
-        "passed": bool(rep.regular and rep.index <= 1),
-        "index": rep.index,
-    },
-    "asymptotically_stable": lambda rep, w, tol: {
-        "passed": rep.stability_class is StabilityClass.ASYMPTOTICALLY_STABLE,
-        "spectral_abscissa": rep.spectral_abscissa,
-        "tolerance": tol.stability_margin,
-    },
-    "strictly_passive": lambda rep, w, tol: {
-        "passed": bool(w.is_definite),
-        "lambda_min_w": float(w.min_eigenvalue),
-        "tolerance": w.band,
-    },
+    "ph_structure": (
+        lambda c: c.w.is_semidefinite,
+        lambda c: {"lambda_min_w": float(c.w.min_eigenvalue), "tolerance": c.w.band}),
+    "regular": (lambda c: c.pencil.regular, lambda c: {}),
+    "index_at_most_one": (
+        lambda c: c.pencil.regular and c.pencil.index <= 1,
+        lambda c: {"index": c.pencil.index}),
+    "asymptotically_stable": (
+        lambda c: c.stable_by_bound
+        or c.pencil.stability_class is StabilityClass.ASYMPTOTICALLY_STABLE,
+        lambda c: {"spectral_abscissa": c.pencil.spectral_abscissa,
+                   "tolerance": c.tol.stability_margin}),
+    "strictly_passive": (
+        lambda c: c.w.is_definite,
+        lambda c: {"lambda_min_w": float(c.w.min_eigenvalue), "tolerance": c.w.band}),
 }
 
 
 @dataclass(frozen=True)
 class CertReport:
     """Per-property verdicts for a closed loop, read off its pencil report
-    and the definiteness of its dissipation matrix W."""
+    and the definiteness of its dissipation matrix W.
+
+    ``stable_by_bound`` is True when :func:`phdesc.pencil.dissipation_bound`
+    alone decided asymptotic stability (goal "stabilize" only); the
+    stability check then reads no spectrum.
+    """
 
     goal: str
-    overall: bool
+    overall: bool = field(init=False)
     closed_loop: PHSystem = field(repr=False)
     pencil: PencilReport = field(repr=False)
     w: Definiteness
     tol: ToleranceConfig
+    stable_by_bound: bool
+
+    def __post_init__(self):
+        object.__setattr__(self, "overall", all(
+            bool(_CHECKS[name][0](self)) for name in _REQUIRED[self.goal]))
 
     def to_dict(self) -> dict:
         return {
             "kind": "certification",
             "goal": self.goal,
-            "overall": bool(self.overall),
-            "checks": {name: check(self.pencil, self.w, self.tol)
-                       for name, check in _CHECKS.items()},
+            "overall": self.overall,
+            "checks": {name: {"passed": bool(passed(self)), **details(self)}
+                       for name, (passed, details) in _CHECKS.items()},
             "spectrum": complex_pairs(self.pencil.finite_eigenvalues),
         }
 
@@ -91,14 +104,24 @@ def certify_closed_loop(
     For goal "stabilize" the overall verdict requires the closed-loop
     dissipation matrix PSD, regularity, index at most one, and all finite
     eigenvalues at least ``stability_margin`` inside the left half plane.
-    For goal "passify" it requires the dissipation matrix positive definite
-    together with regularity and index at most one (definiteness already
-    forces asymptotic stability, which is still reported, but not read).
+    A regular loop with W PSD whose :func:`phdesc.pencil.dissipation_bound`
+    lies in the left half plane and exceeds ``10 * stability_margin`` is
+    asymptotically stable without an eigensolve; any other loop reads its
+    stability class.  For goal "passify" it requires the dissipation matrix
+    positive definite together with regularity and index at most one
+    (definiteness already forces asymptotic stability, which is still
+    reported, but not read).
     """
     if goal not in GOALS:
         raise ValueError(f"goal must be one of {GOALS}")
     closed = apply_feedback(sys, F)
+    A = closed.A
     w = classify_definiteness(dissipation_matrix(closed), tol)
-    rep = pencil_report(closed.E, closed.A, tol)
-    overall = all(_CHECKS[k](rep, w, tol)["passed"] for k in _REQUIRED[goal])
-    return CertReport(goal=goal, overall=overall, closed_loop=closed, pencil=rep, w=w, tol=tol)
+    rep = pencil_report(closed.E, A, tol)
+    stable = False
+    if goal == "stabilize" and rep.regular and w.is_semidefinite:
+        bound = dissipation_bound(closed.E, A, tol)
+        stable = (bound is not None and bound.axis_distance > 10.0 * tol.stability_margin
+                  and bound.left_half_plane)
+    return CertReport(goal=goal, closed_loop=closed, pencil=rep, w=w, tol=tol,
+                      stable_by_bound=stable)

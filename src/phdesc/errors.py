@@ -31,7 +31,8 @@ class ToleranceBreakdown(PhdescError, ArithmeticError):
     """A rank decision had no tenfold margin from its cutoff, so it is
     refused rather than guessed; ``stage`` names the decision (a staircase
     step, a PBH test, an axis eigenvalue's multiplicity, a synthesis block
-    size, a named rank or nullspace)."""
+    size, a named rank or nullspace).  The values are singular values, or
+    eigenvalues where the decision rests on them (synthesis's mu3)."""
 
     def __init__(self, stage: str, threshold: float, kept_min: float, dropped_max: float):
         self.stage = stage
@@ -40,7 +41,7 @@ class ToleranceBreakdown(PhdescError, ArithmeticError):
         self.dropped_max = dropped_max
         super().__init__(
             f"ambiguous rank decision at {stage}: threshold {threshold:.3e}, "
-            f"smallest kept singular value {kept_min:.3e}, "
+            f"smallest kept value {kept_min:.3e}, "
             f"largest dropped {dropped_max:.3e}"
         )
 

@@ -28,14 +28,19 @@ read and then kept, so a verdict that reads neither pays no eigensolve.
 
 "Full row rank of ``[s E - A, B]`` on the imaginary axis" is decided at the
 points where it can fail.  For a regular pencil the rank can drop only at
-an eigenvalue (Hautus), so each eigenvalue of the report within axis_tol of
-the axis is decided by one Popov-Belevitch-Hautus (PBH) SVD of
-``[lam E - A, B]`` at lam itself, a conjugate pair at its member with
-``Im lam >= 0``.  A singular pencil whose left minimal indices are all
-zero, as every port-Hamiltonian one is (Mehl, Mehrmann & Wojtylak, SIMAX
-2018), has a constant left kernel N0 off its spectrum: the rank drops
-everywhere when ``N0^T B`` is rank-deficient, and one PBH test at s = 0
-finds that.
+an eigenvalue (Hautus).  When E is symmetric and ``-(A + A^T) / 2`` (R for
+port-Hamiltonian data) positive definite, :func:`dissipation_bound` keeps
+every eigenvalue off the axis without an eigensolve; a bound above ten
+times axis_tol decides the rank at once.  Otherwise each eigenvalue of
+the report within axis_tol of the axis is decided by one
+Popov-Belevitch-Hautus (PBH) SVD of ``[lam E - A, B]`` at lam itself, a
+conjugate pair at its member with ``Im lam >= 0``.  A singular pencil
+whose left minimal indices are all zero, as every port-Hamiltonian one is
+(Mehl, Mehrmann & Wojtylak, SIMAX 2018), has a constant left kernel N0
+off its spectrum: the rank drops everywhere when ``N0^T B`` is
+rank-deficient, and one PBH test at s = 0 finds that.  So of the
+verdicts here only the stability class and the axis test without the
+bound read the spectrum.
 
 The three existence conditions are parts of one :class:`FeedbackAnalysis`
 per system and tolerance, remembered by :func:`feedback_analysis` like the
@@ -426,6 +431,53 @@ def _staircase(E, A, tol: ToleranceConfig) -> PencilReport:
                         *kernels)
 
 
+@dataclass(frozen=True)
+class DissipationBound:
+    """What the dissipation alone says of the finite eigenvalues lam of
+    ``s E - A`` (see :func:`dissipation_bound`).
+
+    ``axis_distance`` is a lower bound on ``|Re lam|``.
+    ``left_half_plane``, decided on first read by one ``eigvalsh`` of E, is
+    whether E is PSD at the rank a report of the pencil keeps:
+    ``lambda_min(E) > -thr_e / 10``, with thr_e that report's cutoff for E.
+    Then every lam has ``Re lam < 0``.
+    """
+
+    axis_distance: float
+    E: np.ndarray = field(repr=False)
+    thr_e: float
+
+    @cached_property
+    def left_half_plane(self) -> bool:
+        return not self.E.size or float(np.linalg.eigvalsh(self.E)[0]) > -self.thr_e / 10.0
+
+
+def dissipation_bound(E, A, tol: ToleranceConfig = DEFAULT_TOL) -> DissipationBound | None:
+    """Where the dissipation puts the finite spectrum of the square pencil
+    ``s E - A``, without an eigensolve; None (undecided) unless
+    ``E == E^T`` bitwise and ``-H = -(A + A^T) / 2`` is positive definite
+    (decided by :func:`classify_definiteness`).
+
+    An eigenvector x of lam has ``Re lam * x^H E x = x^H H x`` when E is
+    symmetric, so ``|Re lam| >= lambda_min(-H) / ||E||_2``, and
+    ``Re lam < 0`` when also E is PSD (Mehl, Mehrmann & Wojtylak, SIMAX
+    2018).  For port-Hamiltonian data -H is R.  ||E||_2 is read off the
+    remembered SVD of E, so after a report of the pencil the bound costs one
+    ``eigvalsh`` of H.  The bound is infinite for E = 0.
+    """
+    E = as_matrix(E)
+    A = as_matrix(A)
+    if not np.array_equal(E, E.T):
+        return None
+    minus_h = classify_definiteness(-A, tol)
+    if not minus_h.is_definite:
+        return None
+    s = _e_svd(E)[1]
+    norm_e = float(s[0]) if s.size else 0.0
+    return DissipationBound(minus_h.min_eigenvalue / norm_e if norm_e else np.inf, E,
+                            tol.rank_rtol * max(E.shape) * norm_e)
+
+
 def _axis_eigenvalues_semisimple(evs, A_reg, E_reg, tol: ToleranceConfig) -> bool:
     """Algebraic multiplicity equals rank deficiency of the shifted regular part.
 
@@ -437,14 +489,16 @@ def _axis_eigenvalues_semisimple(evs, A_reg, E_reg, tol: ToleranceConfig) -> boo
     """
     axis = evs[(np.abs(evs.real) <= tol.axis_tol) & (evs.imag >= 0)]
     seen: list[complex] = []
+    norms = None  # (||E_reg||, ||A_reg||), taken at the first axis eigenvalue
     for lam in axis:
         if any(abs(lam - mu) <= _CLUSTER_RTOL * max(1.0, abs(mu)) for mu in seen):
             continue
         seen.append(complex(lam))
         alg = int(np.sum(np.abs(evs - lam) <= _CLUSTER_RTOL * max(1.0, abs(lam))))
         M = lam * E_reg - A_reg
-        thr = tol.rank_rtol * max(M.shape) * (abs(lam) * spectral_norm(E_reg)
-                                              + spectral_norm(A_reg))
+        if norms is None:
+            norms = spectral_norm(E_reg), spectral_norm(A_reg)
+        thr = tol.rank_rtol * max(M.shape) * (abs(lam) * norms[0] + norms[1])
         geo = deficiency(np.linalg.svd(M, compute_uv=False), thr,
                          f"geometric multiplicity, s = {lam:.6g}")
         if geo < alg:
@@ -467,9 +521,12 @@ def imaginary_axis_full_rank(E, A, B, tol: ToleranceConfig = DEFAULT_TOL) -> tup
     Returns the verdict and the offending points: each eigenvalue of
     ``s E - A`` within ``tol.axis_tol`` of the axis where the rank drops,
     with its conjugate, or ``[0j]`` for a singular pencil whose rank drops
-    everywhere.  Raises :class:`ToleranceBreakdown` when a PBH test has no
-    tenfold margin, and :class:`HypothesisViolated` for a singular pencil
-    with a positive left minimal index (never port-Hamiltonian).
+    everywhere.  A regular pencil whose :func:`dissipation_bound` exceeds
+    ``10 * tol.axis_tol`` has no such eigenvalue, and returns
+    ``(True, [])`` without reading the report's spectrum.  Raises
+    :class:`ToleranceBreakdown` when a PBH test has no tenfold margin, and
+    :class:`HypothesisViolated` for a singular pencil with a positive left
+    minimal index (never port-Hamiltonian).
     """
     E = as_matrix(E)
     A = as_matrix(A)
@@ -478,7 +535,11 @@ def imaginary_axis_full_rank(E, A, B, tol: ToleranceConfig = DEFAULT_TOL) -> tup
     if E.shape != (n, n) or A.shape != (n, n) or B.shape[0] != n:
         raise ShapeMismatch("imaginary_axis_full_rank expects n x n pencils and n x k B")
     rep = pencil_report(E, A, tol)
-    if not rep.regular:
+    if rep.regular:
+        bound = dissipation_bound(E, A, tol)
+        if bound is not None and bound.axis_distance > 10.0 * tol.axis_tol:
+            return True, []
+    else:
         if any(rep.left_minimal_indices):
             raise HypothesisViolated("singular pencil with a positive left minimal index: "
                                      "the rank of [s E - A, B] can drop off its spectrum")

@@ -84,7 +84,8 @@ class TestCertifyClosedLoop:
 
 
 class TestSpectrumOnDemand:
-    """The passify verdict reads W and the index but no spectrum; the report
+    """The passify verdict reads W and the index but no spectrum, and so
+    does the stabilize verdict when the dissipation bound decides; the report
     still lists all five checks and the closed loop's spectrum."""
 
     @pytest.mark.parametrize("rank_e", [None, 9])
@@ -108,14 +109,24 @@ class TestSpectrumOnDemand:
         assert eager.pencil is not cert.pencil
         assert json.dumps(eager.to_dict()) == lazy
 
-    def test_stabilize_verdict_reads_the_spectrum(self, monkeypatch, cold_report,
-                                                  eigvals_calls):
+    def test_stabilize_verdict_reads_the_spectrum_only_without_the_bound(
+            self, monkeypatch, cold_report, eigvals_calls):
+        # R~ > 0 and E PSD: the dissipation bound keeps the synthesized
+        # loop's spectrum far inside the left half plane.
         sys = random_ph(12, 2, 0)
         F, _ = synthesize_stabilizing(sys)
         monkeypatch.setattr(pencil, "_REPORT", None)
         eigvals_calls.clear()
-        assert certify_closed_loop(sys, F, "stabilize").overall
-        assert len(eigvals_calls) == 1
+        cert = certify_closed_loop(sys, F, "stabilize")
+        assert cert.overall and cert.stable_by_bound and eigvals_calls == []
+        assert cert.to_dict()["checks"]["asymptotically_stable"]["passed"]
+        # An oscillator damped through R = diag(1, 0) is stable, but R is
+        # singular, so the bound decides nothing and the class is read.
+        damped = PHSystem(E=np.eye(2), J=[[0.0, 1.0], [-1.0, 0.0]], R=np.diag([1.0, 0.0]),
+                          G=np.zeros((2, 1)), P=np.zeros((2, 1)), S=[[0.0]], N=[[0.0]])
+        eigvals_calls.clear()
+        cert = certify_closed_loop(damped, np.zeros((1, 2)), "stabilize")
+        assert cert.overall and not cert.stable_by_bound and len(eigvals_calls) == 1
 
 
 class TestSharedSvdOfE:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from phdesc import pencil
+from phdesc import certify, pencil
 from phdesc.certify import certify_closed_loop
 from phdesc.errors import ConditionsNotMet, HypothesisViolated, NotPSD, ToleranceBreakdown
 from phdesc.generators import random_ph
@@ -342,6 +342,16 @@ class TestPencilReport:
         assert len(shifted) == 1
         assert np.array_equal(shifted[0], lam * r.regular_E - r.regular_A)
 
+    def test_axis_norms_taken_once(self, cold_report, svd_calls):
+        # Two undamped oscillators, at +-i and +-2i, with E = I and R = 0:
+        # ||E_reg|| and ||A_reg|| once, then one shifted SVD per axis pair.
+        J = np.zeros((4, 4))
+        J[0, 1], J[2, 3] = 1.0, 2.0
+        r = pencil_report(np.eye(4), J - J.T)
+        svd_calls.clear()
+        assert r.stability_class is StabilityClass.STABLE_NOT_ASYMPTOTIC
+        assert len(svd_calls) == 4
+
     @pytest.mark.parametrize("family", ["plain", "axis-mode", "singular"])
     def test_spectrum_in_canonical_order(self, family):
         # Sorted by real part, then imaginary part, on either route.
@@ -477,6 +487,83 @@ class TestImaginaryAxisFullRank:
         assert imaginary_axis_full_rank(sys.E, sys.A, B) == (False, [0j])
         assert brute_force_rank_on_axis(sys.E, sys.A, B, [0.0, 0.7, 3.0]) is False
         assert imaginary_axis_full_rank(sys.E, sys.A, sys.B) == (True, [])
+
+
+class TestDissipationBound:
+    """With E symmetric and -H = R > 0, an eigenvalue lam has
+    |Re lam| >= lambda_min(R) / ||E||_2, so the stabilizability condition
+    and the stabilize certification decide without an eigensolve."""
+
+    def test_bound_verdicts_equal_the_spectrum_route(self, monkeypatch):
+        undecided = lambda *args: None  # noqa: E731
+        decided = {"condition": 0, "certification": 0}
+        grid = itertools.product(FAMILIES, (None, 0, 1), range(3, 13), range(1, 4), range(4))
+        for family, rank_w, n, m, seed in grid:
+            sys = random_ph(n, m, seed, rank_w=rank_w, **FAMILIES[family])
+            B = np.hstack(feedback_analysis(sys).input_blocks)
+            bound = pencil.dissipation_bound(sys.E, sys.A)
+            if (pencil_report(sys.E, sys.A).regular and bound is not None
+                    and bound.axis_distance > 10.0 * DEFAULT_TOL.axis_tol):
+                decided["condition"] += 1
+                assert imaginary_axis_full_rank(sys.E, sys.A, B) == (True, [])
+                with monkeypatch.context() as mp:
+                    mp.setattr(pencil, "dissipation_bound", undecided)
+                    assert imaginary_axis_full_rank(sys.E, sys.A, B) == (True, [])
+            try:
+                F, _ = synthesize_stabilizing(sys)
+            except ConditionsNotMet:
+                continue
+            cert = certify_closed_loop(sys, F)
+            if cert.stable_by_bound:
+                decided["certification"] += 1
+                with monkeypatch.context() as mp:
+                    mp.setattr(certify, "dissipation_bound", undecided)
+                    again = certify_closed_loop(sys, F)
+                assert not again.stable_by_bound
+                assert again.overall == cert.overall
+                assert again.to_dict() == cert.to_dict()
+        assert min(decided.values()) > 100, decided
+
+    def test_asymmetric_e_reads_the_spectrum(self, cold_report, eigvals_calls):
+        sys = random_ph(12, 2, 0)
+        E = sys.E.copy()
+        E[0, 1] = np.nextafter(E[0, 1], np.inf)  # one ulp off symmetric
+        assert pencil.dissipation_bound(sys.E, sys.A) is not None
+        assert pencil.dissipation_bound(E, sys.A) is None
+        assert imaginary_axis_full_rank(E, sys.A, sys.B) == (True, [])
+        assert len(eigvals_calls) == 1
+
+    def test_indefinite_e_fails_the_stabilize_certification(self):
+        # -H = R = I bounds |Re lam| by 1, but E = diag(1, -1) puts the
+        # eigenvalues at -1 and +1.
+        sys = PHSystem(E=np.diag([1.0, -1.0]), J=np.zeros((2, 2)), R=np.eye(2),
+                       G=np.zeros((2, 1)), P=np.zeros((2, 1)), S=[[0.0]], N=[[0.0]])
+        bound = pencil.dissipation_bound(sys.E, sys.A)
+        assert bound.axis_distance == pytest.approx(1.0) and not bound.left_half_plane
+        assert stabilizability_rank_condition(sys) == (True, [])
+        cert = certify_closed_loop(sys, np.zeros((1, 2)), "stabilize")
+        assert cert.w.is_semidefinite and not cert.stable_by_bound and not cert.overall
+        assert cert.pencil.stability_class is StabilityClass.UNSTABLE
+        assert cert.to_dict()["checks"]["asymptotically_stable"]["passed"] is False
+
+    @pytest.mark.parametrize("r", [1e-9, 5e-9])
+    def test_bound_within_the_margin_reads_the_spectrum(self, r):
+        # R = r I > 0 bounds |Re lam| by r, within ten times axis_tol and
+        # stability_margin: the unreachable oscillator at -r +- 1.5i still
+        # fails the condition, and the open loop is not asymptotically stable.
+        J = np.zeros((3, 3))
+        J[0, 1] = 1.5
+        sys = _port_hamiltonian(J - J.T, r * np.eye(3), np.array([[0.0], [0.0], [1.0]]))
+        assert pencil.dissipation_bound(sys.E, sys.A).axis_distance == pytest.approx(r)
+        ok, wit = stabilizability_rank_condition(sys)
+        assert not ok
+        assert_spectra_match(wit, [-r + 1.5j, -r - 1.5j], atol=1e-12)
+        cert = certify_closed_loop(sys, np.zeros((1, 3)), "stabilize")
+        assert not cert.stable_by_bound and not cert.overall
+
+    def test_condition_takes_no_eigvals(self, cold_report, cold_analysis, eigvals_calls):
+        assert stabilizability_rank_condition(random_ph(12, 2, 0)) == (True, [])
+        assert eigvals_calls == []
 
 
 # (generator keywords, route, k = n - rank E) of one pencil per route.
