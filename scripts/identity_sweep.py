@@ -4,7 +4,8 @@
 Runs the four ``random_ph`` families, and a "damped-floor" family of lossless
 plants given R = delta I, through validation, the pencil report, the three
 existence conditions, both syntheses with certification, and the ``phdesc``
-CLI (in-process ``phdesc.cli.main``: ``certify`` and ``simulate`` on the
+CLI (in-process ``phdesc.cli.main``: ``validate`` on every system, and on the
+smaller ones every other command, ``certify`` and ``simulate`` on the
 stabilizing and on a seeded random feedback), and writes one JSON record of
 what the importable ``phdesc`` returned: verdicts, witnesses, exception types
 and messages, the SHA-256 of every feedback's bytes, spectra as multisets,
@@ -16,7 +17,10 @@ a 10 s ``simulate`` (10,001 rows) under its stabilizing feedback, or its
 open loop where there is none, so the record also pins a trajectory CSV
 long enough to be formatted in parts on a host with several CPUs.  Spectra
 are stored sorted, so two trees that list the same eigenvalues in another
-order agree.
+order agree.  The record also pins the command-line surface: the SHA-256 of
+``phdesc --help`` and of each subcommand's ``--help`` (at 80 columns), of
+``gen``'s stdout for each family (and with ``--rank-e`` and ``--rank-w`` set),
+and one ``analyze`` per family with all four tolerance flags set.
 
 Record one tree, then another, then compare:
 
@@ -45,6 +49,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -65,6 +70,22 @@ LONG_HORIZON = (20, 0)
 # delta / ||E||_2 sits below, near and above the tenfold cutoffs
 # 10 axis_tol and 10 stability_margin (1e-7 at the defaults).
 DAMPED_FLOOR = (1e-9, 1e-7, 1e-6)
+
+# Every subcommand, for the SHA-256 of its --help.
+COMMANDS = ("gen", "validate", "analyze", "stabilize", "passify", "certify", "simulate")
+
+# The gen runs: each family, and --rank-e and --rank-w on one family each.
+GEN_RUNS = {
+    **{family: [f"--{knob.replace('_', '-')}" for knob in knobs]
+       for family, knobs in FAMILIES.items()},
+    "plain rank-e": ["--rank-e", "4"],
+    "s-definite rank-w": ["--s-definite", "--rank-w", "1"],
+}
+
+# All four tolerance flags off their defaults, for one analyze per family;
+# these runs ignore --tol.
+TOL_OVERRIDES = ["--tol", "1e-12", "--axis-tol", "1e-6", "--psd-tol", "1e-9",
+                 "--stability-margin", "1e-6"]
 
 
 def systems():
@@ -175,7 +196,10 @@ def _chain(phdesc, s, tol) -> dict:
     }
 
 
-def _cli(s, seed: int, tol_args: list[str], work: Path, long_horizon: bool) -> dict:
+def _cli(s, seed: int, tol_args: list[str], work: Path, full: bool, long_horizon: bool) -> dict:
+    """CLI runs on one system: ``validate`` alone, or every command when
+    ``full``; the long-horizon system adds ``simulate-long`` and
+    ``analyze-overrides``."""
     from phdesc.cli import main
     from phdesc.fileio import save_feedback, save_system
 
@@ -192,6 +216,7 @@ def _cli(s, seed: int, tol_args: list[str], work: Path, long_horizon: bool) -> d
     if s.m:
         excite.append(f"--u={_csv(rng.normal(size=s.m))}")
     runs = {
+        "validate": ["validate", "--input", str(system)],
         "analyze": ["analyze", "--input", str(system)],
         "stabilize": ["stabilize", "--input", str(system), "--output", str(stab_F)],
         "passify": ["passify", "--input", str(system)],
@@ -209,6 +234,9 @@ def _cli(s, seed: int, tol_args: list[str], work: Path, long_horizon: bool) -> d
     if long_horizon:
         runs["simulate-long"] = ["simulate", "--input", str(system), "--T", "10",
                                  "--dt", "0.001", "--output", str(traj), *excite]
+        runs["analyze-overrides"] = ["analyze", "--input", str(system)]
+    if not full:
+        runs = {"validate": runs["validate"]}
     out = {}
     for name, argv in runs.items():
         if name in ("certify-own", "simulate") and not stab_F.exists():
@@ -219,7 +247,8 @@ def _cli(s, seed: int, tol_args: list[str], work: Path, long_horizon: bool) -> d
             path.unlink(missing_ok=True)
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
-            code = main(argv + ["--report", str(report)] + tol_args)
+            code = main(argv + ["--report", str(report)]
+                        + (TOL_OVERRIDES if name == "analyze-overrides" else tol_args))
         out[name] = {"exit": code, "stderr": err.getvalue()}
         if report.exists():
             # Reports name their files, which lie in a fresh temporary folder.
@@ -234,6 +263,39 @@ def _cli(s, seed: int, tol_args: list[str], work: Path, long_horizon: bool) -> d
 
 def _csv(values) -> str:
     return ",".join(repr(float(v)) for v in values)
+
+
+def _captured(argv: list[str]) -> dict:
+    """Exit code, stderr and the SHA-256 of stdout of one in-process command;
+    ``--help`` exits through SystemExit, whose code is recorded."""
+    from phdesc.cli import main
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return {"exit": code, "stderr": err.getvalue(),
+            "stdout_sha256": hashlib.sha256(out.getvalue().encode()).hexdigest()}
+
+
+def surface() -> dict:
+    """The help text of ``phdesc`` and of every subcommand, at 80 columns,
+    and ``gen``'s stdout for each of GEN_RUNS."""
+    columns = os.environ.get("COLUMNS")
+    os.environ["COLUMNS"] = "80"
+    try:
+        help_text = {" ".join(argv): _captured(argv)
+                     for argv in (["--help"], *([cmd, "--help"] for cmd in COMMANDS))}
+    finally:
+        if columns is None:
+            del os.environ["COLUMNS"]
+        else:
+            os.environ["COLUMNS"] = columns
+    gen = {name: _captured(["gen", "--n", "6", "--m", "2", "--seed", "3", *flags])
+           for name, flags in GEN_RUNS.items()}
+    return {"help": help_text, "gen": gen}
 
 
 def record(tol_value: float | None) -> dict:
@@ -255,10 +317,11 @@ def record(tol_value: float | None) -> dict:
                 records[key] = {"generate": _error(exc)}
                 continue
             rec = _chain(phdesc, s, tol)
-            if run_cli:
-                rec["cli"] = _cli(s, seed, tol_args, Path(tmp), (n, seed) == LONG_HORIZON)
+            rec["cli"] = _cli(s, seed, tol_args, Path(tmp), run_cli,
+                              run_cli and (n, seed) == LONG_HORIZON)
             records[key] = rec
-    return {"numpy": np.__version__, "tol": dataclasses.asdict(tol), "records": records}
+    return {"numpy": np.__version__, "tol": dataclasses.asdict(tol), "surface": surface(),
+            "records": records}
 
 
 def _differences(a, b, path: str):
@@ -300,14 +363,16 @@ def compare(first: Path, second: Path) -> int:
     if a["tol"] != b["tol"]:
         print(f"records differ in tolerance: {a['tol']} vs {b['tol']}")
         return 1
-    diffs = list(_differences(a["records"], b["records"], "records"))
+    diffs = [line for part in ("surface", "records")
+             for line in _differences(a.get(part), b.get(part), part)]
     for line in diffs:
         print(line)
     print(f"{len(a['records'])} vs {len(b['records'])} systems, {len(diffs)} differences")
     counts = collections.Counter({kind: 0 for kind in (
         "verdict->refusal", "refusal->refusal", "refusal->verdict", "verdict->verdict",
         "one side only")})
-    _tally(a["records"], b["records"], counts)
+    for part in ("surface", "records"):
+        _tally(a.get(part), b.get(part), counts)
     print("tally: " + ", ".join(f"{kind} {n}" for kind, n in counts.items()))
     return 1 if diffs else 0
 

@@ -33,7 +33,6 @@ from .fileio import (
     matrix_to_lists,
     report_to_json,
     save_feedback,
-    save_system,
     system_to_dict,
     write_report,
 )
@@ -55,37 +54,33 @@ from .simulate import simulate_closed_loop, write_trajectory_csv
 from .synthesis import synthesize_passifying, synthesize_stabilizing
 
 
-def _add_tol_args(p: argparse.ArgumentParser):
-    p.add_argument("--tol", type=float, default=None, metavar="X",
-                   help="override rank_rtol, the relative singular value "
-                        "cutoff of every rank decision; below about "
-                        "10 eps (n + k) a PBH rank drop cannot be told from "
-                        "roundoff, and a command that meets one refuses "
-                        "with ToleranceBreakdown (exit 2)")
-    p.add_argument("--axis-tol", type=float, default=None, metavar="X",
-                   help="override the imaginary-axis classification band")
-    p.add_argument("--psd-tol", type=float, default=None, metavar="X",
-                   help="override the semidefiniteness band")
-    p.add_argument("--stability-margin", type=float, default=None, metavar="X",
-                   help="override the required stability margin")
+# Each tolerance flag: the ToleranceConfig field it overrides and its help.
+_TOL_FLAGS = (
+    ("--tol", "rank_rtol",
+     "override rank_rtol, the relative singular value cutoff of every rank "
+     "decision; below about 10 eps (n + k) a PBH rank drop cannot be told from "
+     "roundoff, and a command that meets one refuses with ToleranceBreakdown (exit 2)"),
+    ("--axis-tol", "axis_tol", "override the imaginary-axis classification band"),
+    ("--psd-tol", "psd_tol", "override the semidefiniteness band"),
+    ("--stability-margin", "stability_margin", "override the required stability margin"),
+)
+
+# random_ph's keyword knobs, each with its gen flag's settings, in the order
+# of gen's metadata.
+_INT, _SWITCH = {"type": int}, {"action": "store_true"}
+_GEN_KNOBS = {"rank_e": _INT, "rank_w": _INT, "force_axis_modes": _SWITCH,
+              "force_singular": _SWITCH, "s_definite": _SWITCH}
 
 
 def _tol_from_args(args) -> ToleranceConfig:
-    overrides = {}
-    if args.tol is not None:
-        overrides["rank_rtol"] = args.tol
-    if args.axis_tol is not None:
-        overrides["axis_tol"] = args.axis_tol
-    if args.psd_tol is not None:
-        overrides["psd_tol"] = args.psd_tol
-    if args.stability_margin is not None:
-        overrides["stability_margin"] = args.stability_margin
+    overrides = {field: getattr(args, field) for _, field, _ in _TOL_FLAGS
+                 if getattr(args, field) is not None}
     return dataclasses.replace(DEFAULT_TOL, **overrides) if overrides else DEFAULT_TOL
 
 
-def _emit(args, doc: dict):
-    if getattr(args, "report", None):
-        write_report(args.report, doc)
+def _emit(path, doc: dict):
+    if path:
+        write_report(path, doc)
     else:
         _sys.stdout.write(report_to_json(doc))
 
@@ -119,28 +114,11 @@ def _conditions_dict(sys, tol) -> dict:
 
 
 def _cmd_gen(args) -> int:
-    sys_ = random_ph(
-        args.n, args.m, args.seed,
-        rank_e=args.rank_e, rank_w=args.rank_w,
-        force_axis_modes=args.force_axis_modes,
-        force_singular=args.force_singular,
-        s_definite=args.s_definite,
-    )
-    metadata = {
-        "seed": args.seed,
-        "knobs": {
-            "rank_e": args.rank_e,
-            "rank_w": args.rank_w,
-            "force_axis_modes": args.force_axis_modes,
-            "force_singular": args.force_singular,
-            "s_definite": args.s_definite,
-        },
-    }
+    knobs = {knob: getattr(args, knob) for knob in _GEN_KNOBS}
+    sys_ = random_ph(args.n, args.m, args.seed, **knobs)
+    _emit(args.output, system_to_dict(sys_, {"seed": args.seed, "knobs": knobs}))
     if args.output:
-        save_system(args.output, sys_, metadata)
         _say(f"wrote system (n={sys_.n}, m={sys_.m}) to {args.output}")
-    else:
-        _sys.stdout.write(report_to_json(system_to_dict(sys_, metadata)))
     return 0
 
 
@@ -148,7 +126,7 @@ def _cmd_validate(args) -> int:
     sys_ = load_system(args.input)
     tol = _tol_from_args(args)
     report = validate(sys_, tol)
-    _emit(args, report.to_dict())
+    _emit(args.report, report.to_dict())
     _say(f"structure {'valid' if report.passed else 'INVALID'}")
     return 0 if report.passed else 1
 
@@ -169,17 +147,17 @@ def _cmd_analyze(args) -> int:
     }
     if singular:
         doc["common_nullspace_basis"] = matrix_to_lists(basis)
-    _emit(args, doc)
+    _emit(args.report, doc)
     _say(f"pencil: {rep.stability_class.value}, index {rep.index}")
     return 0
 
 
-def _synthesize_and_certify(args, goal: str) -> int:
+def _cmd_synthesize(args) -> int:
     sys_ = load_system(args.input)
     tol = _tol_from_args(args)
-    doc: dict = {"kind": "synthesis", "goal": goal}
+    doc: dict = {"kind": "synthesis", "goal": args.goal}
     try:
-        if goal == "stabilize":
+        if args.goal == "stabilize":
             F, _trace = synthesize_stabilizing(sys_, tol, margin=args.margin)
         else:
             F = synthesize_passifying(sys_, tol)
@@ -187,28 +165,20 @@ def _synthesize_and_certify(args, goal: str) -> int:
         doc["conditions_met"] = False
         doc["reason"] = str(exc)
         doc["witnesses"] = complex_pairs(exc.witnesses)
-        _emit(args, doc)
+        _emit(args.report, doc)
         _say(f"refused: {exc}")
         return 1
     doc["conditions_met"] = True
-    cert = certify_closed_loop(sys_, F, goal=goal, tol=tol)
+    cert = certify_closed_loop(sys_, F, goal=args.goal, tol=tol)
     doc["certification"] = cert.to_dict()
     if args.output:
         save_feedback(args.output, F)
         doc["feedback_file"] = args.output
     else:
         doc["feedback"] = matrix_to_lists(F)
-    _emit(args, doc)
-    _say(f"{goal}: certification {'PASS' if cert.overall else 'FAIL'}")
+    _emit(args.report, doc)
+    _say(f"{args.goal}: certification {'PASS' if cert.overall else 'FAIL'}")
     return 0 if cert.overall else 1
-
-
-def _cmd_stabilize(args) -> int:
-    return _synthesize_and_certify(args, "stabilize")
-
-
-def _cmd_passify(args) -> int:
-    return _synthesize_and_certify(args, "passify")
 
 
 def _cmd_certify(args) -> int:
@@ -216,7 +186,7 @@ def _cmd_certify(args) -> int:
     F = load_feedback(args.feedback)
     tol = _tol_from_args(args)
     cert = certify_closed_loop(sys_, F, goal=args.goal, tol=tol)
-    _emit(args, cert.to_dict())
+    _emit(args.report, cert.to_dict())
     _say(f"certification {'PASS' if cert.overall else 'FAIL'}")
     return 0 if cert.overall else 1
 
@@ -241,10 +211,23 @@ def _cmd_simulate(args) -> int:
         "power_balance_residual": residual,
         "dissipation_inequality": bool(dissipative),
     }
-    _emit(args, doc)
+    _emit(args.report, doc)
     _say(f"simulated {doc['steps']} steps; dissipation inequality "
          f"{'holds' if dissipative else 'VIOLATED'}")
     return 0 if dissipative else 1
+
+
+def _add_command(sub, name: str, summary: str, options: dict, **defaults):
+    """Subcommand ``name`` with --input, its own ``options`` (flag: keyword
+    arguments of add_argument), --report and the tolerance flags, in that
+    order, unless ``options`` place --report; ``defaults`` go to set_defaults."""
+    p = sub.add_parser(name, help=summary)
+    p.add_argument("--input", required=True)
+    for flag, kwargs in {**options, "--report": {}}.items():
+        p.add_argument(flag, **kwargs)
+    for flag, field, text in _TOL_FLAGS:
+        p.add_argument(flag, dest=field, type=float, metavar="X", help=text)
+    p.set_defaults(**defaults)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -259,62 +242,34 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--rank-e", type=int, default=None)
-    p.add_argument("--rank-w", type=int, default=None)
-    p.add_argument("--force-axis-modes", action="store_true")
-    p.add_argument("--force-singular", action="store_true")
-    p.add_argument("--s-definite", action="store_true")
-    p.add_argument("--output", default=None)
+    for knob, kwargs in _GEN_KNOBS.items():
+        p.add_argument("--" + knob.replace("_", "-"), **kwargs)
+    p.add_argument("--output")
     p.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser("validate", help="check the structure constraints")
-    p.add_argument("--input", required=True)
-    p.add_argument("--report", default=None)
-    _add_tol_args(p)
-    p.set_defaults(func=_cmd_validate)
-
-    p = sub.add_parser("analyze", help="pencil report and feedback-existence conditions")
-    p.add_argument("--input", required=True)
-    p.add_argument("--report", default=None)
-    _add_tol_args(p)
-    p.set_defaults(func=_cmd_analyze)
-
-    p = sub.add_parser("stabilize", help="synthesize a stabilizing feedback and certify it")
-    p.add_argument("--input", required=True)
-    p.add_argument("--output", default=None, help="feedback file to write")
-    p.add_argument("--report", default=None)
-    p.add_argument("--margin", type=float, default=1.0,
-                   help="dissipation floor injected through the feedthrough kernel")
-    _add_tol_args(p)
-    p.set_defaults(func=_cmd_stabilize)
-
-    p = sub.add_parser("passify", help="synthesize a strictly passifying feedback and certify it")
-    p.add_argument("--input", required=True)
-    p.add_argument("--output", default=None, help="feedback file to write")
-    p.add_argument("--report", default=None)
-    _add_tol_args(p)
-    p.set_defaults(func=_cmd_passify)
-
-    p = sub.add_parser("certify", help="certify a provided feedback")
-    p.add_argument("--input", required=True)
-    p.add_argument("--feedback", required=True)
-    p.add_argument("--goal", choices=GOALS, default="stabilize")
-    p.add_argument("--report", default=None)
-    _add_tol_args(p)
-    p.set_defaults(func=_cmd_certify)
-
-    p = sub.add_parser("simulate", help="integrate the closed loop and check the energy inequalities")
-    p.add_argument("--input", required=True)
-    p.add_argument("--feedback", default=None)
-    p.add_argument("--x0", default=None, help="initial state, comma separated")
-    p.add_argument("--u", default=None, help="constant exogenous input, comma separated")
-    p.add_argument("--T", type=float, default=1.0)
-    p.add_argument("--dt", type=float, default=1e-3)
-    p.add_argument("--output", required=True, help="trajectory CSV to write")
-    p.add_argument("--report", default=None)
-    _add_tol_args(p)
-    p.set_defaults(func=_cmd_simulate)
-
+    feedback_file = {"--output": {"help": "feedback file to write"}}
+    _add_command(sub, "validate", "check the structure constraints", {}, func=_cmd_validate)
+    _add_command(sub, "analyze", "pencil report and feedback-existence conditions", {},
+                 func=_cmd_analyze)
+    _add_command(sub, "stabilize", "synthesize a stabilizing feedback and certify it",
+                 {**feedback_file, "--report": {}, "--margin": {
+                     "type": float, "default": 1.0,
+                     "help": "dissipation floor injected through the feedthrough kernel"}},
+                 func=_cmd_synthesize, goal="stabilize")
+    _add_command(sub, "passify", "synthesize a strictly passifying feedback and certify it",
+                 feedback_file, func=_cmd_synthesize, goal="passify")
+    _add_command(sub, "certify", "certify a provided feedback",
+                 {"--feedback": {"required": True},
+                  "--goal": {"choices": GOALS, "default": "stabilize"}},
+                 func=_cmd_certify)
+    _add_command(sub, "simulate", "integrate the closed loop and check the energy inequalities",
+                 {"--feedback": {},
+                  "--x0": {"help": "initial state, comma separated"},
+                  "--u": {"help": "constant exogenous input, comma separated"},
+                  "--T": {"type": float, "default": 1.0},
+                  "--dt": {"type": float, "default": 1e-3},
+                  "--output": {"required": True, "help": "trajectory CSV to write"}},
+                 func=_cmd_simulate)
     return parser
 
 

@@ -227,11 +227,17 @@ def apply_feedback(sys: PHSystem, F) -> PHSystem:
                     G=sys.G + shift, P=sys.P + shift, S=sys.S, N=sys.N)
 
 
-def _check_trajectory(sys: PHSystem, traj: Trajectory):
+def _energy_terms(sys: PHSystem, traj: Trajectory):
+    """H, the dissipation form (x,u)^T W (x,u) and the supply y^T u at every
+    sample; the trajectory must match the system's widths and have three
+    samples."""
     if traj.x.shape[1] != sys.n or traj.u.shape[1] != sys.m or traj.y.shape[1] != sys.m:
         raise ShapeMismatch("trajectory sample widths do not match the system")
     if traj.t.shape[0] < 3:
         raise GridTooShort("at least three grid points required")
+    return (0.5 * quadratic_forms(sys.E, traj.x),
+            quadratic_forms(dissipation_matrix(sys), traj.x, traj.u),
+            np.einsum("ki,ki->k", traj.y, traj.u))
 
 
 def power_balance_residual(sys: PHSystem, traj: Trajectory) -> float:
@@ -240,10 +246,7 @@ def power_balance_residual(sys: PHSystem, traj: Trajectory) -> float:
     dH/dt is a central finite difference of the sampled energy, so the
     residual of an exact solution shrinks with the square of the step.
     """
-    _check_trajectory(sys, traj)
-    H = 0.5 * quadratic_forms(sys.E, traj.x)
-    quad = quadratic_forms(dissipation_matrix(sys), traj.x, traj.u)
-    supply = np.einsum("ki,ki->k", traj.y, traj.u)
+    H, quad, supply = _energy_terms(sys, traj)
     dHdt = (H[2:] - H[:-2]) / (traj.t[2:] - traj.t[:-2])
     res = np.abs(dHdt + quad[1:-1] - supply[1:-1])
     return float(res.max())
@@ -260,12 +263,9 @@ def dissipation_inequality_check(
     grid spacing and the peak power, which absorbs the first-order
     discretization error of sampled trajectories.
     """
-    _check_trajectory(sys, traj)
-    H = 0.5 * quadratic_forms(sys.E, traj.x)
-    supply = np.einsum("ki,ki->k", traj.y, traj.u)
+    H, quad, supply = _energy_terms(sys, traj)
     dt = np.diff(traj.t)
     cumulative = np.concatenate([[0.0], np.cumsum(0.5 * dt * (supply[1:] + supply[:-1]))])
-    quad = quadratic_forms(dissipation_matrix(sys), traj.x, traj.u)
     peak = float(np.max(np.abs(quad) + np.abs(supply)))
     span = float(traj.t[-1] - traj.t[0])
     slack = 10.0 * float(dt.max()) * max(1.0, peak) * max(1.0, span)

@@ -1,52 +1,29 @@
 """Structural analysis of matrix pencils ``s E - A``.
 
-The one entry, :func:`pencil_report`, runs a staircase reduction with
-orthogonal transformations that deflates a (possibly rectangular, possibly
-singular) real pencil into its Kronecker constituents: right/left minimal
-indices, infinite elementary divisors, and a square regular part with
-invertible E whose generalized eigenvalues are the finite spectrum.  Each
-E-block is decomposed once, and no other module decomposes a pencil's E:
-the first E-compression's SVD is remembered for the last E (feedback keeps
-E, so a closed loop reuses the plant's), and the report hands out E's
-kernel and cokernel at ``rank_E`` as views of its factors.  The left pass
-starts from the transpose of the right pass's last SVD instead of taking
-its own.  :func:`pencil_report` remembers its last ``(E, A, tol)`` report
-the same way (:func:`remembered`), so the conditions and the synthesis of
-one system read the analysis's report.
+:func:`pencil_report`, the one entry, deflates a real pencil, rectangular or
+singular, by orthogonal staircase steps into its Kronecker constituents:
+minimal indices, infinite elementary divisors and a square regular part
+with invertible E.  No other module decomposes a pencil's E: the report
+hands out E's kernel and cokernel, and every memo of the package lives here
+(:func:`remembered`).
 
 A square pencil of index at most one, as every closed loop of the syntheses
-is, leaves after that SVD (the semi-explicit form, Kunkel & Mehrmann, EMS
-2006): with ``E = [U1 U2] diag(Sigma, 0) [V1 V2]^T`` it is decided by the
-k x k block ``A22 = U2^T A V2`` on ker E, and its regular part is
-``s Sigma - (A11 - A12 A22^{-1} A21)``.  The exit needs cond(Sigma) within
-the QZ cutoff, ``sigma_min(A22) * _QZ_COND > ||A||_F``, and sigma_min(A22)
-tenfold clear of the rank cutoffs of the staircase steps it skips; any
-other pencil runs the staircase.  A fresh report logs its route at DEBUG
-level.  Either route decides the block sizes, so regularity and the index,
-at once; the finite spectrum and the stability class are computed on first
-read and then kept, so a verdict that reads neither pays no eigensolve.
+is, leaves after the SVD of E in the semi-explicit form (Kunkel & Mehrmann,
+EMS 2006): with ``E = [U1 U2] diag(Sigma, 0) [V1 V2]^T`` it is decided by
+the block ``A22 = U2^T A V2`` on ker E, and its regular part is
+``s Sigma - (A11 - A12 A22^{-1} A21)``.
 
-"Full row rank of ``[s E - A, B]`` on the imaginary axis" is decided at the
-points where it can fail.  For a regular pencil the rank can drop only at
-an eigenvalue (Hautus).  When E is symmetric and ``-(A + A^T) / 2`` (R for
-port-Hamiltonian data) positive definite, :func:`dissipation_bound` keeps
-every eigenvalue off the axis without an eigensolve; a bound above ten
-times axis_tol decides the rank at once.  Otherwise each eigenvalue of
-the report within axis_tol of the axis is decided by one
-Popov-Belevitch-Hautus (PBH) SVD of ``[lam E - A, B]`` at lam itself, a
-conjugate pair at its member with ``Im lam >= 0``.  A singular pencil
-whose left minimal indices are all zero, as every port-Hamiltonian one is
-(Mehl, Mehrmann & Wojtylak, SIMAX 2018), has a constant left kernel N0
-off its spectrum: the rank drops everywhere when ``N0^T B`` is
-rank-deficient, and one PBH test at s = 0 finds that.  So of the
-verdicts here only the stability class and the axis test without the
-bound read the spectrum.
+Full row rank of ``[s E - A, B]`` on the imaginary axis can fail, for a
+regular pencil, only at an eigenvalue (Hautus), so each eigenvalue within
+axis_tol of the axis takes one Popov-Belevitch-Hautus (PBH) test.  A
+singular pencil whose left minimal indices are all zero, as every
+port-Hamiltonian one is (Mehl, Mehrmann & Wojtylak, SIMAX 2018), has a
+constant left kernel N0 off its spectrum: the rank drops everywhere when
+``N0^T B`` is rank-deficient, and one PBH test at s = 0 finds that.
 
-The three existence conditions are parts of one :class:`FeedbackAnalysis`
-per system and tolerance, remembered by :func:`feedback_analysis` like the
-report: the split of the inputs by the feedthrough ``S + N``
-(:func:`compress_feedthrough`) with B1 and B3, and the three verdicts.  Each
-part is computed when first read; both syntheses read the same object.
+The three existence conditions are lazy parts of one remembered
+:class:`FeedbackAnalysis` per system and tolerance, which both syntheses
+read.
 """
 
 from __future__ import annotations
@@ -506,6 +483,18 @@ def _axis_eigenvalues_semisimple(evs, A_reg, E_reg, tol: ToleranceConfig) -> boo
     return True
 
 
+def _pencil_and_inputs(E, A, B, caller: str):
+    """E, A and B as matrices, B with zero columns when None; raises
+    :class:`ShapeMismatch` unless E and A are n x n and B has n rows."""
+    E = as_matrix(E)
+    A = as_matrix(A)
+    B = as_matrix(B) if B is not None else np.zeros((E.shape[0], 0))
+    n = E.shape[0]
+    if E.shape != (n, n) or A.shape != (n, n) or B.shape[0] != n:
+        raise ShapeMismatch(f"{caller} expects n x n pencils and n x k B")
+    return E, A, B
+
+
 def _pbh_deficiency(E, A, B, lam: complex, tol: ToleranceConfig) -> int:
     """Rank deficiency of the n-row matrix ``[lam E - A, B]``."""
     # A point on the real line keeps the SVD real.
@@ -528,12 +517,7 @@ def imaginary_axis_full_rank(E, A, B, tol: ToleranceConfig = DEFAULT_TOL) -> tup
     :class:`HypothesisViolated` for a singular pencil with a positive left
     minimal index (never port-Hamiltonian).
     """
-    E = as_matrix(E)
-    A = as_matrix(A)
-    B = as_matrix(B) if B is not None else np.zeros((E.shape[0], 0))
-    n = E.shape[0]
-    if E.shape != (n, n) or A.shape != (n, n) or B.shape[0] != n:
-        raise ShapeMismatch("imaginary_axis_full_rank expects n x n pencils and n x k B")
+    E, A, B = _pencil_and_inputs(E, A, B, "imaginary_axis_full_rank")
     rep = pencil_report(E, A, tol)
     if rep.regular:
         bound = dissipation_bound(E, A, tol)
@@ -735,11 +719,6 @@ def index_one_rank_condition(E, A, B, tol: ToleranceConfig = DEFAULT_TOL) -> boo
     yields a regular pencil of index at most one: rank([E, A Z_E, B]) == n,
     with Z_E the kernel basis of ``pencil_report(E, A, tol)``, so the test
     raises that report's refusals."""
-    E = as_matrix(E)
-    A = as_matrix(A)
-    B = as_matrix(B) if B is not None else np.zeros((E.shape[0], 0))
-    n = E.shape[0]
-    if E.shape != (n, n) or A.shape != (n, n) or B.shape[0] != n:
-        raise ShapeMismatch("index_one_rank_condition expects n x n pencils and n x k B")
+    E, A, B = _pencil_and_inputs(E, A, B, "index_one_rank_condition")
     Z_E = pencil_report(E, A, tol).kernel_E
-    return numerical_rank(np.hstack([E, A @ Z_E, B]), tol, "index-reduction rank") == n
+    return numerical_rank(np.hstack([E, A @ Z_E, B]), tol, "index-reduction rank") == E.shape[0]

@@ -16,10 +16,10 @@ therefore split into contiguous parts, one per available CPU: the caller
 formats the first part straight into the output, and a forked child formats
 each other part into an anonymous temporary file that the caller then copies
 after it, in order, so the bytes are those of a serial write and the output
-may be a pipe.  Small files, one CPU or a platform without ``os.fork`` take
-the serial loop; nothing else selects the path.  A child formats text only
-and never calls BLAS, so the ``DeprecationWarning`` that ``os.fork`` may
-emit on Python >= 3.12 when BLAS threads exist does not concern it.
+may be a pipe.  Small files, one CPU or a platform without ``os.fork`` make
+one part, which is the serial loop and forks nothing.  A child formats text
+only and never calls BLAS, so the ``DeprecationWarning`` that ``os.fork``
+may emit on Python >= 3.12 when BLAS threads exist does not concern it.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ import io
 import logging
 import os
 import shutil
+import stat
 import tempfile
 
 import numpy as np
@@ -177,13 +178,21 @@ def write_trajectory_csv(path, traj: Trajectory, sys: PHSystem) -> None:
               + ["H"])
     H = 0.5 * quadratic_forms(sys.E, traj.x)
     rows = H.shape[0]
-    parts = min(_available_cpus(), rows * len(header) // _CSV_PART_VALUES)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        if parts < 2 or not hasattr(os, "fork"):
-            _write_rows(fh, traj, H, 0, rows)
-        else:
+    cpus = _available_cpus() if hasattr(os, "fork") else 1
+    parts = max(1, min(cpus, rows * len(header) // _CSV_PART_VALUES))
+    # No O_TRUNC: truncating an existing file on open makes the close wait
+    # for the old file's writeback on some file systems (ext4's
+    # auto_da_alloc), so a regular file is cut at the last byte written
+    # instead, also when the write fails.  A pipe is never truncated.
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "w", encoding="utf-8") as fh:
+        try:
+            fh.write(",".join(header) + "\n")
             _write_parts(fh, traj, H, [rows * k // parts for k in range(parts + 1)])
+        finally:
+            fh.flush()
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
 
 
 def _available_cpus() -> int:
@@ -205,7 +214,8 @@ def _write_rows(fh, traj: Trajectory, H: np.ndarray, start: int, stop: int) -> N
 
 def _write_parts(fh, traj: Trajectory, H: np.ndarray, bounds: list[int]) -> None:
     """Write the rows between consecutive ``bounds``: the first part here,
-    each other part in a forked child, copied after it in order.
+    each other part in a forked child, copied after it in order.  One part
+    is the serial write and forks nothing.
 
     Every child is reaped before this returns or raises; on any failure the
     children still running are killed first.
@@ -228,13 +238,13 @@ def _write_parts(fh, traj: Trajectory, H: np.ndarray, bounds: list[int]) -> None
             # A chunked copy: a part is never read into memory whole.
             shutil.copyfileobj(part, fh.buffer)
     finally:
-        # Imported here: `signal` costs every CLI process its enum set-up.
-        import signal
-
-        for pid in pids:
-            if pid is not None:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
+        running = [pid for pid in pids if pid is not None]
+        if running:
+            # Imported here: `signal` costs every CLI process its enum set-up.
+            import signal
+        for pid in running:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
         for part in files:
             part.close()
 

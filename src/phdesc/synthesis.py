@@ -64,10 +64,8 @@ class SynthesisTrace:
 
 
 def _pd_sqrt_invsqrt(S11: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    if S11.shape[0] == 0:
-        return np.zeros((0, 0)), np.zeros((0, 0))
     w, V = np.linalg.eigh((S11 + S11.T) / 2.0)
-    if w[0] <= 0:
+    if np.any(w <= 0):
         raise NumericalBreakdown("definite feedthrough block lost positive definiteness")
     return (V * np.sqrt(w)) @ V.T, (V / np.sqrt(w)) @ V.T
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -6,6 +7,8 @@ import pytest
 from phdesc import pencil
 from phdesc.cli import main
 from phdesc.fileio import load_feedback, load_system, save_system
+from phdesc.generators import random_ph
+from phdesc.linalg import DEFAULT_TOL
 from phdesc.model import PHSystem
 
 
@@ -187,3 +190,76 @@ class TestCertifySimulate:
         save_system(sys_path, sys)
         assert run("simulate", "--input", sys_path, "--x0", "1,1",
                    "--output", tmp_path / "t.csv") == 1
+
+
+class TestCommandSurface:
+    @pytest.mark.parametrize("command", ["analyze", "simulate"])
+    @pytest.mark.parametrize("flag, field, value", [
+        ("--tol", "rank_rtol", 1e-12), ("--axis-tol", "axis_tol", 1e-7),
+        ("--psd-tol", "psd_tol", 1e-9), ("--stability-margin", "stability_margin", 1e-7)])
+    def test_tolerance_flag_reaches_the_report(self, tmp_path, command, flag, field, value):
+        sys_path = tmp_path / "sys.json"
+        report = tmp_path / "report.json"
+        save_system(sys_path, scalar_system(E=1, R=1, G=1))
+        extra = ["--T", 0.01, "--output", tmp_path / "t.csv"] if command == "simulate" else []
+        assert run(command, "--input", sys_path, *extra, flag, value, "--report", report) == 0
+        tolerances = json.loads(report.read_text())["tolerances"]
+        assert tolerances == {**dataclasses.asdict(DEFAULT_TOL), field: value}
+
+    @pytest.mark.parametrize("argument, message", [
+        ("--x0=1,2", "--x0 has 2 entries, expected 5"),
+        ("--x0=1,a", "could not parse --x0: '1,a'"),
+        ("--u=1 2 3", "--u has 3 entries, expected 2"),
+        ("--u=0.5,x", "could not parse --u: '0.5,x'")])
+    def test_bad_vector_exits_two_naming_the_flag(self, tmp_path, capsys, argument, message):
+        sys_path = tmp_path / "sys.json"
+        run("gen", "--n", 5, "--m", 2, "--output", sys_path)
+        capsys.readouterr()
+        csv_path = tmp_path / "t.csv"
+        assert run("simulate", "--input", sys_path, argument, "--output", csv_path) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not csv_path.exists()
+
+    def test_simulate_defaults_to_zero_state_and_input(self, tmp_path):
+        sys_path = tmp_path / "sys.json"
+        csv_path = tmp_path / "t.csv"
+        run("gen", "--n", 3, "--m", 1, "--seed", 2, "--output", sys_path)
+        assert run("simulate", "--input", sys_path, "--T", 0.01, "--output", csv_path) == 0
+        rows = csv_path.read_text().splitlines()
+        assert rows[0] == "t,x1,x2,x3,u1,y1,H" and len(rows) == 12
+        assert all(row.split(",")[1:] == ["0.0"] * 6 for row in rows[1:])
+
+    @pytest.mark.parametrize("knobs", [[], ["--rank-e", 3, "--s-definite"],
+                                       ["--rank-w", 1, "--force-singular"],
+                                       ["--force-axis-modes"]])
+    def test_gen_stdout_is_the_file_bytes(self, tmp_path, capsys, knobs):
+        path = tmp_path / "sys.json"
+        assert run("gen", "--n", 5, "--m", 2, "--seed", 7, *knobs, "--output", path) == 0
+        capsys.readouterr()
+        assert run("gen", "--n", 5, "--m", 2, "--seed", 7, *knobs) == 0
+        captured = capsys.readouterr()
+        assert captured.out.encode() == path.read_bytes()
+        assert captured.err == ""
+        metadata = json.loads(captured.out)["metadata"]
+        assert metadata["seed"] == 7
+        assert list(metadata["knobs"]) == ["rank_e", "rank_w", "force_axis_modes",
+                                           "force_singular", "s_definite"]
+
+    def test_stabilize_without_output_reports_feedback_inline(self, tmp_path):
+        sys_path = tmp_path / "sys.json"
+        report = tmp_path / "report.json"
+        save_system(sys_path, scalar_system(E=1, G=1))
+        assert run("stabilize", "--input", sys_path, "--report", report) == 0
+        doc = json.loads(report.read_text())
+        assert "feedback_file" not in doc
+        assert np.allclose(doc["feedback"], [[-2.0]], rtol=0, atol=1e-12)
+        assert doc["certification"]["overall"] is True
+
+    def test_ambiguous_rank_decision_exits_two_without_report(self, tmp_path, capsys):
+        sys_path = tmp_path / "sys.json"
+        report = tmp_path / "report.json"
+        save_system(sys_path, random_ph(5, 1, 1, force_axis_modes=True))
+        assert run("analyze", "--input", sys_path, "--tol", 1e-17, "--report", report) == 2
+        assert capsys.readouterr().err.startswith(
+            "numerical breakdown: ambiguous rank decision at right pass: E-compression, step 1")
+        assert not report.exists()

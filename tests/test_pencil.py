@@ -381,6 +381,20 @@ class TestPencilReport:
         r = pencil_report(np.eye(2), A)
         assert r.stability_class is StabilityClass.UNSTABLE
 
+    @pytest.mark.parametrize("A, expected", [
+        (np.zeros((2, 2)), StabilityClass.STABLE_NOT_ASYMPTOTIC),
+        (np.kron(np.eye(2), [[0.0, 2.0], [-2.0, 0.0]]), StabilityClass.STABLE_NOT_ASYMPTOTIC),
+        (np.array([[0.0, 1.0], [0.0, 0.0]]), StabilityClass.UNSTABLE),
+    ], ids=["double-zero", "double-rotation", "jordan-block"])
+    def test_repeated_axis_eigenvalue_decided_once(self, cold_report, svd_calls, A, expected):
+        # E = I: 0 twice, +-2i twice, and a Jordan block at 0.  Each
+        # distinct axis eigenvalue with Im >= 0 takes one multiplicity SVD.
+        r = pencil_report(np.eye(A.shape[0]), A)
+        svd_calls.clear()
+        assert r.stability_class is expected
+        shifted = [a for a, _ in svd_calls if np.iscomplexobj(a)]
+        assert len(shifted) == 1
+
     def test_ph_pencils_stable_and_low_index(self):
         for seed in range(120):
             srng = np.random.default_rng(seed + 900)

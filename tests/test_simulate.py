@@ -315,6 +315,38 @@ class TestTrajectoryCsv:
             assert len(forks) == parts - 1
             assert path.read_bytes() == expected
 
+    @pytest.mark.parametrize("parts", [1, 3])
+    def test_longer_existing_file_keeps_no_tail(self, tmp_path, monkeypatch, parts):
+        # On the serial route and on the forked-parts route alike.
+        traj, closed = long_loop(2)
+        expected = serial_bytes(tmp_path, traj, closed)
+        path = tmp_path / "old.csv"
+        path.write_bytes(b"9" * (2 * len(expected)))
+        forks = force_parts(monkeypatch, traj, parts)
+        write_trajectory_csv(path, traj, closed)
+        assert len(forks) == parts - 1
+        assert path.read_bytes() == expected
+
+    def test_failed_write_keeps_no_tail_of_the_old_file(self, tmp_path, monkeypatch):
+        traj, closed = long_loop(2)
+        expected = serial_bytes(tmp_path, traj, closed)
+        path = tmp_path / "old.csv"
+        path.write_bytes(b"9" * (2 * len(expected)))
+        force_parts(monkeypatch, traj, 3)
+        parent = os.getpid()
+        write_rows = simulate._write_rows
+
+        def failing_in_child(fh, *args):
+            if os.getpid() != parent:
+                raise RuntimeError("formatter failed")
+            write_rows(fh, *args)
+
+        monkeypatch.setattr(simulate, "_write_rows", failing_in_child)
+        with pytest.raises(ChildProcessError):
+            write_trajectory_csv(path, traj, closed)
+        written = path.read_bytes()
+        assert 0 < len(written) < len(expected) and expected.startswith(written)
+
     def test_pipe_output_same_bytes(self, tmp_path, monkeypatch):
         traj, closed = long_loop(2)
         expected = serial_bytes(tmp_path, traj, closed)
