@@ -8,9 +8,10 @@ CLI (in-process ``phdesc.cli.main``: ``validate`` on every system, and on the
 smaller ones every other command, ``certify`` and ``simulate`` on the
 stabilizing and on a seeded random feedback), and writes one JSON record of
 what the importable ``phdesc`` returned: verdicts, witnesses, exception types
-and messages, the SHA-256 of every feedback's bytes, spectra as multisets,
-the certifications' checks, and CLI exit codes with their stderr and the
-SHA-256 of their reports (the work folder's path masked); each ``simulate``
+and messages, the margins of ``validate``, the SHA-256 of every feedback's
+bytes, spectra as multisets, the certifications' checks, and CLI exit codes
+with their stderr and the SHA-256 of their reports (the work folder's path
+masked), and of ``analyze``'s common nullspace basis; each ``simulate``
 starts from a seeded state under a seeded constant input and adds its
 power-balance residual and the SHA-256 of its trajectory CSV.  One system per family adds
 a 10 s ``simulate`` (10,001 rows) under its stabilizing feedback, or its
@@ -35,7 +36,11 @@ move to or from an exception, or between two of them, counts once (as
 verdict->refusal, refusal->refusal or refusal->verdict), and so does a CLI
 run whose exit code moves (as exit a->b) or that exits 2 on both sides (as
 refusal->refusal).  Every other differing value counts as verdict->verdict,
-and a key that only one record has as one side only.  Pin BLAS to one
+and a key that only one record has as one side only.  A last line gives the
+largest move of the numbers the two records both hold, per kind (spectra,
+witnesses, spectral abscissas, margins, power-balance residuals), each
+relative to its scale: ``|a - b| / max(1, |a|, |b|)``, the eigenvalues of a
+spectrum or witness list paired nearest first.  Pin BLAS to one
 thread (``OPENBLAS_NUM_THREADS=1``) on both sides, since the bits of a
 decomposition may depend on it.
 """
@@ -86,6 +91,11 @@ GEN_RUNS = {
 # these runs ignore --tol.
 TOL_OVERRIDES = ["--tol", "1e-12", "--axis-tol", "1e-6", "--psd-tol", "1e-9",
                  "--stability-margin", "1e-6"]
+
+# Record keys whose numbers the compare's last line measures, by kind.
+MOVE_KINDS = {"finite_eigenvalues": "spectra", "witnesses": "witnesses",
+              "spectral_abscissa": "abscissas", "lambda_min_w": "margins",
+              "validate_margins": "margins", "power_balance_residual": "residuals"}
 
 
 def systems():
@@ -186,6 +196,8 @@ def _chain(phdesc, s, tol) -> dict:
 
     return {
         "valid": _guarded(lambda: bool(phdesc.validate(s, tol).passed)),
+        "validate_margins": _guarded(
+            lambda: {c.name: c.margin for c in phdesc.validate(s, tol).checks}),
         "pencil": _guarded(lambda: _report(phdesc.pencil_report(s.E, s.A, tol))),
         "stabilizability": _guarded(conditions),
         "index_reducibility": _guarded(lambda: bool(phdesc.index_reduction_rank_condition(s, tol))),
@@ -254,6 +266,10 @@ def _cli(s, seed: int, tol_args: list[str], work: Path, full: bool, long_horizon
             # Reports name their files, which lie in a fresh temporary folder.
             text = report.read_text().replace(str(work), "WORK")
             out[name]["report_sha256"] = hashlib.sha256(text.encode()).hexdigest()
+            basis = json.loads(text).get("common_nullspace_basis")
+            if name.startswith("analyze") and basis is not None:
+                out[name]["common_nullspace_sha256"] = hashlib.sha256(
+                    json.dumps(basis).encode()).hexdigest()
         if name.startswith("simulate") and traj.exists():
             doc = json.loads(report.read_text())
             out[name].update(power_balance_residual=float(doc["power_balance_residual"]).hex(),
@@ -358,6 +374,41 @@ def _tally(a, b, counts: collections.Counter):
         counts["verdict->verdict"] += 1
 
 
+def _numbers(value) -> list[complex] | None:
+    """The numbers of a record entry: a list of hex pairs, a ``float.hex``
+    string or a JSON number; None for anything else."""
+    if isinstance(value, list) and all(isinstance(p, list) and len(p) == 2 for p in value):
+        return [complex(float.fromhex(re), float.fromhex(im)) for re, im in value]
+    if isinstance(value, str) and value.lstrip("-").startswith("0x"):
+        return [complex(float.fromhex(value))]
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return [complex(value)]
+    return None
+
+
+def _largest_move(xs: list[complex], ys: list[complex]) -> float:
+    """Largest ``|x - y| / max(1, |x|, |y|)`` with each x paired to the
+    nearest y not yet paired."""
+    ys, worst = list(ys), 0.0
+    for x in xs:
+        j = min(range(len(ys)), key=lambda i: abs(x - ys[i]))
+        y = ys.pop(j)
+        worst = max(worst, abs(x - y) / max(1.0, abs(x), abs(y)))
+    return worst
+
+
+def _moves(a, b, kind: str | None, worst: dict):
+    """Raise worst[kind] to the largest move between the numbers of a and
+    b under a key of MOVE_KINDS; lists of unequal length are left out."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        for k in a.keys() & b.keys():
+            _moves(a[k], b[k], MOVE_KINDS.get(k, kind), worst)
+    elif kind is not None and a != b:
+        xs, ys = _numbers(a), _numbers(b)
+        if xs is not None and ys is not None and len(xs) == len(ys):
+            worst[kind] = max(worst[kind], _largest_move(xs, ys))
+
+
 def compare(first: Path, second: Path) -> int:
     a, b = (json.loads(p.read_text()) for p in (first, second))
     if a["tol"] != b["tol"]:
@@ -374,6 +425,9 @@ def compare(first: Path, second: Path) -> int:
     for part in ("surface", "records"):
         _tally(a.get(part), b.get(part), counts)
     print("tally: " + ", ".join(f"{kind} {n}" for kind, n in counts.items()))
+    worst = {kind: 0.0 for kind in MOVE_KINDS.values()}
+    _moves(a.get("records"), b.get("records"), None, worst)
+    print("largest relative move: " + ", ".join(f"{kind} {v:.3g}" for kind, v in worst.items()))
     return 1 if diffs else 0
 
 

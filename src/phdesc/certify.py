@@ -4,8 +4,10 @@ The certifier trusts nothing from the synthesis path: it re-forms the closed
 loop from the plant and the feedback matrix, re-classifies the dissipation
 matrix, and re-runs the full pencil analysis.  What it shares with earlier
 analyses of the same plant comes from two memos of :mod:`phdesc.pencil`,
-which hand back the bits a fresh computation would give.  One is the SVD of
-E, which feedback keeps.  The other is the open-loop report of
+which hand back the bits a fresh computation would give.  One is the
+decomposition of E, which feedback keeps: for a symmetric E one ``eigh``,
+whose factors give the staircase its SVD and whose smallest eigenvalue
+tells the dissipation bound whether E is PSD.  The other is the open-loop report of
 :func:`phdesc.pencil.pencil_report`, and only when ``B F == 0`` exactly,
 so that the closed loop's A has the same bits as the plant's.  It does not
 read :func:`phdesc.pencil.feedback_analysis`.  Every verdict is still

@@ -22,7 +22,8 @@ decompositions return identity factors and empty spectra for them.
 
 Every function here is a pure function of its arguments; the module keeps
 no state.  A pencil's E is decomposed only by :mod:`phdesc.pencil`, whose
-report hands out E's rank and kernels.
+report hands out E's rank and kernels and whose eigenvalues of a symmetric E
+give ``validate`` its ``e_psd`` through :func:`definiteness`.
 """
 
 from __future__ import annotations
@@ -178,9 +179,13 @@ def numerical_rank(M, tol: ToleranceConfig = DEFAULT_TOL, stage: str = "numerica
 
 
 def nullspace_basis(M, tol: ToleranceConfig = DEFAULT_TOL, stage: str = "nullspace") -> np.ndarray:
-    """Orthonormal basis of the numerical right nullspace (cols x nullity)."""
+    """Orthonormal basis of the numerical right nullspace (cols x nullity).
+
+    A matrix with at least as many rows as columns takes the thin SVD: its
+    Vh is already square, and the rows x rows U of the full one is not
+    needed."""
     A = as_matrix(M)
-    _, s, vh = np.linalg.svd(A)
+    _, s, vh = np.linalg.svd(A, full_matrices=A.shape[0] < A.shape[1])
     return vh[decide_rank(s, rank_threshold(s, A.shape, tol), stage):, :].conj().T
 
 
@@ -230,9 +235,13 @@ def classify_definiteness(M, tol: ToleranceConfig = DEFAULT_TOL) -> Definiteness
     _require_square(A)
     if A.shape[0] == 0:
         return Definiteness(DefinitenessKind.POSITIVE_DEFINITE, np.inf, -np.inf, np.inf)
-    H = (A + A.T) / 2.0
-    w = np.linalg.eigvalsh(H)
-    lo, hi = float(w[0]), float(w[-1])
+    w = np.linalg.eigvalsh((A + A.T) / 2.0)
+    return definiteness(float(w[0]), float(w[-1]), tol)
+
+
+def definiteness(lo: float, hi: float, tol: ToleranceConfig = DEFAULT_TOL) -> Definiteness:
+    """Classify a symmetric matrix by its extreme eigenvalues ``lo <= hi``,
+    within the band ``psd_tol * max(|lo|, |hi|)``."""
     band = tol.psd_tol * max(abs(lo), abs(hi))
     if lo > band:
         kind = DefinitenessKind.POSITIVE_DEFINITE

@@ -157,25 +157,30 @@ def dissipation_matrix(sys: PHSystem) -> np.ndarray:
 
 
 def validate(sys: PHSystem, tol: ToleranceConfig = DEFAULT_TOL) -> ValidationReport:
-    """Check the structure constraints and report a margin per constraint."""
+    """Check the structure constraints and report a margin per constraint.
+
+    A bitwise symmetric E is classified on the eigenvalues of E that
+    :mod:`phdesc.pencil` remembers for its reports."""
 
     def violation(name, M):
         v = spectral_norm(M)
         band = tol.psd_tol * max(1.0, v)
         return CheckResult(name, v <= band, v, band, "violation_norm")
 
-    def psd(name, M):
-        d = classify_definiteness(M, tol)
+    def psd(name, d):
         return CheckResult(name, d.is_semidefinite, d.min_eigenvalue, d.band, "min_eigenvalue")
+
+    # Imported here: phdesc.pencil imports this module.
+    from .pencil import e_definiteness
 
     W = dissipation_matrix(sys)
     return ValidationReport(
         e_symmetric=violation("e_symmetric", sys.E - sys.E.T),
-        e_psd=psd("e_psd", sys.E),
+        e_psd=psd("e_psd", e_definiteness(sys.E, tol)),
         j_skew=violation("j_skew", sys.J + sys.J.T),
         n_skew=violation("n_skew", sys.N + sys.N.T),
         s_symmetric=violation("s_symmetric", sys.S - sys.S.T),
-        w_psd=psd("w_psd", W),
+        w_psd=psd("w_psd", classify_definiteness(W, tol)),
     )
 
 

@@ -5,7 +5,10 @@ singular, by orthogonal staircase steps into its Kronecker constituents:
 minimal indices, infinite elementary divisors and a square regular part
 with invertible E.  No other module decomposes a pencil's E: the report
 hands out E's kernel and cokernel, and every memo of the package lives here
-(:func:`remembered`).
+(:func:`remembered`).  A bitwise symmetric E, as every port-Hamiltonian one
+is, takes one ``eigh`` whose factors are its SVD and whose eigenvalues also
+give validate's ``e_psd`` and the dissipation bound (:func:`_decompose_e`);
+near the staircase's first cutoff the SVD decides instead.
 
 A square pencil of index at most one, as every closed loop of the syntheses
 is, leaves after the SVD of E in the semi-explicit form (Kunkel & Mehrmann,
@@ -42,14 +45,17 @@ from .errors import (
     NotSkew,
     NumericalBreakdown,
     ShapeMismatch,
+    ToleranceBreakdown,
 )
 from .fileio import complex_pairs
 from .linalg import (
     DEFAULT_TOL,
+    Definiteness,
     ToleranceConfig,
     as_matrix,
     classify_definiteness,
     decide_rank,
+    definiteness,
     deficiency,
     nullspace_basis,
     numerical_rank,
@@ -202,7 +208,16 @@ class PencilReport:
         }
 
 
-def _deflate_right_and_infinite(A, E, thr_a, thr_e, stage, step1=None):
+def _decide(s, thr, stage, decisions) -> int:
+    """:func:`decide_rank` of one staircase step, which appends
+    ``(stage, thr, smallest kept, largest dropped)`` to decisions."""
+    r = decide_rank(s, thr, stage)
+    decisions.append((stage, thr, float(s[r - 1]) if r else np.inf,
+                      float(s[r]) if r < s.size else 0.0))
+    return r
+
+
+def _deflate_right_and_infinite(A, E, thr_a, thr_e, stage, decisions, step1=None):
     """Alternating kernel-column / row compressions of ``s E - A``.
 
     Per step j records nu_j (kernel width of E) and s_j (row rank of A on
@@ -212,8 +227,11 @@ def _deflate_right_and_infinite(A, E, thr_a, thr_e, stage, step1=None):
     ``step1``, when given, is step 1's ``(svd, rank)``: the full SVD of E,
     possibly read-only, and the rank of E already decided on it.
 
-    Also returns the full SVD ``(U, s, Vh)`` of the final E taken at the
-    step that found it of full column rank, or None when no columns remain.
+    Also returns the full SVD ``(U, s, Vh)`` of the final E, or None when no
+    columns remain.  An A-compression of rank 0 deflates no row, so the next
+    E is ``E V_r = U diag(s_r)`` with the SVD ``(U, s_r, I)``: when each of
+    s_r is tenfold above thr_e, that step would keep them all, and the loop
+    ends there without it.
     """
     nu, ss = [], []
     Ac, Ec = A, E
@@ -223,7 +241,7 @@ def _deflate_right_and_infinite(A, E, thr_a, thr_e, stage, step1=None):
         q = Ec.shape[1]
         if step1 is None:
             u_e, s_e, vh_e = np.linalg.svd(Ec)
-            r_e = decide_rank(s_e, thr_e, f"{stage}: E-compression, step {step}")
+            r_e = _decide(s_e, thr_e, f"{stage}: E-compression, step {step}", decisions)
         else:
             (u_e, s_e, vh_e), r_e = step1
             step1 = None
@@ -234,21 +252,38 @@ def _deflate_right_and_infinite(A, E, thr_a, thr_e, stage, step1=None):
         V = np.hstack([vh_e[r_e:, :].T, vh_e[:r_e, :].T])
         An, En = Ac @ V, Ec @ V
         u_a, s_a, _ = np.linalg.svd(An[:, :k])
-        r_a = decide_rank(s_a, thr_a, f"{stage}: A-compression, step {step}")
-        Ac = (u_a.T @ An)[r_a:, k:]
-        Ec = (u_a.T @ En)[r_a:, k:]
+        r_a = _decide(s_a, thr_a, f"{stage}: A-compression, step {step}", decisions)
         nu.append(k)
         ss.append(r_a)
         step += 1
+        if r_a == 0 and r_e and s_e[r_e - 1] >= 10.0 * thr_e:
+            Ac, Ec = An[:, k:], En[:, k:]
+            svd_final = (u_e, s_e[:r_e], np.eye(r_e))
+            break
+        Ac = (u_a.T @ An)[r_a:, k:]
+        Ec = (u_a.T @ En)[r_a:, k:]
     return nu, ss, Ac, Ec, svd_final
 
 
-def _minimal_and_infinite(nu, ss, stage):
+def _least_margin(decisions) -> ToleranceBreakdown:
+    """The refusal of the staircase decision whose smallest kept or largest
+    dropped value lies nearest its cutoff."""
+    def ratio(d):
+        _, thr, kept, dropped = d
+        return min(kept / thr if thr else np.inf, thr / dropped if dropped else np.inf)
+
+    return ToleranceBreakdown(*min(decisions, key=ratio))
+
+
+def _minimal_and_infinite(nu, ss, decisions):
     """Right minimal indices and infinite divisor sizes from the step counts.
 
     nu_j - s_j blocks have minimal index j-1; the infinite divisors of size
     at least j number s_j minus the minimal indices that are still alive at
-    later steps.
+    later steps.  Counts that no Kronecker structure has come only from
+    rank decisions that disagree, and raise the
+    :class:`ToleranceBreakdown` of the one of decisions (see
+    :func:`_decide`) with the least margin.
     """
     K = len(nu)
     minimal = []
@@ -263,7 +298,7 @@ def _minimal_and_infinite(nu, ss, stage):
     for j in range(1, K + 1):
         count = inf_geq[j - 1] - inf_geq[j]
         if count < 0:
-            raise NumericalBreakdown(f"inconsistent staircase counts at {stage}")
+            raise _least_margin(decisions)
         sizes.extend([j] * count)
     return minimal, sizes
 
@@ -337,19 +372,53 @@ def remembered(slot, args: tuple, compute):
     return value, (key, value)
 
 
-# remembered() slots: (key, value) of the last call of _e_svd, pencil_report
-# and feedback_analysis.
+# remembered() slots: (key, value) of the last call of _e_factors,
+# pencil_report and feedback_analysis.
 _E_SVD = None
 _REPORT = None
 _ANALYSIS = None
 
 
+def _decompose_e(E: np.ndarray):
+    """``(U, s, Vh, w)``: the full SVD of E and, when ``E == E^T`` bitwise,
+    its ascending eigenvalues w, else None.
+
+    A symmetric E takes one ``eigh``, ``E = V diag(w) V^T``, instead of the
+    SVD: with the columns of V ordered by descending |w|, the SVD is
+    ``s = |w|``, ``Vh = V^T`` and ``U = V sign(w)`` (+1 at w = 0).
+    """
+    if not np.array_equal(E, E.T):
+        return (*_freeze(*np.linalg.svd(E)), None)
+    w, V = np.linalg.eigh(E)
+    order = np.argsort(-np.abs(w), kind="stable")
+    V = V[:, order]
+    return _freeze(V * np.where(w[order] < 0.0, -1.0, 1.0), np.abs(w[order]), V.T, w)
+
+
+def _e_factors(E: np.ndarray):
+    """:func:`_decompose_e` of a pencil's E, read-only and remembered for
+    the last E."""
+    global _E_SVD
+    value, _E_SVD = remembered(_E_SVD, (E,), _decompose_e)
+    return value
+
+
 def _e_svd(E: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Full SVD ``(U, s, Vh)`` of a pencil's E, read-only and remembered
-    for the last E."""
-    global _E_SVD
-    factors, _E_SVD = remembered(_E_SVD, (E,), lambda E: _freeze(*np.linalg.svd(E)))
-    return factors
+    for the last E (see :func:`_e_factors`)."""
+    return _e_factors(E)[:3]
+
+
+def e_definiteness(E, tol: ToleranceConfig = DEFAULT_TOL) -> Definiteness:
+    """:func:`classify_definiteness` of a square E; when ``E == E^T``
+    bitwise, read off the remembered eigenvalues of E (see
+    :func:`_e_factors`), the same ones a later report of a pencil with this
+    E reads."""
+    E = as_matrix(E)
+    if not E.size or not np.array_equal(E, E.T):
+        return classify_definiteness(E, tol)
+    w = _e_factors(E)[3]
+    return definiteness(float(w[0]), float(w[-1]), tol)
 
 
 def pencil_report(E, A, tol: ToleranceConfig = DEFAULT_TOL) -> PencilReport:
@@ -375,9 +444,16 @@ def pencil_report(E, A, tol: ToleranceConfig = DEFAULT_TOL) -> PencilReport:
 def _staircase(E, A, tol: ToleranceConfig) -> PencilReport:
     p, q = A.shape
     maxdim = max(p, q)
-    svd_e = u_e, s_e, vh_e = _e_svd(E)
+    u_e, s_e, vh_e, w = _e_factors(E)
     thr_e = tol.rank_rtol * maxdim * (float(s_e[0]) if s_e.size else 0.0)
-    r = decide_rank(s_e, thr_e, "right pass: E-compression, step 1")
+    if w is not None and np.any((s_e > thr_e / 10.0) & (s_e < 10.0 * thr_e)):
+        # An eigenvalue near the cutoff: eigh's roundoff ones need not sit
+        # where the SVD's do, so the SVD decides, as for any other E.
+        u_e, s_e, vh_e = np.linalg.svd(E)
+        thr_e = tol.rank_rtol * maxdim * float(s_e[0])
+    svd_e = u_e, s_e, vh_e
+    decisions = []
+    r = _decide(s_e, thr_e, "right pass: E-compression, step 1", decisions)
     kernels = vh_e[r:, :].T, u_e[:, r:]
     exit_ = _index_one_exit(A, E, svd_e, r, tol) if p == q else None
     logger.debug("pencil %dx%d: %s, k = %d", p, q,
@@ -387,15 +463,15 @@ def _staircase(E, A, tol: ToleranceConfig) -> PencilReport:
     thr_a = tol.rank_rtol * maxdim * spectral_norm(A)
 
     nu_r, ss_r, A1, E1, svd_e1 = _deflate_right_and_infinite(
-        A, E, thr_a, thr_e, "right pass", (svd_e, r))
-    right_minimal, infinite_sizes = _minimal_and_infinite(nu_r, ss_r, "right pass")
+        A, E, thr_a, thr_e, "right pass", decisions, (svd_e, r))
+    right_minimal, infinite_sizes = _minimal_and_infinite(nu_r, ss_r, decisions)
 
     # E1 = U diag(s) Vh, so E1^T = Vh^T diag(s) U^T is the left pass's step 1,
     # of the full rank s.size that the right pass decided.
     step1_l = None if svd_e1 is None else ((svd_e1[2].T, svd_e1[1], svd_e1[0].T), svd_e1[1].size)
     nu_l, ss_l, A2t, E2t, svd_e2t = _deflate_right_and_infinite(
-        A1.T, E1.T, thr_a, thr_e, "left pass", step1_l)
-    left_minimal, leftover = _minimal_and_infinite(nu_l, ss_l, "left pass")
+        A1.T, E1.T, thr_a, thr_e, "left pass", decisions, step1_l)
+    left_minimal, leftover = _minimal_and_infinite(nu_l, ss_l, decisions)
     if leftover:
         raise NumericalBreakdown("left pass uncovered infinite structure; "
                                  "rank decisions are inconsistent")
@@ -414,19 +490,14 @@ class DissipationBound:
     ``s E - A`` (see :func:`dissipation_bound`).
 
     ``axis_distance`` is a lower bound on ``|Re lam|``.
-    ``left_half_plane``, decided on first read by one ``eigvalsh`` of E, is
-    whether E is PSD at the rank a report of the pencil keeps:
-    ``lambda_min(E) > -thr_e / 10``, with thr_e that report's cutoff for E.
-    Then every lam has ``Re lam < 0``.
+    ``left_half_plane`` is whether E is PSD at the rank a report of the
+    pencil keeps: ``lambda_min(E) > -thr_e / 10``, with thr_e that report's
+    cutoff for E and lambda_min(E) read off the remembered eigenvalues of E
+    (see :func:`_e_factors`).  Then every lam has ``Re lam < 0``.
     """
 
     axis_distance: float
-    E: np.ndarray = field(repr=False)
-    thr_e: float
-
-    @cached_property
-    def left_half_plane(self) -> bool:
-        return not self.E.size or float(np.linalg.eigvalsh(self.E)[0]) > -self.thr_e / 10.0
+    left_half_plane: bool
 
 
 def dissipation_bound(E, A, tol: ToleranceConfig = DEFAULT_TOL) -> DissipationBound | None:
@@ -438,9 +509,10 @@ def dissipation_bound(E, A, tol: ToleranceConfig = DEFAULT_TOL) -> DissipationBo
     An eigenvector x of lam has ``Re lam * x^H E x = x^H H x`` when E is
     symmetric, so ``|Re lam| >= lambda_min(-H) / ||E||_2``, and
     ``Re lam < 0`` when also E is PSD (Mehl, Mehrmann & Wojtylak, SIMAX
-    2018).  For port-Hamiltonian data -H is R.  ||E||_2 is read off the
-    remembered SVD of E, so after a report of the pencil the bound costs one
-    ``eigvalsh`` of H.  The bound is infinite for E = 0.
+    2018).  For port-Hamiltonian data -H is R.  ||E||_2 and lambda_min(E)
+    are read off the remembered eigenvalues of E, so after a report of the
+    pencil the bound costs one ``eigvalsh`` of H.  The bound is infinite for
+    E = 0.
     """
     E = as_matrix(E)
     A = as_matrix(A)
@@ -449,10 +521,11 @@ def dissipation_bound(E, A, tol: ToleranceConfig = DEFAULT_TOL) -> DissipationBo
     minus_h = classify_definiteness(-A, tol)
     if not minus_h.is_definite:
         return None
-    s = _e_svd(E)[1]
+    _, s, _, w = _e_factors(E)
     norm_e = float(s[0]) if s.size else 0.0
-    return DissipationBound(minus_h.min_eigenvalue / norm_e if norm_e else np.inf, E,
-                            tol.rank_rtol * max(E.shape) * norm_e)
+    thr_e = tol.rank_rtol * max(E.shape) * norm_e
+    return DissipationBound(minus_h.min_eigenvalue / norm_e if norm_e else np.inf,
+                            not w.size or float(w[0]) > -thr_e / 10.0)
 
 
 def _axis_eigenvalues_semisimple(evs, A_reg, E_reg, tol: ToleranceConfig) -> bool:

@@ -204,6 +204,20 @@ def svd_calls(monkeypatch):
 
 
 @pytest.fixture
+def eigh_calls(monkeypatch):
+    """Every ``np.linalg.eigh`` call from here on, as a copy of its argument."""
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.array(a, copy=True))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    return calls
+
+
+@pytest.fixture
 def eigvals_calls(monkeypatch):
     """Every ``np.linalg.eigvals`` and ``scipy.linalg.eigvals`` call from
     here on, as the name of its module."""

@@ -8,7 +8,13 @@ from phdesc.certify import certify_closed_loop
 from phdesc.fileio import feedback_from_dict, feedback_to_dict
 from phdesc.generators import random_ph
 from phdesc.model import PHSystem, apply_feedback, validate
-from phdesc.pencil import StabilityClass, pencil_report
+from phdesc.pencil import (
+    StabilityClass,
+    index_reduction_rank_condition,
+    pencil_report,
+    stabilizability_rank_condition,
+    strict_passifiability_condition,
+)
 from phdesc.synthesis import synthesize_passifying, synthesize_stabilizing
 
 
@@ -141,6 +147,30 @@ class TestSharedSvdOfE:
         F, _ = synthesize_stabilizing(sys)
         assert certify_closed_loop(sys, F, goal="stabilize").overall
         assert not any(full and np.array_equal(a, sys.E) for a, full in svd_calls)
+
+    def test_chain_takes_one_eigh_of_e(self, monkeypatch, cold_e_svd, cold_report,
+                                       cold_analysis, svd_calls, eigh_calls):
+        # validate, the report, the three conditions, the synthesis and a
+        # certification that the dissipation bound decides all read the
+        # one eigendecomposition of the symmetric E.
+        eigvalsh_calls, eigvalsh = [], np.linalg.eigvalsh
+
+        def counting(a, *args, **kwargs):
+            eigvalsh_calls.append(np.array(a, copy=True))
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        sys = random_ph(12, 2, 0)
+        assert validate(sys).passed
+        assert pencil_report(sys.E, sys.A).regular
+        assert stabilizability_rank_condition(sys)[0] and index_reduction_rank_condition(sys)
+        strict_passifiability_condition(sys)
+        F, _ = synthesize_stabilizing(sys)
+        cert = certify_closed_loop(sys, F, goal="stabilize")
+        assert cert.overall and cert.stable_by_bound
+        of_e = lambda calls: sum(np.array_equal(a, sys.E) for a in calls)  # noqa: E731
+        assert of_e(eigh_calls) == 1
+        assert of_e(a for a, _ in svd_calls) == 0 and of_e(eigvalsh_calls) == 0
 
     @pytest.mark.parametrize("rank_e", [None, 50])
     def test_certification_takes_only_the_k_block_svd(self, svd_calls, rank_e):

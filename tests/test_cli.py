@@ -263,3 +263,14 @@ class TestCommandSurface:
         assert capsys.readouterr().err.startswith(
             "numerical breakdown: ambiguous rank decision at right pass: E-compression, step 1")
         assert not report.exists()
+
+    def test_inconsistent_staircase_exits_two_naming_the_decision(self, tmp_path, capsys):
+        # The staircase counts at rank_rtol = 1e-17 fit no Kronecker
+        # structure; the refusal names the decision with the least margin.
+        sys_path = tmp_path / "sys.json"
+        report = tmp_path / "report.json"
+        save_system(sys_path, random_ph(9, 0, 1, force_singular=True))
+        assert run("analyze", "--input", sys_path, "--tol", 1e-17, "--report", report) == 2
+        assert capsys.readouterr().err.startswith(
+            "numerical breakdown: ambiguous rank decision at right pass: A-compression, step 2")
+        assert not report.exists()

@@ -134,6 +134,30 @@ class TestNullspaceRange:
                 assert spectral_norm(M @ B) <= 10 * max(thr, 1e-300) + 1e-13 * spectral_norm(M)
 
 
+    def test_tall_input_takes_the_thin_svd(self, monkeypatch):
+        # Same nullity and the same subspace as the full SVD's trailing
+        # rows of Vh, on seeded rank-deficient tall shapes.
+        rng = np.random.default_rng(24)
+        svd, thin = np.linalg.svd, []
+
+        def recording(a, *args, **kwargs):
+            thin.append(kwargs.get("full_matrices") is False)
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording)
+        for _ in range(200):
+            q = int(rng.integers(1, 13))
+            p = q + int(rng.integers(0, 3 * q + 1))
+            r = int(rng.integers(0, q + 1))
+            M = rng.normal(size=(p, r)) @ rng.normal(size=(r, q))
+            B = nullspace_basis(M)
+            _, s, vh = svd(M)
+            full = vh[decide_rank(s, DEFAULT_TOL.rank_rtol * s[0] * p, "full"):].T
+            assert B.shape == full.shape
+            assert np.linalg.norm(B @ B.T - full @ full.T) <= 1e-12
+        assert all(thin) and len(thin) == 200
+
+
 # (nullspace basis, range basis) of the zero matrix of each empty shape.
 EMPTY_BASES = {
     (0, 0): (np.zeros((0, 0)), np.zeros((0, 0))),

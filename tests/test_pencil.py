@@ -233,18 +233,20 @@ class TestIndexOneExit:
         assert r.infinite_block_sizes == (2,) * k and r.rank_E == n - k
 
     @pytest.mark.parametrize("factor, route, shapes", [
-        (0.99, "staircase", [(3, 3), (1, 1), (3, 3), (3, 1), (2, 2)]),
-        (1.01, "index-one exit", [(3, 3), (1, 1)]),
+        (0.99, "staircase", [(1, 1), (3, 3), (3, 1), (2, 2)]),
+        (1.01, "index-one exit", [(1, 1)]),
     ])
-    def test_guard_on_a22(self, route_log, cold_e_svd, cold_report, svd_calls,
+    def test_guard_on_a22(self, route_log, cold_e_svd, cold_report, svd_calls, eigh_calls,
                           factor, route, shapes):
         # sigma_min(A22) = a and ||A||_F = sqrt(2 + a^2), so the guard
         # a * _QZ_COND > ||A||_F holds from a = sqrt(2 / (_QZ_COND^2 - 1)).
         # Below it the staircase runs: ||A||_2, the A-compression on ker E
-        # and step 2's SVD of the deflated E, to the same verdict.
+        # and step 2's SVD of the deflated E, to the same verdict.  The
+        # symmetric E takes one eigh and no SVD on either route.
         a = factor * np.sqrt(2.0 / (pencil._QZ_COND ** 2 - 1.0))
         r = pencil_report(np.diag([1.0, 1.0, 0.0]), -np.diag([1.0, 1.0, a]))
         assert _routes(route_log) == [(route, 1)]
+        assert [x.shape for x in eigh_calls] == [(3, 3)]
         assert [x.shape for x, _ in svd_calls] == shapes
         assert r.regular and r.index == 1 and r.rank_E == 2
         assert_spectra_match(r.finite_eigenvalues, [-1.0, -1.0], atol=1e-12)
@@ -317,15 +319,16 @@ class TestPencilReport:
 
     @pytest.mark.parametrize("n, m, seed, index, svds", [(60, 6, 0, 0, 1), (12, 2, 1, 1, 2)])
     def test_index_one_exit_takes_svds_of_e_and_a22(self, cold_e_svd, cold_report, svd_calls,
-                                                    n, m, seed, index, svds):
-        # Index 0: svd(E) alone, with no ||A||_2.  Index 1: also the singular
-        # values of the k x k block A22 = U2^T A V2 on ker E.  Neither takes
-        # a staircase step or a left pass.
+                                                    eigh_calls, n, m, seed, index, svds):
+        # svds decompositions.  Index 0: E's one eigh (E is symmetric) alone,
+        # with no ||A||_2.  Index 1: also the singular values of the k x k
+        # block A22 = U2^T A V2 on ker E.  Neither takes a staircase step or
+        # a left pass.
         sys = random_ph(n, m, seed)
         r = pencil_report(sys.E, sys.A)
         assert r.regular and r.index == index
-        assert len(svd_calls) == svds
-        assert [a.shape for a, _ in svd_calls[1:]] == [(n - r.rank_E,) * 2] * (svds - 1)
+        assert [a.shape for a in eigh_calls] == [(n, n)]
+        assert [a.shape for a, _ in svd_calls] == [(n - r.rank_E,) * 2] * (svds - 1)
 
     @pytest.mark.parametrize("n, seed", [(12, 0), (60, 1)])
     def test_one_rank_svd_per_axis_pair(self, cold_report, svd_calls, n, seed):
@@ -620,6 +623,109 @@ class TestESvd:
         pencil._e_svd(F)
         pencil._e_svd(E)
         assert len(svd_calls) == 3
+
+
+def _svd_route(E):
+    """E decomposed as before the symmetric route: the SVD, and for a
+    symmetric E the eigenvalues of ``eigvalsh``."""
+    w = np.linalg.eigvalsh(E) if np.array_equal(E, E.T) else None
+    return (*pencil._freeze(*np.linalg.svd(E)), w)
+
+
+def _route_record(sys):
+    """The chain's verdicts on sys, and the spectra and witnesses it read."""
+    r = pencil_report(sys.E, sys.A)
+    ok, witnesses = stabilizability_rank_condition(sys)
+    verdicts = [validate(sys).passed, r.regular, r.index, r.infinite_block_sizes,
+                r.right_minimal_indices, r.left_minimal_indices, r.rank_E, r.stability_class,
+                ok, len(witnesses), index_reduction_rank_condition(sys),
+                strict_passifiability_condition(sys)]
+    spectra = [r.finite_eigenvalues, witnesses]
+    for goal, synthesize in (("stabilize", lambda s: synthesize_stabilizing(s)[0]),
+                             ("passify", synthesize_passifying)):
+        try:
+            F = synthesize(sys)
+        except ConditionsNotMet as exc:
+            verdicts.append((str(exc), len(exc.witnesses)))
+            spectra.append(exc.witnesses)
+            continue
+        cert = certify_closed_loop(sys, F, goal)
+        checks = cert.to_dict()["checks"]
+        verdicts.append((cert.overall, cert.stable_by_bound, cert.pencil.index,
+                         {name: c["passed"] for name, c in checks.items()}))
+        spectra.append(cert.pencil.finite_eigenvalues)
+    return verdicts, spectra
+
+
+class TestSymmetricRoute:
+    """A bitwise symmetric E takes one eigh, which serves validate, the
+    staircase and the dissipation bound; any other E takes the SVD."""
+
+    def test_verdicts_equal_the_svd_route(self, monkeypatch):
+        def forget():
+            for slot in ("_E_SVD", "_REPORT", "_ANALYSIS"):
+                monkeypatch.setattr(pencil, slot, None)
+
+        grid = itertools.product(FAMILIES, (None, 0, 1), [*range(3, 13), 60])
+        for family, rank_w, n in grid:
+            sys = random_ph(n, 2, 0, rank_w=rank_w, **FAMILIES[family])
+            forget()
+            verdicts, spectra = _route_record(sys)
+            with monkeypatch.context() as mp:
+                mp.setattr(pencil, "_decompose_e", _svd_route)
+                forget()
+                svd_verdicts, svd_spectra = _route_record(sys)
+            forget()
+            assert verdicts == svd_verdicts, (family, rank_w, n)
+            for ev, svd_ev in zip(spectra, svd_spectra):
+                assert_spectra_match(ev, svd_ev, atol=1e-12)
+
+    def test_asymmetric_e_takes_the_svd(self, cold_e_svd, cold_report, svd_calls, eigh_calls):
+        sys = random_ph(12, 2, 0)
+        E = sys.E.copy()
+        E[0, 1] = np.nextafter(E[0, 1], np.inf)  # one ulp off symmetric
+        r = pencil_report(E, sys.A)
+        assert eigh_calls == []
+        assert svd_calls[0][1] and np.array_equal(svd_calls[0][0], E)
+        assert r.rank_E == pencil_report(sys.E, sys.A).rank_E
+
+    @pytest.mark.parametrize("small, rank_e, svd", [(5e-11, 3, False), (5e-13, 3, True),
+                                                    (5e-14, 2, True), (1e-15, 2, False)])
+    def test_eigenvalue_near_the_cutoff_takes_the_svd(self, cold_e_svd, cold_report, svd_calls,
+                                                      eigh_calls, small, rank_e, svd):
+        # The cutoff is 256 eps * 3 = 1.7e-13: an eigenvalue of E within
+        # tenfold of it, kept or dropped, sends the staircase to the SVD.
+        E = np.diag([1.0, 0.5, small])
+        r = pencil_report(E, -np.eye(3))
+        assert [a.shape for a in eigh_calls] == [(3, 3)]
+        assert [np.array_equal(a, E) and full for a, full in svd_calls].count(True) == svd
+        assert r.regular and r.rank_E == rank_e
+
+    @pytest.mark.parametrize("seed, shapes, blocks", [
+        # Right pass: the 1 x 1 A-compression on ker E has rank 0, and so
+        # does the left pass's: neither takes an SVD of the deflated E.
+        (0, [(1, 1), (12, 12), (12, 1), (11, 1)], ((), (0,), (0,))),
+        # Right pass: A-compressions of rank 2, then an SVD of the 10 x 9 E;
+        # the left pass takes only its 9 x 1 A-compression.
+        (1, [(3, 3), (12, 12), (12, 3), (10, 9), (9, 1)], ((1, 1), (0,), (0,))),
+    ])
+    def test_rank_zero_compression_keeps_the_svd(self, cold_e_svd, cold_report, svd_calls,
+                                                 seed, shapes, blocks):
+        sys = random_ph(12, 2, seed, force_singular=True)
+        r = pencil_report(sys.E, sys.A)
+        assert [a.shape for a, _ in svd_calls] == shapes
+        assert (r.infinite_block_sizes, r.right_minimal_indices, r.left_minimal_indices) == blocks
+        assert_spectra_match(r.finite_eigenvalues,
+                             scipy.linalg.eigvals(r.regular_A, r.regular_E), atol=1e-12)
+
+    def test_inconsistent_counts_refuse_the_least_margin_decision(self, cold_report):
+        # At rank_rtol = 1e-17 the right pass's second A-compression keeps
+        # 4.0e-16 against a cutoff of 3.6e-16, and the counts that follow
+        # fit no Kronecker structure: that decision is refused.
+        sys = random_ph(9, 0, 1, force_singular=True)
+        with pytest.raises(ToleranceBreakdown, match="right pass: A-compression, step 2") as info:
+            pencil_report(sys.E, sys.A, ToleranceConfig(rank_rtol=1e-17))
+        assert info.value.threshold < info.value.kept_min < 10.0 * info.value.threshold
 
 
 class TestRememberedReport:
