@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Identity sweep: record every verdict of the full chain, or compare two records.
 
-Runs the four ``random_ph`` families, and a "damped-floor" family of lossless
-plants given R = delta I, through validation, the pencil report, the three
-existence conditions, both syntheses with certification, and the ``phdesc``
-CLI (in-process ``phdesc.cli.main``: ``validate`` on every system, and on the
+Runs the four ``random_ph`` families, a "damped-floor" family of lossless
+plants given R = delta I, and a "near-band" family whose R has one eigenvalue
+planted near the definiteness band, through validation, the pencil report,
+the three existence conditions, both syntheses with certification, and the
+``phdesc`` CLI (in-process ``phdesc.cli.main``: ``validate`` on every system, and on the
 smaller ones every other command, ``certify`` and ``simulate`` on the
 stabilizing and on a seeded random feedback), and writes one JSON record of
 what the importable ``phdesc`` returned: verdicts, witnesses, exception types
@@ -76,6 +77,12 @@ LONG_HORIZON = (20, 0)
 # 10 axis_tol and 10 stability_margin (1e-7 at the defaults).
 DAMPED_FLOOR = (1e-9, 1e-7, 1e-6)
 
+# R's smallest eigenvalue planted at c * psd_tol * ||R||_2, with P = 0 so
+# that W = diag(R, S): the definiteness of R (the dissipation bound's -H)
+# and of W sit at half, twice and twenty times the band, where a Cholesky
+# proof may fail and the eigenvalues decide.
+NEAR_BAND = (0.5, 2.0, 20.0)
+
 # Every subcommand, for the SHA-256 of its --help.
 COMMANDS = ("gen", "validate", "analyze", "stabilize", "passify", "certify", "simulate")
 
@@ -130,14 +137,29 @@ def systems():
             for m in (1, 2):
                 for seed in range(2):
                     yield "damped-floor", n, m, seed, n <= 6, {"rank_w": 0, "damping": damping}
+    for c in NEAR_BAND:
+        for n in range(3, 13):
+            for m in (1, 2):
+                for seed in range(2):
+                    yield "near-band", n, m, seed, n <= 6, {"band": c}
 
 
 def _system(phdesc, family: str, n: int, m: int, seed: int, knobs: dict):
-    """The generated system; a "damping" knob replaces R by damping * I."""
+    """The generated system; a "damping" knob replaces R by damping * I, and
+    a "band" knob c plants R's smallest eigenvalue at c * psd_tol * ||R||_2
+    and sets P = 0."""
     knobs = dict(knobs)
     damping = knobs.pop("damping", None)
+    band = knobs.pop("band", None)
     s = phdesc.random_ph(n, m, seed, **FAMILIES.get(family, {}), **knobs)
-    return s if damping is None else dataclasses.replace(s, R=damping * np.eye(n))
+    if damping is not None:
+        return dataclasses.replace(s, R=damping * np.eye(n))
+    if band is not None:
+        w, V = np.linalg.eigh(s.R)
+        w[0] = band * phdesc.DEFAULT_TOL.psd_tol * w[-1]
+        R = (V * w) @ V.T
+        return dataclasses.replace(s, R=(R + R.T) / 2.0, P=np.zeros_like(s.P))
+    return s
 
 
 def _hex(values) -> list[list[str]]:

@@ -15,7 +15,10 @@ reached from scratch.
 
 The overall verdict reads only its goal's checks, in order.  The passify
 verdict reads W and the index but no spectrum: W > 0 already forces
-asymptotic stability.  The stabilize verdict reads no spectrum either when
+asymptotic stability.  W's verdict is proved by one Cholesky factorization
+where it can (see :class:`phdesc.linalg.Definiteness`); its eigenvalues,
+the reported ``lambda_min_w`` and band, are computed when first read.  The
+stabilize verdict reads no spectrum either when
 :func:`phdesc.pencil.dissipation_bound` keeps every eigenvalue of the
 regular loop more than ten times ``stability_margin`` inside the left half
 plane, the case for a loop with R~ > 0 and E PSD; otherwise it reads the
@@ -28,9 +31,10 @@ decided.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 from .fileio import complex_pairs
-from .linalg import DEFAULT_TOL, Definiteness, ToleranceConfig, classify_definiteness
+from .linalg import DEFAULT_TOL, Definiteness, ToleranceConfig
 from .model import PHSystem, apply_feedback, dissipation_matrix
 from .pencil import PencilReport, StabilityClass, dissipation_bound, pencil_report
 
@@ -118,12 +122,13 @@ def certify_closed_loop(
         raise ValueError(f"goal must be one of {GOALS}")
     closed = apply_feedback(sys, F)
     A = closed.A
-    w = classify_definiteness(dissipation_matrix(closed), tol)
+    # W is formed again from the closed loop when read, not kept.
+    w = Definiteness(partial(dissipation_matrix, closed), tol)
     rep = pencil_report(closed.E, A, tol)
     stable = False
     if goal == "stabilize" and rep.regular and w.is_semidefinite:
         bound = dissipation_bound(closed.E, A, tol)
-        stable = (bound is not None and bound.axis_distance > 10.0 * tol.stability_margin
-                  and bound.left_half_plane)
+        stable = (bound is not None and bound.left_half_plane
+                  and bound.exceeds(10.0 * tol.stability_margin))
     return CertReport(goal=goal, closed_loop=closed, pencil=rep, w=w, tol=tol,
                       stable_by_bound=stable)

@@ -15,7 +15,18 @@ from the cutoff with a :class:`ToleranceBreakdown` that names the decision:
   the index-reduction rank, simulate's step matrix and the consistent
   projection), and synthesis's mu1..mu3.
 - :func:`deficiency` refuses when any value is within tenfold.  It decides
-  the PBH tests and the geometric multiplicity of an axis eigenvalue.
+  the PBH tests (through :func:`row_deficiency`) and the geometric
+  multiplicity of an axis eigenvalue.
+
+A verdict that is a yes/no question is first put to one Cholesky
+factorization, :func:`cholesky_proves`, whose shift (Rump's bound, plus the
+roundoff of the ``eigvalsh`` or SVD that would otherwise decide) makes a
+success a proof of the answer that decomposition would give: the two
+verdicts of :class:`Definiteness`, "rank = rows" in :func:`numerical_rank`
+and "no deficiency" in :func:`row_deficiency` (on the Gram matrix
+``M M^T`` of a real M).  Only a failed factorization, or a read of a margin
+(an eigenvalue, the band, a kind), takes the ``eigvalsh`` or the SVD, which
+then decides exactly as it would alone.
 
 Matrices with zero rows or columns take the same path as any other: numpy's
 decompositions return identity factors and empty spectra for them.
@@ -29,13 +40,23 @@ give ``validate`` its ``e_psd`` through :func:`definiteness`.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import NotSquare, ToleranceBreakdown
 
 _EPS = float(np.finfo(np.float64).eps)
+
+# Unit roundoff and smallest subnormal of binary64, for Rump's bound.
+_U = _EPS / 2.0
+_ETA = float(np.finfo(np.float64).smallest_subnormal)
+
+# Relative raise of a proof's shift: it covers the rounding of the shift's
+# own sums and products (each at most a few n u) for n up to 1e9.
+_SHIFT_SLACK = 1.0 + 1e-6
 
 
 @dataclass(frozen=True)
@@ -85,25 +106,92 @@ class DefinitenessKind(enum.Enum):
     NEGATIVE_DEFINITE = "negative_definite"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Definiteness:
-    """Classification of a symmetric matrix, its extreme eigenvalues and decision band."""
+    """Definiteness of the symmetric part ``H = (M + M^T)/2`` of a square
+    matrix M, decided within the band ``psd_tol * max(|lo|, |hi|)`` on the
+    extreme eigenvalues ``lo <= hi`` that ``eigvalsh(H)`` returns: definite
+    when ``lo > band``, semidefinite when ``lo >= -band``.
 
-    kind: DefinitenessKind
-    min_eigenvalue: float
-    max_eigenvalue: float
-    band: float
+    ``form()`` returns M; the record keeps the callable, not H.  A verdict
+    (``is_definite``, ``is_semidefinite``, :meth:`proves`) is first put
+    to :func:`cholesky_proves`, at a threshold that also covers eigvalsh's
+    roundoff and bounds the band by norms of H, so a success is the verdict
+    the eigenvalues would give.  ``extremes`` (and with it ``kind``, the
+    eigenvalues and ``band``) takes one ``eigvalsh`` on first read, and so
+    does a verdict the factorization does not prove; both are then kept.
+    """
+
+    form: Callable[[], np.ndarray] | None = field(repr=False)
+    tol: ToleranceConfig = field(default=DEFAULT_TOL, repr=False)
+
+    @cached_property
+    def extremes(self) -> tuple[float, float]:
+        """``(lo, hi)``; ``(inf, -inf)`` for an empty H."""
+        H = _symmetric_part(self.form())
+        if not H.size:
+            return np.inf, -np.inf
+        w = np.linalg.eigvalsh(H)
+        return float(w[0]), float(w[-1])
 
     @property
+    def min_eigenvalue(self) -> float:
+        return self.extremes[0]
+
+    @property
+    def max_eigenvalue(self) -> float:
+        return self.extremes[1]
+
+    @property
+    def band(self) -> float:
+        lo, hi = self.extremes
+        return self.tol.psd_tol * max(abs(lo), abs(hi))
+
+    @property
+    def kind(self) -> DefinitenessKind:
+        lo, hi = self.extremes
+        band = self.band
+        if lo > band or hi < lo:  # hi < lo: H is empty
+            return DefinitenessKind.POSITIVE_DEFINITE
+        if hi < -band:
+            return DefinitenessKind.NEGATIVE_DEFINITE
+        if lo >= -band:
+            return DefinitenessKind.POSITIVE_SEMIDEFINITE
+        if hi <= band:
+            return DefinitenessKind.NEGATIVE_SEMIDEFINITE
+        return DefinitenessKind.INDEFINITE
+
+    @cached_property
     def is_definite(self) -> bool:
-        return self.kind is DefinitenessKind.POSITIVE_DEFINITE
+        return self.proves(0.0) or self.kind is DefinitenessKind.POSITIVE_DEFINITE
 
-    @property
+    @cached_property
     def is_semidefinite(self) -> bool:
-        return self.kind in (
+        # A definite verdict already read answers this one too.
+        return self.__dict__.get("is_definite") or self.proves() or self.kind in (
             DefinitenessKind.POSITIVE_DEFINITE,
             DefinitenessKind.POSITIVE_SEMIDEFINITE,
         )
+
+    def proves(self, t: float | None = None) -> bool:
+        """Whether one Cholesky factorization proves ``lo > max(band, t)``
+        (definite, and above t), or ``lo >= -band`` when t is None, before
+        ``extremes`` is computed; False proves nothing."""
+        if "extremes" in self.__dict__:
+            return False
+        H = _symmetric_part(self.form())
+        n = H.shape[0]
+        columns = np.einsum("ij,ij->j", H, H)
+        up = float(np.sqrt(columns.sum()))                  # ||H||_F >= ||H||_2
+        low = float(np.sqrt(columns.max())) if n else 0.0  # a column's norm <= ||H||_2
+        slack = _decomposition_roundoff(n, up)
+        # lo and hi lie within slack of the exact extremes, so
+        # psd_tol (low - slack) <= band <= psd_tol (up + slack).
+        if t is None:
+            t = slack - self.tol.psd_tol * max(low - slack, 0.0)
+        else:
+            t = max(self.tol.psd_tol * (up + slack), t) + slack
+        return cholesky_proves(H, t)
 
 
 def as_matrix(M) -> np.ndarray:
@@ -171,11 +259,54 @@ def deficiency(s: np.ndarray, thr: float, stage: str) -> int:
 def numerical_rank(M, tol: ToleranceConfig = DEFAULT_TOL, stage: str = "numerical rank") -> int:
     """Rank of M by :func:`decide_rank` at :func:`rank_threshold`.
 
-    The zero matrix and matrices with an empty dimension have rank 0.
+    A real M with no more rows than columns whose Gram matrix proves its
+    smallest singular value above the cutoff (see :func:`_proves_full_row_rank`)
+    has full row rank with no SVD.  The zero matrix and matrices with an
+    empty dimension have rank 0.
     """
     A = as_matrix(M)
+    if _proves_full_row_rank(A, 1.0, tol):
+        return A.shape[0]
     s = np.linalg.svd(A, compute_uv=False)
     return decide_rank(s, rank_threshold(s, A.shape, tol), stage)
+
+
+def row_deficiency(M, tol: ToleranceConfig = DEFAULT_TOL, stage: str = "row deficiency") -> int:
+    """Rank deficiency of M, with no more rows than columns, by
+    :func:`deficiency` at :func:`rank_threshold`.
+
+    A real M whose Gram matrix proves every singular value tenfold above
+    the cutoff, where :func:`deficiency` returns 0 without a refusal, takes
+    no SVD.
+    """
+    A = as_matrix(M)
+    if _proves_full_row_rank(A, 10.0, tol):
+        return 0
+    s = np.linalg.svd(A, compute_uv=False)
+    return deficiency(s, rank_threshold(s, A.shape, tol), stage)
+
+
+def _proves_full_row_rank(A: np.ndarray, factor: float, tol: ToleranceConfig) -> bool:
+    """Whether one Cholesky factorization of the Gram matrix ``G = A A^T``
+    proves that the smallest singular value the SVD of the real p x q A,
+    p <= q, would return exceeds ``factor`` times its :func:`rank_threshold`.
+
+    The SVD's values lie within d of the exact ones, so sigma_1 is at most
+    ``F + d`` (F = ||A||_F) and it suffices that the exact ``sigma_p > c``,
+    ``c = factor rank_rtol q (F + d) + d``, that is ``lambda_min(A A^T) > c^2``.
+    The computed G has ``|G - A A^T| <= gamma_q |A| |A^T|``, of 2-norm at
+    most ``gamma_q F^2``, so :func:`cholesky_proves` is asked for
+    ``lambda_min(G) > c^2 + gamma_q F^2``.
+    """
+    p, q = A.shape
+    if np.iscomplexobj(A) or not 0 < p <= q:
+        return False
+    G = A @ A.T
+    fro2 = _SHIFT_SLACK * float(np.trace(G))  # raised past the rounding of G's diagonal
+    d = _decomposition_roundoff(q, np.sqrt(fro2))
+    c = factor * tol.rank_rtol * q * (np.sqrt(fro2) + d) + d
+    gamma = q * _U / (1.0 - q * _U)
+    return cholesky_proves(G, _SHIFT_SLACK * (c * c + gamma * fro2))
 
 
 def nullspace_basis(M, tol: ToleranceConfig = DEFAULT_TOL, stage: str = "nullspace") -> np.ndarray:
@@ -224,33 +355,73 @@ def sym_skew_split(D) -> tuple[np.ndarray, np.ndarray]:
     return S, N
 
 
-def classify_definiteness(M, tol: ToleranceConfig = DEFAULT_TOL) -> Definiteness:
-    """Classify the symmetric part of a square matrix by its spectrum.
+def _decomposition_roundoff(n: int, norm: float) -> float:
+    """How far the values of ``eigvalsh`` or the SVD of an n x n (or
+    n-column) M, norm >= ||M||_2, may lie from the exact ones: LAPACK's are
+    within ``p(n) eps ||M||_2`` for a modest p, taken as n, plus one eps
+    for the rounding of norm itself."""
+    return (n + 1) * _EPS * norm
 
-    The input is symmetrized as ``(M + M^T)/2`` before the eigendecomposition;
-    the decision band, reported as ``band``, is ``psd_tol * ||H||_2`` with
-    ``H`` that symmetric part, relative to H at every scale.
+
+def cholesky_proves(H: np.ndarray, t: float) -> bool:
+    """Whether one Cholesky factorization proves ``lambda_min(H) > t``.
+
+    H is a square float64 matrix, symmetric as ``np.linalg.cholesky`` reads
+    it, by its lower triangle.  Its diagonal is shifted in place, so that
+    no second n x n array is made: pass a copy to keep H.  It factors
+    ``B = fl(H - s I)`` with ``s = t + c``.  A computed factor has
+    ``R^T R = B + dB`` with ``|dB| <= gamma_{n+1} |R^T| |R|``, so a success proves
+    ``lambda_min(B) > -gamma_{n+1} / (1 - gamma_{n+1}) tr B`` (Rump,
+    "Verification of positive definiteness", BIT 46 (2006); Higham,
+    *Accuracy and Stability of Numerical Algorithms*, ch. 10), and
+    ``tr B <= sum(h_ii - t)``.  The shift c is that bound, plus
+    ``u (max(h_ii - t) + 2 |t|)`` for the rounding of B's diagonal and of
+    s, all raised by a relative 1e-6, plus an underflow allowance of the
+    form Rump gives, ``4 n (2 (n + 2) + max(h_ii - t)) eta`` with eta the
+    smallest subnormal.  A diagonal entry at or below t fails with no
+    factorization.  False proves nothing.
+    """
+    n = H.shape[0]
+    if n == 0:
+        return True
+    d = np.diagonal(H) - t
+    if not np.all(d > 0.0):
+        return False
+    g = (n + 1) * _U / (1.0 - (n + 1) * _U)
+    d_max = float(d.max())
+    c = (_SHIFT_SLACK * (g / (1.0 - g) * float(d.sum()) + _U * (d_max + 2.0 * abs(t)))
+         + 4.0 * n * (2.0 * (n + 2) + d_max) * _ETA)
+    H.flat[:: n + 1] -= t + c
+    try:
+        np.linalg.cholesky(H)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _symmetric_part(M: np.ndarray) -> np.ndarray:
+    """``(M + M^T) / 2`` in one new array."""
+    H = M + M.T
+    H /= 2.0
+    return H
+
+
+def classify_definiteness(M, tol: ToleranceConfig = DEFAULT_TOL) -> Definiteness:
+    """The :class:`Definiteness` of the symmetric part ``(M + M^T)/2`` of a
+    square matrix, with the band ``psd_tol * ||H||_2``, relative to H at
+    every scale.
+
+    The record keeps M itself, read when a verdict or a margin is first
+    asked for.
     """
     A = as_matrix(M)
     _require_square(A)
-    if A.shape[0] == 0:
-        return Definiteness(DefinitenessKind.POSITIVE_DEFINITE, np.inf, -np.inf, np.inf)
-    w = np.linalg.eigvalsh((A + A.T) / 2.0)
-    return definiteness(float(w[0]), float(w[-1]), tol)
+    return Definiteness(lambda: A, tol)
 
 
 def definiteness(lo: float, hi: float, tol: ToleranceConfig = DEFAULT_TOL) -> Definiteness:
-    """Classify a symmetric matrix by its extreme eigenvalues ``lo <= hi``,
-    within the band ``psd_tol * max(|lo|, |hi|)``."""
-    band = tol.psd_tol * max(abs(lo), abs(hi))
-    if lo > band:
-        kind = DefinitenessKind.POSITIVE_DEFINITE
-    elif hi < -band:
-        kind = DefinitenessKind.NEGATIVE_DEFINITE
-    elif lo >= -band:
-        kind = DefinitenessKind.POSITIVE_SEMIDEFINITE
-    elif hi <= band:
-        kind = DefinitenessKind.NEGATIVE_SEMIDEFINITE
-    else:
-        kind = DefinitenessKind.INDEFINITE
-    return Definiteness(kind, lo, hi, band)
+    """The :class:`Definiteness` of a symmetric matrix whose extreme
+    eigenvalues ``lo <= hi`` are known."""
+    d = Definiteness(None, tol)
+    d.__dict__["extremes"] = (lo, hi)
+    return d

@@ -13,16 +13,18 @@ closed loops under arbitrary feedback must be representable too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .errors import GridTooShort, ShapeMismatch
 from .linalg import (
     DEFAULT_TOL,
+    Definiteness,
     ToleranceConfig,
     as_matrix,
-    classify_definiteness,
     spectral_norm,
 )
 
@@ -82,13 +84,23 @@ class CheckResult:
 
     ``margin`` is a violation norm (pass when <= tolerance) or a minimum
     eigenvalue (pass when >= -tolerance), depending on ``kind``.
+    ``margins()`` returns both; a "min_eigenvalue" check reads them off its
+    :class:`Definiteness` when first asked, so its verdict alone takes no
+    eigensolve.
     """
 
     name: str
     passed: bool
-    margin: float
-    tolerance: float
     kind: str  # "violation_norm" | "min_eigenvalue"
+    margins: Callable[[], tuple[float, float]] = field(repr=False)
+
+    @property
+    def margin(self) -> float:
+        return self.margins()[0]
+
+    @property
+    def tolerance(self) -> float:
+        return self.margins()[1]
 
     def to_dict(self) -> dict:
         return {
@@ -160,27 +172,28 @@ def validate(sys: PHSystem, tol: ToleranceConfig = DEFAULT_TOL) -> ValidationRep
     """Check the structure constraints and report a margin per constraint.
 
     A bitwise symmetric E is classified on the eigenvalues of E that
-    :mod:`phdesc.pencil` remembers for its reports."""
+    :mod:`phdesc.pencil` remembers for its reports.  W is formed again from
+    sys when its margin is read (see :class:`CheckResult`), not kept."""
 
     def violation(name, M):
         v = spectral_norm(M)
         band = tol.psd_tol * max(1.0, v)
-        return CheckResult(name, v <= band, v, band, "violation_norm")
+        return CheckResult(name, v <= band, "violation_norm", lambda: (v, band))
 
     def psd(name, d):
-        return CheckResult(name, d.is_semidefinite, d.min_eigenvalue, d.band, "min_eigenvalue")
+        return CheckResult(name, d.is_semidefinite, "min_eigenvalue",
+                           lambda: (d.min_eigenvalue, d.band))
 
     # Imported here: phdesc.pencil imports this module.
     from .pencil import e_definiteness
 
-    W = dissipation_matrix(sys)
     return ValidationReport(
         e_symmetric=violation("e_symmetric", sys.E - sys.E.T),
         e_psd=psd("e_psd", e_definiteness(sys.E, tol)),
         j_skew=violation("j_skew", sys.J + sys.J.T),
         n_skew=violation("n_skew", sys.N + sys.N.T),
         s_symmetric=violation("s_symmetric", sys.S - sys.S.T),
-        w_psd=psd("w_psd", classify_definiteness(W, tol)),
+        w_psd=psd("w_psd", Definiteness(partial(dissipation_matrix, sys), tol)),
     )
 
 

@@ -60,7 +60,7 @@ from .linalg import (
     nullspace_basis,
     numerical_rank,
     range_basis,
-    rank_threshold,
+    row_deficiency,
     spectral_norm,
 )
 from .model import PHSystem
@@ -403,12 +403,6 @@ def _e_factors(E: np.ndarray):
     return value
 
 
-def _e_svd(E: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Full SVD ``(U, s, Vh)`` of a pencil's E, read-only and remembered
-    for the last E (see :func:`_e_factors`)."""
-    return _e_factors(E)[:3]
-
-
 def e_definiteness(E, tol: ToleranceConfig = DEFAULT_TOL) -> Definiteness:
     """:func:`classify_definiteness` of a square E; when ``E == E^T``
     bitwise, read off the remembered eigenvalues of E (see
@@ -489,42 +483,60 @@ class DissipationBound:
     """What the dissipation alone says of the finite eigenvalues lam of
     ``s E - A`` (see :func:`dissipation_bound`).
 
-    ``axis_distance`` is a lower bound on ``|Re lam|``.
-    ``left_half_plane`` is whether E is PSD at the rank a report of the
-    pencil keeps: ``lambda_min(E) > -thr_e / 10``, with thr_e that report's
-    cutoff for E and lambda_min(E) read off the remembered eigenvalues of E
-    (see :func:`_e_factors`).  Then every lam has ``Re lam < 0``.
+    ``minus_h`` is the definiteness of ``-H = -(A + A^T) / 2`` and
+    ``norm_e`` is ``||E||_2``.  ``axis_distance``, a lower bound on
+    ``|Re lam|``, is ``lambda_min(-H) / ||E||_2`` when -H is positive
+    definite (infinite for E = 0) and 0 otherwise; it takes one ``eigvalsh``
+    of H on first read.  ``left_half_plane`` is whether E is PSD at the
+    rank a report of the pencil keeps: ``lambda_min(E) > -thr_e / 10``,
+    with thr_e that report's cutoff for E and lambda_min(E) read off the
+    remembered eigenvalues of E (see :func:`_e_factors`).  Then every lam
+    has ``Re lam < 0``.
     """
 
-    axis_distance: float
+    minus_h: Definiteness = field(repr=False)
+    norm_e: float
     left_half_plane: bool
+
+    @cached_property
+    def axis_distance(self) -> float:
+        if not self.minus_h.is_definite:
+            return 0.0
+        return self.minus_h.min_eigenvalue / self.norm_e if self.norm_e else np.inf
+
+    def exceeds(self, need: float) -> bool:
+        """Whether ``axis_distance > need``, for need >= 0.  One Cholesky
+        factorization of -H proves it (see :meth:`Definiteness.proves`)
+        when ``lambda_min(-H) > max(band, need ||E||_2)``, need raised by a
+        relative 1e-12 past the rounding of the quotient; otherwise
+        axis_distance decides."""
+        return (self.minus_h.proves(need * self.norm_e * (1.0 + 1e-12))
+                or self.axis_distance > need)
 
 
 def dissipation_bound(E, A, tol: ToleranceConfig = DEFAULT_TOL) -> DissipationBound | None:
     """Where the dissipation puts the finite spectrum of the square pencil
     ``s E - A``, without an eigensolve; None (undecided) unless
-    ``E == E^T`` bitwise and ``-H = -(A + A^T) / 2`` is positive definite
-    (decided by :func:`classify_definiteness`).
+    ``E == E^T`` bitwise.
 
     An eigenvector x of lam has ``Re lam * x^H E x = x^H H x`` when E is
-    symmetric, so ``|Re lam| >= lambda_min(-H) / ||E||_2``, and
-    ``Re lam < 0`` when also E is PSD (Mehl, Mehrmann & Wojtylak, SIMAX
-    2018).  For port-Hamiltonian data -H is R.  ||E||_2 and lambda_min(E)
-    are read off the remembered eigenvalues of E, so after a report of the
-    pencil the bound costs one ``eigvalsh`` of H.  The bound is infinite for
-    E = 0.
+    symmetric, so ``|Re lam| >= lambda_min(-H) / ||E||_2`` when
+    ``-H = -(A + A^T) / 2`` is positive definite (decided as by
+    :func:`classify_definiteness`), and ``Re lam < 0`` when also E is PSD
+    (Mehl, Mehrmann & Wojtylak, SIMAX 2018).  For port-Hamiltonian data -H
+    is R.  ||E||_2 and lambda_min(E) are read off the remembered
+    eigenvalues of E, so after a report of the pencil a bound that
+    :meth:`DissipationBound.exceeds` a need costs one Cholesky
+    factorization of H.
     """
     E = as_matrix(E)
     A = as_matrix(A)
     if not np.array_equal(E, E.T):
         return None
-    minus_h = classify_definiteness(-A, tol)
-    if not minus_h.is_definite:
-        return None
     _, s, _, w = _e_factors(E)
     norm_e = float(s[0]) if s.size else 0.0
     thr_e = tol.rank_rtol * max(E.shape) * norm_e
-    return DissipationBound(minus_h.min_eigenvalue / norm_e if norm_e else np.inf,
+    return DissipationBound(Definiteness(lambda: -A, tol), norm_e,
                             not w.size or float(w[0]) > -thr_e / 10.0)
 
 
@@ -569,11 +581,12 @@ def _pencil_and_inputs(E, A, B, caller: str):
 
 
 def _pbh_deficiency(E, A, B, lam: complex, tol: ToleranceConfig) -> int:
-    """Rank deficiency of the n-row matrix ``[lam E - A, B]``."""
-    # A point on the real line keeps the SVD real.
+    """Rank deficiency of the n-row matrix ``[lam E - A, B]`` by
+    :func:`row_deficiency`: a point on the real line keeps the matrix real,
+    where a Cholesky factorization of its Gram matrix may decide full rank;
+    a complex point takes the SVD."""
     M = np.hstack([(lam if lam.imag else lam.real) * E - A, B])
-    s = np.linalg.svd(M, compute_uv=False)
-    return deficiency(s, rank_threshold(s, M.shape, tol), f"PBH test, s = {lam:.6g}")
+    return row_deficiency(M, tol, f"PBH test, s = {lam:.6g}")
 
 
 def imaginary_axis_full_rank(E, A, B, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[bool, list[complex]]:
@@ -594,7 +607,7 @@ def imaginary_axis_full_rank(E, A, B, tol: ToleranceConfig = DEFAULT_TOL) -> tup
     rep = pencil_report(E, A, tol)
     if rep.regular:
         bound = dissipation_bound(E, A, tol)
-        if bound is not None and bound.axis_distance > 10.0 * tol.axis_tol:
+        if bound is not None and bound.exceeds(10.0 * tol.axis_tol):
             return True, []
     else:
         if any(rep.left_minimal_indices):

@@ -218,6 +218,35 @@ def eigh_calls(monkeypatch):
 
 
 @pytest.fixture
+def eigvalsh_calls(monkeypatch):
+    """Every ``np.linalg.eigvalsh`` call from here on, as a copy of its argument."""
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.array(a, copy=True))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    return calls
+
+
+@pytest.fixture
+def cholesky_calls(monkeypatch):
+    """Every ``np.linalg.cholesky`` call from here on, as a copy of its
+    argument, whether or not it succeeds."""
+    calls = []
+    cholesky = np.linalg.cholesky
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.array(a, copy=True))
+        return cholesky(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counting)
+    return calls
+
+
+@pytest.fixture
 def eigvals_calls(monkeypatch):
     """Every ``np.linalg.eigvals`` and ``scipy.linalg.eigvals`` call from
     here on, as the name of its module."""

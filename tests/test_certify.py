@@ -135,6 +135,34 @@ class TestSpectrumOnDemand:
         assert cert.overall and not cert.stable_by_bound and len(eigvals_calls) == 1
 
 
+class TestMarginOnRead:
+    """W's verdict is proved by one Cholesky factorization; its margin, an
+    eigvalsh, is taken when first read."""
+
+    def test_passify_certification_takes_eigvalsh_only_for_the_margin(
+            self, eigvalsh_calls, cholesky_calls):
+        sys = random_ph(60, 6, 0)
+        F = synthesize_passifying(sys)
+        eigvalsh_calls.clear()
+        cholesky_calls.clear()
+        cert = certify_closed_loop(sys, F, goal="passify")
+        assert cert.overall
+        assert eigvalsh_calls == []
+        assert [a.shape for a in cholesky_calls] == [(66, 66)]
+        checks = cert.to_dict()["checks"]
+        assert [a.shape for a in eigvalsh_calls] == [(66, 66)]
+        assert len(cholesky_calls) == 1
+        lam = float(np.linalg.eigvalsh(eigvalsh_calls[0])[0])
+        assert checks["strictly_passive"]["lambda_min_w"] == lam > 0
+
+    def test_validate_takes_eigvalsh_only_for_the_margin(self, eigvalsh_calls):
+        sys = random_ph(60, 6, 0)
+        rep = validate(sys)
+        assert rep.passed and eigvalsh_calls == []
+        assert rep.to_dict()["checks"]["w_psd"]["margin"] == rep.w_psd.margin
+        assert [a.shape for a in eigvalsh_calls] == [(66, 66)]
+
+
 class TestSharedSvdOfE:
     """Feedback keeps E, so a chain decomposes it once, and the conditions
     and the synthesis read the analysis's open-loop report; the certifier

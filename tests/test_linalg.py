@@ -1,3 +1,6 @@
+import itertools
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -8,16 +11,21 @@ from phdesc.linalg import (
     DEFAULT_TOL,
     DefinitenessKind,
     ToleranceConfig,
+    cholesky_proves,
     classify_definiteness,
     decide_rank,
     deficiency,
+    definiteness,
     nullspace_basis,
     numerical_rank,
     pseudo_inverse,
     range_basis,
+    rank_threshold,
+    row_deficiency,
     spectral_norm,
     sym_skew_split,
 )
+from phdesc.pencil import dissipation_bound
 
 finite_elems = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
 
@@ -223,6 +231,133 @@ class TestClassifyDefiniteness:
     def test_not_square(self):
         with pytest.raises(NotSquare):
             classify_definiteness(np.zeros((2, 3)))
+
+
+def _random_orthogonal(rng, n):
+    q, r = np.linalg.qr(rng.normal(size=(n, n)))
+    return q * np.sign(np.diag(r))
+
+
+def _planted(Q, w):
+    """The symmetric matrix ``Q diag(w) Q^T``, symmetric bitwise."""
+    H = (Q * w) @ Q.T
+    return (H + H.T) / 2.0
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the stage, threshold and values of its refusal."""
+    try:
+        return fn(*args)
+    except ToleranceBreakdown as exc:
+        return ("refused", exc.stage, exc.threshold, exc.kept_min, exc.dropped_max)
+
+
+# Where a planted extreme value sits, in units of the band or the cutoff.
+_NEAR = (0.0, 0.5, -0.5, 2.0, -2.0, 20.0, -20.0)
+_FAR = (1e5, -1e5)
+
+
+class TestCholeskyProof:
+    """Every verdict a Cholesky factorization proves is the one the
+    eigvalsh or SVD route gives; where it proves nothing that route decides."""
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 40, 330])
+    def test_definiteness_verdicts_equal_the_eigvalsh_route(self, rng, n):
+        Q = _random_orthogonal(rng, n)
+        rest = rng.uniform(0.5, 1.0, size=n - 1)
+        rest[:1] = 1.0
+        for tol in (DEFAULT_TOL, ToleranceConfig(psd_tol=1e-4)):
+            for scale, c, sign in itertools.product((1e-8, 1.0, 1e8), _NEAR + _FAR, (1, -1)):
+                # lambda_min planted at c times the band psd_tol * ||H||_2.
+                w = sign * scale * np.concatenate([[c * tol.psd_tol], rest])
+                H = _planted(Q, w)
+                lam = np.linalg.eigvalsh(H)
+                route = definiteness(float(lam[0]), float(lam[-1]), tol)
+                case = (tol.psd_tol, scale, c, sign)
+                assert classify_definiteness(H, tol).is_definite == route.is_definite, case
+                assert classify_definiteness(H, tol).is_semidefinite == route.is_semidefinite, case
+                assert classify_definiteness(H, tol).kind is route.kind, case
+
+    def test_proof_never_claims_a_refuted_bound(self, rng):
+        # t just above the exact Rayleigh quotient of eigh's eigenvector:
+        # x^T (H - t I) x < 0 exactly, so lambda_min(H) < t.  The unshifted
+        # factorization of H - t I succeeds on about half of these.
+        n = 40
+        Q = _random_orthogonal(rng, n)
+        for _ in range(400):
+            w = rng.uniform(0.5, 1.0, size=n)
+            w[0] = 0.0
+            H = _planted(Q, w)
+            t = _above_rayleigh_quotient(H, np.linalg.eigh(H)[1][:, 0])
+            assert not cholesky_proves(H, t)
+
+    def test_shifts_in_place(self):
+        H = np.eye(3)
+        assert cholesky_proves(H, 0.5) and H[0, 0] < 0.5 and H[0, 1] == 0.0
+        assert not cholesky_proves(np.eye(3), 1.0)  # lambda_min = t is not above t
+        assert cholesky_proves(np.zeros((0, 0)), 1.0)
+
+    @pytest.mark.parametrize("shape", [(1, 3), (2, 2), (5, 8), (40, 44), (300, 331)])
+    def test_full_row_rank_equals_the_svd_route(self, rng, shape):
+        p, q = shape
+        U, V = _random_orthogonal(rng, p), _random_orthogonal(rng, q)[:p]
+        rest = rng.uniform(0.5, 1.0, size=p)
+        rest[0] = 1.0
+        # At rank_rtol = 1e-6 the Gram matrix resolves the cutoff, so the
+        # proof is tried on both sides of it; at the default it is not.
+        for tol in (DEFAULT_TOL, ToleranceConfig(rank_rtol=1e-6)):
+            for c in (0.5, 2.0, 9.0, 11.0, 100.0, 1e5):
+                # sigma_p planted at c times the cutoff rank_rtol * sigma_1 * q.
+                s = rest.copy()
+                s[-1] = min(c * tol.rank_rtol * q, 0.5) if p > 1 else 1.0
+                M = (U * s) @ V
+                sv = np.linalg.svd(M, compute_uv=False)
+                thr = rank_threshold(sv, M.shape, tol)
+                case = (tol.rank_rtol, c)
+                assert _outcome(numerical_rank, M, tol, "stage") == \
+                    _outcome(decide_rank, sv, thr, "stage"), case
+                assert _outcome(row_deficiency, M, tol, "stage") == \
+                    _outcome(deficiency, sv, thr, "stage"), case
+                # A tall matrix and a complex one take the SVD.
+                assert _outcome(numerical_rank, M.T, tol, "stage") == \
+                    _outcome(decide_rank, sv, thr, "stage"), case
+                sv = np.linalg.svd(M + 0j, compute_uv=False)
+                assert _outcome(row_deficiency, M + 0j, tol, "stage") == \
+                    _outcome(deficiency, sv, rank_threshold(sv, M.shape, tol), "stage"), case
+
+    @pytest.mark.parametrize("n", [2, 5, 40])
+    def test_dissipation_bound_equals_the_axis_distance_route(self, rng, n):
+        Q = _random_orthogonal(rng, n)
+        E = _planted(Q, rng.uniform(0.5, 2.0, size=n))
+        norm_e = float(np.linalg.eigvalsh(E)[-1])
+        J = rng.normal(size=(n, n))
+        J = (J - J.T) / 2.0
+        Qr = _random_orthogonal(rng, n)
+        rest = rng.uniform(0.5, 1.0, size=n - 1)
+        rest[:1] = 1.0
+        for need, scale, c in itertools.product((1e-7, 1e-3), (1.0, 1e3), _NEAR + _FAR):
+            # lambda_min(R) planted at c times need * ||E||_2, with ||R||_2
+            # at scale, so that the band psd_tol ||R||_2 leads at 1e3.
+            R = _planted(Qr, np.concatenate([[c * need * norm_e], scale * rest]))
+            A = J - R
+            expected = dissipation_bound(E, A).axis_distance > need
+            assert dissipation_bound(E, A).exceeds(need) == expected, (need, scale, c)
+
+
+def _above_rayleigh_quotient(H, x) -> float:
+    """The least float t above ``x^T H x / x^T x``, computed exactly: every
+    float is an integer multiple of 2^-1074."""
+    def ints(a):
+        return [num << 1074 >> (den.bit_length() - 1)
+                for num, den in (float(v).as_integer_ratio() for v in np.ravel(a))]
+
+    n, xi, hi = len(x), ints(x), ints(H)
+    num = sum(xi[i] * sum(hi[i * n + j] * xi[j] for j in range(n)) for i in range(n))
+    rq = Fraction(num, sum(v * v for v in xi) << 1074)
+    t = float(rq)
+    while not Fraction(t) > rq:
+        t = float(np.nextafter(t, np.inf))
+    return t
 
 
 class TestSymSkewSplit:

@@ -50,7 +50,7 @@ class TestValidate:
         sys = PHSystem(E=s.E + bump, J=s.J + bump, R=s.R, G=s.G, P=s.P,
                        S=s.S + bump[:2, :2], N=s.N + 1e-14 * np.eye(2))
         assert validate(sys).passed
-        # e_symmetric, j_skew, n_skew and s_symmetric; the PSD checks use eigvalsh.
+        # e_symmetric, j_skew, n_skew and s_symmetric; the PSD checks take no SVD.
         assert [a.shape for a, _ in svd_calls] == [(6, 6), (6, 6), (2, 2), (2, 2)]
 
     def test_exact_structure_takes_no_svd(self, svd_calls):

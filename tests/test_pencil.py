@@ -582,6 +582,14 @@ class TestDissipationBound:
         assert stabilizability_rank_condition(random_ph(12, 2, 0)) == (True, [])
         assert eigvals_calls == []
 
+    def test_condition_takes_no_eigvalsh(self, cold_e_svd, cold_report, cold_analysis,
+                                         eigvalsh_calls, cholesky_calls):
+        # S's semidefiniteness and the bound on -H = R are each proved by one
+        # Cholesky factorization; neither takes an eigensolve.
+        assert stabilizability_rank_condition(random_ph(12, 2, 0)) == (True, [])
+        assert eigvalsh_calls == []
+        assert [a.shape for a in cholesky_calls] == [(2, 2), (12, 12)]
+
 
 # (generator keywords, route, k = n - rank E) of one pencil per route.
 LAZY_ROUTES = {
@@ -592,36 +600,38 @@ LAZY_ROUTES = {
 
 
 class TestESvd:
-    """The SVD of a pencil's E is remembered for the last E."""
+    """The decomposition of a pencil's E (its SVD, for an asymmetric E) is
+    remembered for the last E by ``_e_factors``."""
 
     def test_equals_a_fresh_svd_and_decomposes_once(self, rng, cold_e_svd, svd_calls):
         E = rng.normal(size=(5, 5))
-        first = pencil._e_svd(E)
-        again = pencil._e_svd(E.copy())
+        first = pencil._e_factors(E)
+        again = pencil._e_factors(E.copy())
         assert len(svd_calls) == 1
-        for f, g, h in zip(first, again, np.linalg.svd(E)):
+        assert first[3] is None and again[3] is None
+        for f, g, h in zip(first[:3], again[:3], np.linalg.svd(E)):
             assert f is g
             assert np.array_equal(f, h)
 
     def test_factors_are_read_only(self, rng, cold_e_svd):
-        u, s, vh = pencil._e_svd(rng.normal(size=(4, 4)))
+        u, s, vh, _ = pencil._e_factors(rng.normal(size=(4, 4)))
         for f in (u, s, vh):
             with pytest.raises(ValueError):
                 f[0] = 0.0
 
     def test_in_place_change_forces_a_fresh_svd(self, rng, cold_e_svd, svd_calls):
         E = rng.normal(size=(4, 4))
-        pencil._e_svd(E)
+        pencil._e_factors(E)
         E[0, 0] += 1.0
-        _, s, _ = pencil._e_svd(E)
+        _, s, _, _ = pencil._e_factors(E)
         assert len(svd_calls) == 2
         assert np.array_equal(s, np.linalg.svd(E)[1])
 
     def test_another_matrix_takes_the_slot(self, rng, cold_e_svd, svd_calls):
         E, F = rng.normal(size=(3, 3)), rng.normal(size=(3, 3))
-        pencil._e_svd(E)
-        pencil._e_svd(F)
-        pencil._e_svd(E)
+        pencil._e_factors(E)
+        pencil._e_factors(F)
+        pencil._e_factors(E)
         assert len(svd_calls) == 3
 
 
@@ -796,7 +806,7 @@ class TestRememberedReport:
         kwargs, _, k = LAZY_ROUTES[case]
         sys = random_ph(12, 2, 0, **kwargs)
         r = pencil_report(sys.E, sys.A)
-        u, _, vh = pencil._e_svd(sys.E)
+        u, _, vh, _ = pencil._e_factors(sys.E)
         assert r.kernel_E.shape == r.cokernel_E.shape == (12, k) and r.rank_E == 12 - k
         assert np.shares_memory(r.kernel_E, vh) and np.shares_memory(r.cokernel_E, u)
         assert np.array_equal(r.kernel_E, vh[12 - k:].T)
@@ -985,7 +995,8 @@ class TestFeedbackExistenceConditions:
 
     def test_index_condition_takes_no_svd_of_e(self, monkeypatch, cold_analysis, svd_calls):
         # With the report warm and E's SVD memo emptied, Z_E is the report's
-        # kernel basis: the only SVD is the rank of [E, A Z_E, B].
+        # kernel basis, and a Cholesky factorization of the Gram matrix of
+        # [E, A Z_E, B] proves its full row rank: no SVD at all.
         sys = random_ph(12, 2, 1)
         B = np.hstack(feedback_analysis(sys).input_blocks)
         k = 12 - pencil_report(sys.E, sys.A).rank_E
@@ -993,7 +1004,7 @@ class TestFeedbackExistenceConditions:
         monkeypatch.setattr(pencil, "_E_SVD", None)
         svd_calls.clear()
         assert index_one_rank_condition(sys.E, sys.A, B)
-        assert [a.shape for a, _ in svd_calls] == [(12, 12 + k + B.shape[1])]
+        assert svd_calls == []
 
 
 def _transformed(sys, Q, c):
