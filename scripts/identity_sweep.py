@@ -206,8 +206,7 @@ def _synthesis(phdesc, s, goal, tol) -> dict:
         return {**_error(exc), "witnesses": _hex(exc.witnesses)}
     cert = phdesc.certify_closed_loop(s, F, goal, tol)
     out.update(feedback_sha256=_sha(F), overall=bool(cert.overall),
-               certification=_report(cert.pencil), checks=cert.to_dict()["checks"],
-               w=cert.w.kind.value)
+               certification=_report(cert.pencil), checks=cert.to_dict()["checks"])
     return out
 
 

@@ -28,7 +28,6 @@ from .generators import random_ph
 from .linalg import (
     DEFAULT_TOL,
     Definiteness,
-    DefinitenessKind,
     ToleranceConfig,
     classify_definiteness,
     nullspace_basis,

@@ -42,7 +42,8 @@ def _matrix_field(doc: dict, kind: str, name: str, rows: int, cols: int) -> np.n
         M = np.asarray(doc[name], dtype=float)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"field {name!r} is not a numeric matrix") from exc
-    M = M.reshape(rows, cols) if M.size == rows * cols else M
+    if M.size == 0 and rows * cols == 0:  # an empty matrix may be written as []
+        M = M.reshape(rows, cols)
     if M.shape != (rows, cols):
         raise ShapeMismatch(f"field {name!r} has shape {M.shape}, expected {(rows, cols)}")
     return M

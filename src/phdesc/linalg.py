@@ -1,45 +1,21 @@
 """Tolerance-aware dense linear algebra primitives.
 
-A single :class:`ToleranceConfig` governs every rank, nullspace, and
-definiteness decision.  There is one cutoff formula, :func:`rank_threshold`:
-a singular value sigma counts when ``sigma > rank_rtol * sigma_1 *
-max(rows, cols)``.  The staircase and the multiplicity test anchor the same
-formula to the pencil's norms instead of sigma_1.  Every rank is decided by
-one of two rules, each of which refuses a value without a tenfold margin
-from the cutoff with a :class:`ToleranceBreakdown` that names the decision:
-
-- :func:`decide_rank` refuses when the smallest kept and the largest
-  dropped value are both within tenfold.  It decides the staircase's
-  compressions, :func:`numerical_rank`, :func:`nullspace_basis`,
-  :func:`range_basis` and :func:`pseudo_inverse` (so the feedthrough split,
-  the index-reduction rank, simulate's step matrix and the consistent
-  projection), and synthesis's mu1..mu3.
-- :func:`deficiency` refuses when any value is within tenfold.  It decides
-  the PBH tests (through :func:`row_deficiency`) and the geometric
-  multiplicity of an axis eigenvalue.
-
-A verdict that is a yes/no question is first put to one Cholesky
-factorization, :func:`cholesky_proves`, whose shift (Rump's bound, plus the
-roundoff of the ``eigvalsh`` or SVD that would otherwise decide) makes a
-success a proof of the answer that decomposition would give: the two
-verdicts of :class:`Definiteness`, "rank = rows" in :func:`numerical_rank`
-and "no deficiency" in :func:`row_deficiency` (on the Gram matrix
-``M M^T`` of a real M).  Only a failed factorization, or a read of a margin
-(an eigenvalue, the band, a kind), takes the ``eigvalsh`` or the SVD, which
-then decides exactly as it would alone.
-
-Matrices with zero rows or columns take the same path as any other: numpy's
-decompositions return identity factors and empty spectra for them.
-
-Every function here is a pure function of its arguments; the module keeps
-no state.  A pencil's E is decomposed only by :mod:`phdesc.pencil`, whose
-report hands out E's rank and kernels and whose eigenvalues of a symmetric E
-give ``validate`` its ``e_psd`` through :func:`definiteness`.
+- One cutoff formula, :func:`rank_threshold`: a singular value sigma counts
+  when ``sigma > rank_rtol * sigma_1 * max(rows, cols)`` (the staircase and
+  the multiplicity test anchor it to the pencil's norms instead of sigma_1).
+- Two rank rules, each refusing a value without a tenfold margin from the
+  cutoff with a :class:`ToleranceBreakdown` that names the decision:
+  :func:`decide_rank` (every rank, nullspace, range and pseudo-inverse) and
+  :func:`deficiency` (the PBH tests and an axis eigenvalue's multiplicity).
+- Proof before decomposition: a yes/no verdict is first put to one Cholesky
+  factorization, :func:`cholesky_proves`, whose success is the answer the
+  ``eigvalsh`` or SVD would give; only a failure, or a read of a margin,
+  takes that decomposition.
+- No state: every function is a pure function of its arguments.
 """
 
 from __future__ import annotations
 
-import enum
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -98,37 +74,32 @@ class ToleranceConfig:
 DEFAULT_TOL = ToleranceConfig()
 
 
-class DefinitenessKind(enum.Enum):
-    POSITIVE_DEFINITE = "positive_definite"
-    POSITIVE_SEMIDEFINITE = "positive_semidefinite"
-    INDEFINITE = "indefinite"
-    NEGATIVE_SEMIDEFINITE = "negative_semidefinite"
-    NEGATIVE_DEFINITE = "negative_definite"
-
-
 @dataclass(frozen=True, eq=False)
 class Definiteness:
     """Definiteness of the symmetric part ``H = (M + M^T)/2`` of a square
     matrix M, decided within the band ``psd_tol * max(|lo|, |hi|)`` on the
     extreme eigenvalues ``lo <= hi`` that ``eigvalsh(H)`` returns: definite
-    when ``lo > band``, semidefinite when ``lo >= -band``.
+    when ``lo > band`` (or H is empty), semidefinite when ``lo >= -band``.
 
-    ``form()`` returns M; the record keeps the callable, not H.  A verdict
-    (``is_definite``, ``is_semidefinite``, :meth:`proves`) is first put
-    to :func:`cholesky_proves`, at a threshold that also covers eigvalsh's
-    roundoff and bounds the band by norms of H, so a success is the verdict
-    the eigenvalues would give.  ``extremes`` (and with it ``kind``, the
-    eigenvalues and ``band``) takes one ``eigvalsh`` on first read, and so
-    does a verdict the factorization does not prove; both are then kept.
+    ``source`` is either a callable that returns M (the record keeps the
+    callable, not H) or the known pair ``(lo, hi)``, which is never factored.
+    From a callable, a verdict (``is_definite``, ``is_semidefinite``,
+    :meth:`proves`) is first put to :func:`cholesky_proves`, at a threshold
+    that also covers eigvalsh's roundoff and bounds the band by norms of H,
+    so a success is the verdict the eigenvalues would give.  ``extremes``
+    (and with it ``band``) takes one ``eigvalsh`` on first read, and so does
+    a verdict the factorization does not prove; both are then kept.
     """
 
-    form: Callable[[], np.ndarray] | None = field(repr=False)
+    source: Callable[[], np.ndarray] | tuple[float, float] = field(repr=False)
     tol: ToleranceConfig = field(default=DEFAULT_TOL, repr=False)
 
     @cached_property
     def extremes(self) -> tuple[float, float]:
         """``(lo, hi)``; ``(inf, -inf)`` for an empty H."""
-        H = _symmetric_part(self.form())
+        if not callable(self.source):
+            return self.source
+        H = _symmetric_part(self.source())
         if not H.size:
             return np.inf, -np.inf
         w = np.linalg.eigvalsh(H)
@@ -139,47 +110,33 @@ class Definiteness:
         return self.extremes[0]
 
     @property
-    def max_eigenvalue(self) -> float:
-        return self.extremes[1]
-
-    @property
     def band(self) -> float:
         lo, hi = self.extremes
         return self.tol.psd_tol * max(abs(lo), abs(hi))
 
-    @property
-    def kind(self) -> DefinitenessKind:
-        lo, hi = self.extremes
-        band = self.band
-        if lo > band or hi < lo:  # hi < lo: H is empty
-            return DefinitenessKind.POSITIVE_DEFINITE
-        if hi < -band:
-            return DefinitenessKind.NEGATIVE_DEFINITE
-        if lo >= -band:
-            return DefinitenessKind.POSITIVE_SEMIDEFINITE
-        if hi <= band:
-            return DefinitenessKind.NEGATIVE_SEMIDEFINITE
-        return DefinitenessKind.INDEFINITE
-
     @cached_property
     def is_definite(self) -> bool:
-        return self.proves(0.0) or self.kind is DefinitenessKind.POSITIVE_DEFINITE
+        if self.proves(0.0):
+            return True
+        lo, hi = self.extremes
+        return lo > self.band or hi < lo  # hi < lo: H is empty
 
     @cached_property
     def is_semidefinite(self) -> bool:
         # A definite verdict already read answers this one too.
-        return self.__dict__.get("is_definite") or self.proves() or self.kind in (
-            DefinitenessKind.POSITIVE_DEFINITE,
-            DefinitenessKind.POSITIVE_SEMIDEFINITE,
-        )
+        return (self.__dict__.get("is_definite") or self.proves()
+                or self.min_eigenvalue >= -self.band)
 
     def proves(self, t: float | None = None) -> bool:
         """Whether one Cholesky factorization proves ``lo > max(band, t)``
         (definite, and above t), or ``lo >= -band`` when t is None, before
-        ``extremes`` is computed; False proves nothing."""
-        if "extremes" in self.__dict__:
+        ``extremes`` is computed; False proves nothing.  An all-zero H is
+        semidefinite (band 0) with no factorization."""
+        if not callable(self.source) or "extremes" in self.__dict__:
             return False
-        H = _symmetric_part(self.form())
+        H = _symmetric_part(self.source())
+        if t is None and not H.any():
+            return True
         n = H.shape[0]
         columns = np.einsum("ij,ij->j", H, H)
         up = float(np.sqrt(columns.sum()))                  # ||H||_F >= ||H||_2
@@ -417,11 +374,3 @@ def classify_definiteness(M, tol: ToleranceConfig = DEFAULT_TOL) -> Definiteness
     A = as_matrix(M)
     _require_square(A)
     return Definiteness(lambda: A, tol)
-
-
-def definiteness(lo: float, hi: float, tol: ToleranceConfig = DEFAULT_TOL) -> Definiteness:
-    """The :class:`Definiteness` of a symmetric matrix whose extreme
-    eigenvalues ``lo <= hi`` are known."""
-    d = Definiteness(None, tol)
-    d.__dict__["extremes"] = (lo, hi)
-    return d

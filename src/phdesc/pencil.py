@@ -55,7 +55,6 @@ from .linalg import (
     as_matrix,
     classify_definiteness,
     decide_rank,
-    definiteness,
     deficiency,
     nullspace_basis,
     numerical_rank,
@@ -123,16 +122,12 @@ class PencilReport:
     def finite_eigenvalues(self) -> np.ndarray:
         """Complex eigenvalues of the regular part, read-only, sorted by real
         then imaginary part: equal spectra read the same on either route."""
-        solve = self.eigensolve
-        if solve is None:  # a concurrent first read has stored it
-            return self.__dict__["finite_eigenvalues"]
-        finite = solve() if self.n_regular else np.zeros(0, dtype=complex)
+        finite = self.eigensolve() if self.n_regular else np.zeros(0, dtype=complex)
         if not np.all(np.isfinite(finite)):
             raise NumericalBreakdown("non-finite eigenvalues in the deflated regular part")
-        # Stored, then the factors the solver holds (up to two n x n) are let go.
-        self.__dict__["finite_eigenvalues"] = finite = _freeze(np.sort(finite))[0]
+        # The factors the solver holds (up to two n x n) are let go.
         object.__setattr__(self, "eigensolve", None)
-        return finite
+        return _freeze(np.sort(finite))[0]
 
     @cached_property
     def stability_class(self) -> StabilityClass:
@@ -412,7 +407,7 @@ def e_definiteness(E, tol: ToleranceConfig = DEFAULT_TOL) -> Definiteness:
     if not E.size or not np.array_equal(E, E.T):
         return classify_definiteness(E, tol)
     w = _e_factors(E)[3]
-    return definiteness(float(w[0]), float(w[-1]), tol)
+    return Definiteness((float(w[0]), float(w[-1])), tol)
 
 
 def pencil_report(E, A, tol: ToleranceConfig = DEFAULT_TOL) -> PencilReport:
@@ -500,9 +495,11 @@ class DissipationBound:
 
     @cached_property
     def axis_distance(self) -> float:
+        # The eigenvalues first: with them known, the verdict takes no proof.
+        lo = self.minus_h.min_eigenvalue
         if not self.minus_h.is_definite:
             return 0.0
-        return self.minus_h.min_eigenvalue / self.norm_e if self.norm_e else np.inf
+        return lo / self.norm_e if self.norm_e else np.inf
 
     def exceeds(self, need: float) -> bool:
         """Whether ``axis_distance > need``, for need >= 0.  One Cholesky

@@ -165,6 +165,13 @@ class TestCertifySimulate:
         f_path.write_text(json.dumps({"m": 1, "n": 1, "F": [[0.0]]}))
         assert run("certify", "--input", sys_path, "--feedback", f_path) == 1
 
+    def test_certify_transposed_feedback_exit_two(self, tmp_path):
+        sys_path = tmp_path / "sys.json"
+        f_path = tmp_path / "F.json"
+        save_system(sys_path, random_ph(3, 2, 0))
+        f_path.write_text(json.dumps({"m": 2, "n": 3, "F": np.ones((3, 2)).tolist()}))
+        assert run("certify", "--input", sys_path, "--feedback", f_path) == 2
+
     def test_simulate_writes_csv_and_report(self, tmp_path):
         sys_path = tmp_path / "sys.json"
         f_path = tmp_path / "F.json"

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from phdesc.errors import ShapeMismatch
 from phdesc.fileio import (
     feedback_from_dict,
     feedback_to_dict,
@@ -58,6 +59,13 @@ class TestSystemRoundTrip:
         loaded = system_from_dict(doc)
         assert loaded.m == 0 and loaded.G.shape == (3, 0)
 
+    def test_transposed_matrix_refused(self):
+        # n = 3, m = 2: a 2 x 3 G has the right entry count but not the shape.
+        doc = system_to_dict(random_ph(3, 2, 0))
+        doc["G"] = np.asarray(doc["G"]).T.tolist()
+        with pytest.raises(ShapeMismatch):
+            system_from_dict(doc)
+
     @pytest.mark.parametrize("mutate", [
         lambda d: d.pop("n"),
         lambda d: d.pop("E"),
@@ -77,6 +85,13 @@ class TestFeedbackRoundTrip:
         F = np.random.default_rng(0).normal(size=(2, 4)) * np.pi
         back = feedback_from_dict(feedback_to_dict(F))
         assert np.array_equal(back, F)
+
+    def test_transposed_feedback_refused(self):
+        F = np.arange(6.0).reshape(2, 3)
+        with pytest.raises(ShapeMismatch):
+            feedback_from_dict({"m": 2, "n": 3, "F": F.T.tolist()})
+        with pytest.raises(ShapeMismatch):
+            feedback_from_dict({"m": 2, "n": 3, "F": F.ravel().tolist()})
 
     def test_malformed(self):
         with pytest.raises(ValueError):

@@ -181,7 +181,8 @@ def test_no_private_names_across_modules():
 def test_every_public_definition_is_used():
     # Library code serves the package, the benchmark or the scripts; a
     # statement that only tests call belongs in tests/conftest.py as an
-    # oracle.  A re-export from __init__.py is not a use.
+    # oracle.  A re-export from __init__.py is not a use.  The same holds
+    # for the public methods, properties and dataclass fields of a class.
     def used(path):
         names = set()
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -193,14 +194,25 @@ def test_every_public_definition_is_used():
                 names.update(alias.name for alias in node.names)
         return names
 
+    def definitions(path):
+        # (shown name, bare name) of each top-level function and class, and
+        # of each method, property and annotated field of a class
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                yield node.name, node.name
+            if isinstance(node, ast.ClassDef):
+                for member in node.body:
+                    if isinstance(member, ast.FunctionDef):
+                        yield f"{node.name}.{member.name}", member.name
+                    elif isinstance(member, ast.AnnAssign) and isinstance(member.target, ast.Name):
+                        yield f"{node.name}.{member.target.id}", member.target.id
+
     sources = [p for p in sorted(_PACKAGE.glob("*.py")) if p.name != "__init__.py"]
     users = [*sources, *sorted((_REPO / "bench").glob("*.py")),
              *sorted((_REPO / "scripts").glob("*.py"))]
     referenced = set().union(*(used(p) for p in users))
-    unused = [f"{path.name}: {node.name}" for path in sources
-              for node in ast.parse(path.read_text(encoding="utf-8")).body
-              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-              and not node.name.startswith("_") and node.name not in referenced]
+    unused = [f"{path.name}: {shown}" for path in sources for shown, name in definitions(path)
+              if not name.startswith("_") and name not in referenced]
     assert unused == []
 
 

@@ -9,13 +9,12 @@ from hypothesis.extra.numpy import arrays
 from phdesc.errors import NotSquare, ToleranceBreakdown
 from phdesc.linalg import (
     DEFAULT_TOL,
-    DefinitenessKind,
+    Definiteness,
     ToleranceConfig,
     cholesky_proves,
     classify_definiteness,
     decide_rank,
     deficiency,
-    definiteness,
     nullspace_basis,
     numerical_rank,
     pseudo_inverse,
@@ -25,7 +24,8 @@ from phdesc.linalg import (
     spectral_norm,
     sym_skew_split,
 )
-from phdesc.pencil import dissipation_bound
+from phdesc.model import PHSystem, validate
+from phdesc.pencil import compress_feedthrough, dissipation_bound
 
 finite_elems = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
 
@@ -212,21 +212,22 @@ class TestPseudoInverse:
 class TestClassifyDefiniteness:
     def test_identity(self):
         d = classify_definiteness(np.eye(3))
-        assert d.kind is DefinitenessKind.POSITIVE_DEFINITE
+        assert d.is_definite and d.is_semidefinite
         assert abs(d.min_eigenvalue - 1.0) < 1e-14
 
     def test_zero(self):
         d = classify_definiteness(np.zeros((2, 2)))
-        assert d.kind is DefinitenessKind.POSITIVE_SEMIDEFINITE
+        assert d.is_semidefinite and not d.is_definite
         assert abs(d.min_eigenvalue) < 1e-14
 
     def test_indefinite(self):
-        assert classify_definiteness(np.diag([1.0, -1.0])).kind is DefinitenessKind.INDEFINITE
+        d = classify_definiteness(np.diag([1.0, -1.0]))
+        assert not d.is_semidefinite and not d.is_definite
 
     def test_negative(self):
-        assert classify_definiteness(-np.eye(2)).kind is DefinitenessKind.NEGATIVE_DEFINITE
+        assert not classify_definiteness(-np.eye(2)).is_semidefinite
         d = classify_definiteness(np.diag([0.0, -1.0]))
-        assert d.kind is DefinitenessKind.NEGATIVE_SEMIDEFINITE
+        assert not d.is_semidefinite and not d.is_definite
 
     def test_not_square(self):
         with pytest.raises(NotSquare):
@@ -272,11 +273,34 @@ class TestCholeskyProof:
                 w = sign * scale * np.concatenate([[c * tol.psd_tol], rest])
                 H = _planted(Q, w)
                 lam = np.linalg.eigvalsh(H)
-                route = definiteness(float(lam[0]), float(lam[-1]), tol)
+                route = Definiteness((float(lam[0]), float(lam[-1])), tol)
                 case = (tol.psd_tol, scale, c, sign)
                 assert classify_definiteness(H, tol).is_definite == route.is_definite, case
                 assert classify_definiteness(H, tol).is_semidefinite == route.is_semidefinite, case
-                assert classify_definiteness(H, tol).kind is route.kind, case
+
+    def test_zero_matrix_is_semidefinite_with_no_decomposition(
+            self, cold_e_svd, eigvalsh_calls, cholesky_calls):
+        # S = 0 in the feedthrough split, and W = [[R, P], [P^T, S]] = 0 in
+        # validate: eigvalsh would return lo = hi = band = 0.
+        Z = np.zeros((2, 2))
+        assert classify_definiteness(Z).is_semidefinite
+        assert compress_feedthrough(Z, Z).m3 == 2
+        J = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        sys = PHSystem(E=np.eye(3), J=J, R=np.zeros((3, 3)), G=np.ones((3, 2)),
+                       P=np.zeros((3, 2)), S=Z, N=Z)
+        assert validate(sys).w_psd.passed
+        assert eigvalsh_calls == [] and cholesky_calls == []
+
+    def test_singular_dissipation_bound_takes_one_cholesky(
+            self, cold_e_svd, eigvalsh_calls, cholesky_calls):
+        # R is singular with a positive diagonal, so the proof of the bound
+        # is tried and fails; the one eigvalsh then decides, with no second
+        # factorization.
+        J = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        bound = dissipation_bound(np.eye(2), J - np.ones((2, 2)))
+        assert not bound.exceeds(1e-7)
+        assert len(cholesky_calls) == 1 and len(eigvalsh_calls) == 1
+        assert bound.axis_distance == 0.0
 
     def test_proof_never_claims_a_refuted_bound(self, rng):
         # t just above the exact Rayleigh quotient of eigh's eigenvector:
