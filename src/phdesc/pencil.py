@@ -122,12 +122,20 @@ class PencilReport:
     def finite_eigenvalues(self) -> np.ndarray:
         """Complex eigenvalues of the regular part, read-only, sorted by real
         then imaginary part: equal spectra read the same on either route."""
-        finite = self.eigensolve() if self.n_regular else np.zeros(0, dtype=complex)
+        # From Python 3.12 cached_property takes no lock, so first reads in
+        # two threads can overlap: the value is stored before the solver's
+        # factors (up to two n x n) are let go, and a read that finds the
+        # solver gone returns it.
+        solve = self.eigensolve
+        if solve is None:
+            return vars(self)["finite_eigenvalues"]
+        finite = solve() if self.n_regular else np.zeros(0, dtype=complex)
         if not np.all(np.isfinite(finite)):
             raise NumericalBreakdown("non-finite eigenvalues in the deflated regular part")
-        # The factors the solver holds (up to two n x n) are let go.
+        finite = _freeze(np.sort(finite))[0]
+        object.__setattr__(self, "finite_eigenvalues", finite)
         object.__setattr__(self, "eigensolve", None)
-        return _freeze(np.sort(finite))[0]
+        return finite
 
     @cached_property
     def stability_class(self) -> StabilityClass:

@@ -186,8 +186,12 @@ def test_every_public_definition_is_used():
     def used(path):
         names = set()
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Name):
+            # A name being assigned, such as a field's own declaration, is
+            # not a use; a keyword argument that builds a record is.
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 names.add(node.id)
+            elif isinstance(node, ast.keyword) and node.arg:
+                names.add(node.arg)
             elif isinstance(node, ast.Attribute):
                 names.add(node.attr)
             elif isinstance(node, ast.ImportFrom) and path.name != "__init__.py":
