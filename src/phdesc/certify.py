@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import partial
 
-from .fileio import complex_pairs
+from .fileio import complex_pairs, finite_or_none
 from .linalg import DEFAULT_TOL, Definiteness, ToleranceConfig
 from .model import PHSystem, apply_feedback, dissipation_matrix
 from .pencil import PencilReport, StabilityClass, dissipation_bound, pencil_report
@@ -50,7 +50,8 @@ _REQUIRED = {"stabilize": ("ph_structure", "index_at_most_one", "asymptotically_
 _CHECKS = {
     "ph_structure": (
         lambda c: c.w.is_semidefinite,
-        lambda c: {"lambda_min_w": float(c.w.min_eigenvalue), "tolerance": c.w.band}),
+        lambda c: {"lambda_min_w": finite_or_none(c.w.min_eigenvalue),
+                   "tolerance": finite_or_none(c.w.band)}),
     "regular": (lambda c: c.pencil.regular, lambda c: {}),
     "index_at_most_one": (
         lambda c: c.pencil.regular and c.pencil.index <= 1,
@@ -62,7 +63,8 @@ _CHECKS = {
                    "tolerance": c.tol.stability_margin}),
     "strictly_passive": (
         lambda c: c.w.is_definite,
-        lambda c: {"lambda_min_w": float(c.w.min_eigenvalue), "tolerance": c.w.band}),
+        lambda c: {"lambda_min_w": finite_or_none(c.w.min_eigenvalue),
+                   "tolerance": finite_or_none(c.w.band)}),
 }
 
 

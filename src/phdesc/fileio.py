@@ -22,6 +22,12 @@ def matrix_to_lists(M: np.ndarray) -> list[list[float]]:
     return [[float(v) for v in row] for row in np.asarray(M)]
 
 
+def finite_or_none(x) -> float | None:
+    """A real as the report encoding: None where it is not finite, as the
+    eigenvalue margins of an empty matrix are."""
+    return float(x) if np.isfinite(x) else None
+
+
 def complex_pairs(values) -> list[list[float]]:
     """Complex numbers as ``[[re, im], ...]``, the report encoding."""
     return [[float(z.real), float(z.imag)] for z in values]
@@ -97,8 +103,9 @@ def load_feedback(path) -> np.ndarray:
 
 def report_to_json(doc: dict) -> str:
     """The text of every JSON file phdesc writes (:func:`write_report`):
-    indent 2, one final newline."""
-    return json.dumps(doc, indent=2) + "\n"
+    indent 2, one final newline.  A non-finite float raises ValueError, since
+    ``Infinity`` and ``NaN`` are not JSON (RFC 8259)."""
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
 def write_report(path, doc: dict) -> None:

@@ -86,7 +86,8 @@ class CheckResult:
     eigenvalue (pass when >= -tolerance), depending on ``kind``.
     ``margins()`` returns both; a "min_eigenvalue" check reads them off its
     :class:`Definiteness` when first asked, so its verdict alone takes no
-    eigensolve.
+    eigensolve.  An empty matrix has no eigenvalue, and :meth:`to_dict`
+    writes None for both.
     """
 
     name: str
@@ -103,12 +104,12 @@ class CheckResult:
         return self.margins()[1]
 
     def to_dict(self) -> dict:
-        return {
-            "passed": bool(self.passed),
-            "margin": float(self.margin),
-            "tolerance": float(self.tolerance),
-            "kind": self.kind,
-        }
+        # Imported here: phdesc.fileio imports this module.
+        from .fileio import finite_or_none
+
+        margin, tolerance = map(finite_or_none, self.margins())
+        return {"passed": bool(self.passed), "margin": margin, "tolerance": tolerance,
+                "kind": self.kind}
 
 
 @dataclass(frozen=True)

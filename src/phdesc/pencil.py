@@ -14,7 +14,14 @@ A square pencil of index at most one, as every closed loop of the syntheses
 is, leaves after the SVD of E in the semi-explicit form (Kunkel & Mehrmann,
 EMS 2006): with ``E = [U1 U2] diag(Sigma, 0) [V1 V2]^T`` it is decided by
 the block ``A22 = U2^T A V2`` on ker E, and its regular part is
-``s Sigma - (A11 - A12 A22^{-1} A21)``.
+``s Sigma - (A11 - A12 A22^{-1} A21)``.  A square pencil with a symmetric E
+that fails the exit is split, before any staircase step, on the common
+kernel of E, A and A^T: k zero blocks, minimal indices 0 on both sides (Van
+Dooren, LAA 1979), which every singular port-Hamiltonian pencil has.  One
+SVD of the 2n x k_E stack ``[A Z; A^T Z]``, Z the kernel of E, finds it,
+and the rest, a congruence of the pencil, takes the exit
+(:func:`_split_common_kernel`).  Any other pencil, or one where a step of
+the split finds no margin, takes the staircase.
 
 Full row rank of ``[s E - A, B]`` on the imaginary axis can fail, for a
 regular pencil, only at an eigenvalue (Hautus), so each eigenvalue within
@@ -99,6 +106,9 @@ class PencilReport:
     (rows x (rows - rank_E)) are orthonormal bases of the kernel and the
     cokernel of E at ``rank_E``: read-only views of the trailing columns of
     V and U in the SVD of E that the report was decided on.
+
+    ``_rest_bound`` is the :class:`DissipationBound` of the regular rest of
+    a common-kernel split (see :func:`_split_common_kernel`), else None.
     """
 
     rows: int
@@ -112,6 +122,7 @@ class PencilReport:
     tol: ToleranceConfig = field(repr=False)
     kernel_E: np.ndarray = field(repr=False)
     cokernel_E: np.ndarray = field(repr=False)
+    _rest_bound: DissipationBound | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         _freeze(self.regular_A, self.regular_E, self.kernel_E, self.cokernel_E)
@@ -328,16 +339,12 @@ def _regular_eigenvalues(A_reg, E_reg, svd_e2t) -> np.ndarray:
     return _scaled_eigenvalues(vh @ A_reg @ u, sigma)
 
 
-def _index_one_exit(A, E, svd_e, r, tol: ToleranceConfig):
-    """``(A_reg, E_reg, eigensolve)`` of a square pencil of index at most
-    one with the exit's margin, else None; r is the rank decided on the SVD
-    svd_e of E.  At r = n the regular part is the pencil, as in the staircase."""
-    u, s, vh = svd_e
-    if r and s[0] > _QZ_COND * s[r - 1]:
-        return None
-    if r == len(s):
-        return A, E, partial(_regular_eigenvalues, A, E, (vh.T, s, u.T))
-    Ah = u.T @ A @ vh.T
+def _index_one_exit(Ah, sigma, norm_a: float, tol: ToleranceConfig):
+    """``(A_reg, E_reg, eigensolve)`` of a square pencil rotated by the SVD
+    of its E, ``U^T (s E - A) V = s diag(sigma, 0) - Ah``, when it has index
+    at most one with the exit's margin, else None; sigma holds the r kept
+    singular values, and ``norm_a = ||A||_F``."""
+    r = sigma.size
     A22 = Ah[r:, r:]
     # ||A||_F bounds ||A||_2.  The 1 / _QZ_COND margin keeps
     # ||A12 A22^{-1} A21|| below _QZ_COND ||A||_2.  The rank margin puts the
@@ -345,11 +352,57 @@ def _index_one_exit(A, E, svd_e, r, tol: ToleranceConfig):
     # would find index one too: the A-compression on ker E, whose singular
     # values are at least sigma_min(A22), and step 2's E-compression, whose
     # smallest singular value is at least sigma_min(A22) / ||A||_2 * Sigma[r-1].
-    margin = max(1.0 / _QZ_COND, 10.0 * tol.rank_rtol * len(s) * (s[0] / s[r - 1] if r else 1.0))
-    if not np.linalg.svd(A22, compute_uv=False)[-1] > margin * np.linalg.norm(A):
+    margin = max(1.0 / _QZ_COND,
+                 10.0 * tol.rank_rtol * len(Ah) * (sigma[0] / sigma[-1] if r else 1.0))
+    if A22.size and not np.linalg.svd(A22, compute_uv=False)[-1] > margin * norm_a:
         return None
     S = Ah[:r, :r] - Ah[:r, r:] @ np.linalg.solve(A22, Ah[r:, :r])
-    return S, np.diag(s[:r]), partial(_scaled_eigenvalues, S, s[:r])
+    return S, np.diag(sigma), partial(_scaled_eigenvalues, S, sigma)
+
+
+def _eigen_signs(u, vh):
+    """The signs d with ``U = V diag(d)`` bitwise, as the eigh route of
+    :func:`_decompose_e` builds U from the eigenvectors V, else None."""
+    d = np.where(np.einsum("ij,ji->j", u, vh) < 0.0, -1.0, 1.0)
+    return d if np.array_equal(u, vh.T * d) else None
+
+
+def _split_common_kernel(Ah, P, s, thr_a: float, psd_e: bool, tol: ToleranceConfig):
+    """``(k, exit, rest_bound)`` of a square pencil ``s E - A`` with E
+    symmetric, split on the common kernel of E, A and A^T, of dimension
+    k > 0; else None.
+
+    With ``E = U diag(s, 0) V^T`` (s the r kept singular values),
+    ``Ah = U^T A V`` and ``P = V^T A V``, E's kernel Z is the trailing
+    columns of V, and ``Z y`` lies in ker A and ker A^T when
+    ``[P[:, r:]; P[r:, :]^T] y = 0``.  k is the nullity of that 2n x k_E
+    stack, decided by :func:`decide_rank` at the staircase's A-compression
+    cutoff thr_a; where that rule refuses, None comes back.  With N
+    an orthonormal basis of the rest of E's kernel, the rest of the pencil
+    lives on ``Q = [V_r, Z N]``.  The exit reads it on the left in
+    ``[U_r, Z N]``, where its E is ``diag(s, 0)``; a rest that fails the
+    exit gives None.  ``rest_bound`` is the :class:`DissipationBound` of the
+    congruence ``Q^T (s E - A) Q``: ``-Q^T H Q``, which is R on Q for
+    port-Hamiltonian data, over ``||E||_2``; ``psd_e`` is whether E is PSD.
+    """
+    r = s.size
+    _, sv, nh = np.linalg.svd(np.vstack([P[:, r:], P[r:, :].T]), full_matrices=False)
+    try:
+        N = nh[:decide_rank(sv, thr_a, "common-kernel split")].T
+    except ToleranceBreakdown:
+        return None
+    k = nh.shape[0] - N.shape[1]
+    if not k:
+        return None
+    low = [N.T @ P[r:, :r], N.T @ P[r:, r:] @ N]
+    rest = np.block([[Ah[:r, :r], Ah[:r, r:] @ N], low])
+    exit_ = _index_one_exit(rest, s, np.linalg.norm(rest), tol)
+    if exit_ is None:
+        return None
+    congruence = np.block([[P[:r, :r], P[:r, r:] @ N], low])
+    bound = DissipationBound(Definiteness(lambda: -congruence, tol),
+                             float(s[0]) if r else 0.0, psd_e)
+    return k, exit_, bound
 
 
 def remembered(slot, args: tuple, compute):
@@ -452,12 +505,33 @@ def _staircase(E, A, tol: ToleranceConfig) -> PencilReport:
     decisions = []
     r = _decide(s_e, thr_e, "right pass: E-compression, step 1", decisions)
     kernels = vh_e[r:, :].T, u_e[:, r:]
-    exit_ = _index_one_exit(A, E, svd_e, r, tol) if p == q else None
-    logger.debug("pencil %dx%d: %s, k = %d", p, q,
-                 "staircase" if exit_ is None else "index-one exit", q - r)
+    log = partial(logger.debug, "pencil %dx%d: %s, k = %d", p, q)
+    exit_ = split = thr_a = None
+    if p == q and not (r and s_e[0] > _QZ_COND * s_e[r - 1]):
+        if r == q:
+            exit_ = A, E, partial(_regular_eigenvalues, A, E, (vh_e.T, s_e, u_e.T))
+        else:
+            Ah = u_e.T @ A @ vh_e.T
+            exit_ = _index_one_exit(Ah, s_e[:r], np.linalg.norm(A), tol)
+            if exit_ is None and w is not None:
+                # V^T A V: Ah with its rows signed when U = V diag(signs),
+                # as eigh's factors are, else (V^T U) Ah.
+                signs = _eigen_signs(u_e, vh_e)
+                P = Ah * signs[:, None] if signs is not None else (vh_e @ u_e) @ Ah
+                thr_a = tol.rank_rtol * maxdim * spectral_norm(A)
+                split = _split_common_kernel(Ah, P, s_e[:r], thr_a,
+                                             float(w[0]) > -thr_e / 10.0, tol)
     if exit_ is not None:
+        log("index-one exit", q - r)
         return PencilReport(p, q, (1,) * (q - r), (), (), *exit_, tol, *kernels)
-    thr_a = tol.rank_rtol * maxdim * spectral_norm(A)
+    if split is not None:
+        k, exit_, bound = split
+        log("common-kernel split", k)
+        return PencilReport(p, q, (1,) * (q - r - k), (0,) * k, (0,) * k, *exit_, tol,
+                            *kernels, bound)
+    log("staircase", q - r)
+    if thr_a is None:
+        thr_a = tol.rank_rtol * maxdim * spectral_norm(A)
 
     nu_r, ss_r, A1, E1, svd_e1 = _deflate_right_and_infinite(
         A, E, thr_a, thr_e, "right pass", decisions, (svd_e, r))
@@ -603,23 +677,25 @@ def imaginary_axis_full_rank(E, A, B, tol: ToleranceConfig = DEFAULT_TOL) -> tup
     with its conjugate, or ``[0j]`` for a singular pencil whose rank drops
     everywhere.  A regular pencil whose :func:`dissipation_bound` exceeds
     ``10 * tol.axis_tol`` has no such eigenvalue, and returns
-    ``(True, [])`` without reading the report's spectrum.  Raises
-    :class:`ToleranceBreakdown` when a PBH test has no tenfold margin, and
-    :class:`HypothesisViolated` for a singular pencil with a positive left
-    minimal index (never port-Hamiltonian).
+    ``(True, [])`` without reading the report's spectrum; so does a
+    common-kernel split whose rest's bound does, after its test at s = 0.
+    Raises :class:`ToleranceBreakdown` when a PBH test has no tenfold
+    margin, and :class:`HypothesisViolated` for a singular pencil with a
+    positive left minimal index (never port-Hamiltonian).
     """
     E, A, B = _pencil_and_inputs(E, A, B, "imaginary_axis_full_rank")
     rep = pencil_report(E, A, tol)
     if rep.regular:
         bound = dissipation_bound(E, A, tol)
-        if bound is not None and bound.exceeds(10.0 * tol.axis_tol):
-            return True, []
     else:
         if any(rep.left_minimal_indices):
             raise HypothesisViolated("singular pencil with a positive left minimal index: "
                                      "the rank of [s E - A, B] can drop off its spectrum")
         if _pbh_deficiency(E, A, B, 0j, tol):
             return False, [0j]
+        bound = rep._rest_bound
+    if bound is not None and bound.exceeds(10.0 * tol.axis_tol):
+        return True, []
     evs = rep.finite_eigenvalues
     witnesses: list[complex] = []
     for lam in evs[(np.abs(evs.real) <= tol.axis_tol) & (evs.imag >= 0)]:

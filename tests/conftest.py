@@ -248,15 +248,17 @@ def cholesky_calls(monkeypatch):
 
 @pytest.fixture
 def eigvals_calls(monkeypatch):
-    """Every ``np.linalg.eigvals`` and ``scipy.linalg.eigvals`` call from
-    here on, as the name of its module."""
+    """Every ``eigvals`` and ``eig`` call of ``np.linalg`` and
+    ``scipy.linalg`` from here on, as ``module.function``."""
     calls = []
     for module in (np.linalg, scipy.linalg):
-        def counting(*args, _eigvals=module.eigvals, _name=module.__name__, **kwargs):
-            calls.append(_name)
-            return _eigvals(*args, **kwargs)
+        for name in ("eigvals", "eig"):
+            def counting(*args, _solve=getattr(module, name),
+                         _name=f"{module.__name__}.{name}", **kwargs):
+                calls.append(_name)
+                return _solve(*args, **kwargs)
 
-        monkeypatch.setattr(module, "eigvals", counting)
+            monkeypatch.setattr(module, name, counting)
     return calls
 
 

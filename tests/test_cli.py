@@ -106,6 +106,25 @@ class TestGenValidateAnalyze:
         assert run("validate", "--input", missing) == 2
         assert run("validate", "--input", tmp_path / "nope.json") == 2
 
+    @pytest.mark.parametrize("m, command", [(1, "validate"), (0, "validate"), (0, "stabilize")])
+    def test_report_of_an_empty_state_is_strict_json(self, tmp_path, m, command):
+        # With n = 0, E (and at m = 0 also W) is empty: it has no eigenvalue,
+        # so its margin and band are written as null, not as Infinity.
+        def refuse(token):
+            raise ValueError(f"{token} is not JSON")
+
+        sys_path, report = tmp_path / "sys.json", tmp_path / "report.json"
+        sys_path.write_text(json.dumps({"n": 0, "m": m, "E": [], "J": [], "R": [], "G": [],
+                                        "P": [], "D": [[1.0]] if m else []}))
+        assert run(command, "--input", sys_path, "--report", report) == 0
+        doc = json.loads(report.read_text(), parse_constant=refuse)
+        if command == "validate":
+            check = doc["checks"]["e_psd"]
+            assert check["passed"] and check["margin"] is check["tolerance"] is None
+        else:
+            check = doc["certification"]["checks"]["ph_structure"]
+            assert check["passed"] and check["lambda_min_w"] is check["tolerance"] is None
+
 
 class TestSynthesisCommands:
     def test_stabilize_scalar_example(self, tmp_path):

@@ -8,6 +8,7 @@ from phdesc.fileio import (
     feedback_from_dict,
     feedback_to_dict,
     load_system,
+    report_to_json,
     save_system,
     system_from_dict,
     system_to_dict,
@@ -98,3 +99,11 @@ class TestFeedbackRoundTrip:
             feedback_from_dict({"m": 1, "n": 1})
         with pytest.raises(ValueError):
             feedback_from_dict({"m": 2, "n": 1, "F": [[1.0]]})
+
+
+def test_non_finite_number_refused():
+    # Infinity and NaN are not JSON (RFC 8259), so no report may carry them.
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError):
+            report_to_json({"margin": bad})
+    assert report_to_json({"margin": None}) == '{\n  "margin": null\n}\n'

@@ -179,11 +179,12 @@ class TestRegularEigenvalues:
 
 
 def _routes(caplog):
-    """(route, k) of each pencil report logged since the last clear."""
+    """(route, k) of each pencil report logged since the last clear: k is
+    n - rank E, or on the common-kernel split the dimension split off."""
     routes = []
     for rec in caplog.records:
-        m = re.fullmatch(r"pencil \d+x\d+: (index-one exit|staircase), k = (\d+)",
-                         rec.getMessage())
+        m = re.fullmatch(r"pencil \d+x\d+: (index-one exit|staircase|common-kernel split), "
+                         r"k = (\d+)", rec.getMessage())
         if rec.name == "phdesc.pencil" and m:
             routes.append((m[1], int(m[2])))
     return routes
@@ -233,16 +234,17 @@ class TestIndexOneExit:
         assert r.infinite_block_sizes == (2,) * k and r.rank_E == n - k
 
     @pytest.mark.parametrize("factor, route, shapes", [
-        (0.99, "staircase", [(1, 1), (3, 3), (3, 1), (2, 2)]),
+        (0.99, "staircase", [(1, 1), (3, 3), (6, 1), (3, 1), (2, 2)]),
         (1.01, "index-one exit", [(1, 1)]),
     ])
     def test_guard_on_a22(self, route_log, cold_e_svd, cold_report, svd_calls, eigh_calls,
                           factor, route, shapes):
         # sigma_min(A22) = a and ||A||_F = sqrt(2 + a^2), so the guard
         # a * _QZ_COND > ||A||_F holds from a = sqrt(2 / (_QZ_COND^2 - 1)).
-        # Below it the staircase runs: ||A||_2, the A-compression on ker E
-        # and step 2's SVD of the deflated E, to the same verdict.  The
-        # symmetric E takes one eigh and no SVD on either route.
+        # Below it ||A||_2 and the split's 6 x 1 stack, which finds no common
+        # kernel; then the staircase runs: the A-compression on ker E and
+        # step 2's SVD of the deflated E, to the same verdict.  The symmetric
+        # E takes one eigh and no SVD on either route.
         a = factor * np.sqrt(2.0 / (pencil._QZ_COND ** 2 - 1.0))
         r = pencil_report(np.diag([1.0, 1.0, 0.0]), -np.diag([1.0, 1.0, a]))
         assert _routes(route_log) == [(route, 1)]
@@ -252,7 +254,8 @@ class TestIndexOneExit:
         assert_spectra_match(r.finite_eigenvalues, [-1.0, -1.0], atol=1e-12)
 
     @pytest.mark.parametrize("E, A, verdict", [
-        # A22 = 2e-4 is below the A-compression's cutoff 3e-3: right minimal index 0.
+        # A22 = 2e-4 is below the A-compression's cutoff 3e-3: right and left
+        # minimal index 0, split off as a common kernel.
         (np.diag([1.0, 1.0, 0.0]), -np.diag([1.0, 1.0, -2e-4]), "singular"),
         # 2e-2 and 1e-3 both sit within tenfold of the cutoff 4e-3.
         (np.diag([1.0, 1.0, 0.0, 0.0]), -np.diag([1.0, 1.0, 2e-2, 1e-3]), "refused"),
@@ -262,7 +265,9 @@ class TestIndexOneExit:
     def test_guard_follows_rank_rtol(self, route_log, cold_report, E, A, verdict):
         # Each A22 clears sigma_min(A22) * _QZ_COND > ||A||_F, but with
         # rank_rtol = 1e-3 not the rank cutoffs of the staircase steps that
-        # the exit skips, so the staircase decides.
+        # the exit skips, so the split or the staircase decides.  The refused
+        # stack [A Z; A^T Z] has both singular values within tenfold of the
+        # split's cutoff, so the staircase refuses it.
         tol = ToleranceConfig(rank_rtol=1e-3)
         if verdict == "refused":
             with pytest.raises(ToleranceBreakdown, match="A-compression, step 1"):
@@ -272,13 +277,17 @@ class TestIndexOneExit:
             assert r.regular == (verdict == "index 2")
             assert r.index == (2 if r.regular else None)
             assert r.right_minimal_indices == (() if r.regular else (0,))
-        assert [x for x, _ in _routes(route_log)] == ["staircase"]
+        route = "common-kernel split" if verdict == "singular" else "staircase"
+        assert [x for x, _ in _routes(route_log)] == [route]
 
     def test_only_a_fresh_report_logs(self, route_log, cold_report):
-        sys = random_ph(12, 2, 1, force_singular=True)
-        pencil_report(sys.E, sys.A)
-        pencil_report(sys.E.copy(), sys.A.copy())
-        assert _routes(route_log) == [("staircase", 3)]
+        for case in ("staircase", "split"):
+            kwargs, route, k = LAZY_ROUTES[case]
+            sys = random_ph(12, 2, 0, **kwargs)
+            route_log.clear()
+            pencil_report(sys.E, sys.A)
+            pencil_report(sys.E.copy(), sys.A.copy())
+            assert _routes(route_log) == [(route, k)]
 
 
 class TestPencilReport:
@@ -591,11 +600,15 @@ class TestDissipationBound:
         assert [a.shape for a in cholesky_calls] == [(2, 2), (12, 12)]
 
 
-# (generator keywords, route, k = n - rank E) of one pencil per route.
+# (generator keywords, route, k = n - rank E) of one pencil per route.  The
+# singular pencils have minimal indices 0: the split's one kernel direction
+# is E's whole kernel, and the staircase's lossless rest has an index-two
+# block on the rest of E's kernel, which the exit refuses.
 LAZY_ROUTES = {
     "exit-index-0": ({}, "index-one exit", 0),
     "exit-index-1": ({"rank_e": 9}, "index-one exit", 3),
-    "staircase": ({"force_singular": True}, "staircase", 1),
+    "staircase": ({"force_singular": True, "rank_w": 0, "rank_e": 10}, "staircase", 2),
+    "split": ({"force_singular": True}, "common-kernel split", 1),
 }
 
 
@@ -714,15 +727,19 @@ class TestSymmetricRoute:
     @pytest.mark.parametrize("seed, shapes, blocks", [
         # Right pass: the 1 x 1 A-compression on ker E has rank 0, and so
         # does the left pass's: neither takes an SVD of the deflated E.
-        (0, [(1, 1), (12, 12), (12, 1), (11, 1)], ((), (0,), (0,))),
+        (0, [(12, 12), (1, 1), (12, 12), (12, 1), (11, 1)], ((), (0,), (0,))),
         # Right pass: A-compressions of rank 2, then an SVD of the 10 x 9 E;
         # the left pass takes only its 9 x 1 A-compression.
-        (1, [(3, 3), (12, 12), (12, 3), (10, 9), (9, 1)], ((1, 1), (0,), (0,))),
+        (1, [(12, 12), (3, 3), (12, 12), (12, 3), (10, 9), (9, 1)], ((1, 1), (0,), (0,))),
     ])
     def test_rank_zero_compression_keeps_the_svd(self, cold_e_svd, cold_report, svd_calls,
                                                  seed, shapes, blocks):
+        # E one ulp off symmetric takes its SVD and no split, so these
+        # singular pencils keep the staircase.
         sys = random_ph(12, 2, seed, force_singular=True)
-        r = pencil_report(sys.E, sys.A)
+        E = sys.E.copy()
+        E[0, 1] = np.nextafter(E[0, 1], np.inf)
+        r = pencil_report(E, sys.A)
         assert [a.shape for a, _ in svd_calls] == shapes
         assert (r.infinite_block_sizes, r.right_minimal_indices, r.left_minimal_indices) == blocks
         assert_spectra_match(r.finite_eigenvalues,
@@ -799,9 +816,9 @@ class TestRememberedReport:
         monkeypatch.setattr(pencil, "_REPORT", None)
         self._compare(again, pencil_report(mats["E"].copy(), mats["A"].copy()))
 
-    @pytest.mark.parametrize("case", ["exit-index-1", "staircase"])
+    @pytest.mark.parametrize("case", ["exit-index-1", "staircase", "split"])
     def test_kernels_of_e_are_views_of_its_svd(self, cold_e_svd, cold_report, case):
-        # Either route hands out the trailing columns of V and U in the
+        # Every route hands out the trailing columns of V and U in the
         # remembered SVD of E, at rank_E, without copying them.
         kwargs, _, k = LAZY_ROUTES[case]
         sys = random_ph(12, 2, 0, **kwargs)
@@ -841,8 +858,9 @@ class TestLazySpectrum:
         sys = random_ph(12, 2, 0, **kwargs)
         r = pencil_report(sys.E, sys.A)
         assert _routes(route_log) == [(route, k)]
-        assert (r.regular, r.rank_E) == (case != "staircase", 12 - k)
-        assert r.index == (None if case == "staircase" else min(k, 1))
+        exit_ = case.startswith("exit")
+        assert (r.regular, r.rank_E) == (exit_, 12 - k)
+        assert r.index == (min(k, 1) if exit_ else None)
         assert eigvals_calls == []
         evs = r.finite_eigenvalues
         assert len(eigvals_calls) == 1
@@ -889,6 +907,131 @@ class TestLazySpectrum:
         eager.finite_eigenvalues
         assert late.to_dict() == eager.to_dict()
         assert np.array_equal(late.finite_eigenvalues, eager.finite_eigenvalues)
+
+
+def _singular_pencil(rng, n, signs, rank_r, omega=None):
+    """``(E, A, B)`` of ``s E - (J - R)`` and one input, in a random
+    orthogonal basis.  E, J and R vanish on one shared direction, which B
+    reaches; on the other n - 1, E has eigenvalue signs ``signs``, J is
+    skew and R PSD of rank rank_r.  With omega, two of those directions
+    instead carry an undamped oscillator at +-i omega with E = -I, which
+    B does not reach."""
+    c = n - 1 - (2 if omega else 0)
+    e = np.r_[np.asarray(signs) * rng.uniform(0.5, 2.0, len(signs)), np.zeros(c - len(signs))]
+    J, L = rng.normal(size=(c, c)), rng.normal(size=(c, rank_r))
+    blocks = [np.zeros((n, n)) for _ in range(3)]
+    for M, core in zip(blocks, (np.diag(e), (J - J.T) / 2.0, L @ L.T)):
+        M[:c, :c] = core
+    B = np.r_[rng.normal(size=(c, 1)), np.zeros((n - 1 - c, 1)), [[1.0]]]
+    if omega:
+        blocks[0][c:c + 2, c:c + 2] = -np.eye(2)
+        blocks[1][c, c + 1], blocks[1][c + 1, c] = omega, -omega
+    Q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+    E, J, R = (Q @ M @ Q.T for M in blocks)
+    return (E + E.T) / 2.0, (J - J.T) / 2.0 - (R + R.T) / 2.0, Q @ B
+
+
+class TestCommonKernelSplit:
+    """A square pencil with a symmetric E that fails the index-one exit
+    sheds the common kernel of E, A and A^T before the staircase."""
+
+    @staticmethod
+    def _forget(mp):
+        for slot in ("_REPORT", "_ANALYSIS"):
+            mp.setattr(pencil, slot, None)
+
+    def test_agrees_with_the_staircase(self, monkeypatch, route_log):
+        # The staircase, with the split switched off, reads the same blocks,
+        # spectrum and stabilizability verdict on every singular plant.
+        split = 0
+        grid = itertools.product((None, 0, 1), range(3, 13), range(1, 4), range(3))
+        for rank_w, n, m, seed in grid:
+            sys = random_ph(n, m, seed, rank_w=rank_w, force_singular=True)
+            self._forget(monkeypatch)
+            route_log.clear()
+            r, cond = pencil_report(sys.E, sys.A), stabilizability_rank_condition(sys)
+            if _routes(route_log) != [("common-kernel split", 1)]:
+                continue
+            split += 1
+            with monkeypatch.context() as mp:
+                mp.setattr(pencil, "_split_common_kernel", lambda *args: None)
+                self._forget(mp)
+                s, s_cond = pencil_report(sys.E, sys.A), stabilizability_rank_condition(sys)
+            key = (n, m, seed, rank_w)
+            assert r.to_dict().keys() == s.to_dict().keys(), key
+            for name in ("infinite_block_sizes", "right_minimal_indices",
+                         "left_minimal_indices", "rank_E", "n_regular"):
+                assert getattr(r, name) == getattr(s, name), (key, name)
+            assert np.array_equal(r.kernel_E, s.kernel_E)
+            assert_spectra_match(r.finite_eigenvalues, s.finite_eigenvalues, atol=1e-10)
+            assert cond[0] == s_cond[0] and len(cond[1]) == len(s_cond[1]), key
+        assert split >= 250, split
+
+    def test_indefinite_e_verdicts_equal_the_spectrum_route(self, monkeypatch, route_log, rng):
+        # The rest's bound, lambda_min(Q^T R Q) / ||E||_2 for the congruence
+        # Q^T (s E - A) Q, holds for an indefinite E too: with the bound
+        # switched off, the spectrum gives the same verdict and witnesses,
+        # among them unreachable oscillators whose E is -I.
+        decided = witnessed = 0
+        for trial in range(60):
+            omega = rng.uniform(0.5, 2.0) if trial % 3 == 0 else None
+            n = int(rng.integers(3, 9)) + (2 if omega else 0)
+            c = n - 1 - (2 if omega else 0)
+            signs = rng.choice([-1.0, 1.0], size=int(rng.integers(1, c + 1)))
+            # R definite on the rest (but for an oscillator), or of rank 0 or 1.
+            rank_r = int(rng.choice([c, c, 0, 1]))
+            E, A, B = _singular_pencil(rng, n, signs, rank_r, omega)
+            self._forget(monkeypatch)
+            route_log.clear()
+            try:
+                ok, wit = imaginary_axis_full_rank(E, A, B)
+            except ToleranceBreakdown:
+                continue
+            if _routes(route_log) != [("common-kernel split", 1)]:
+                continue
+            rep = pencil_report(E, A)
+            bound = rep._rest_bound
+            decided += bound.exceeds(10.0 * DEFAULT_TOL.axis_tol)
+            with monkeypatch.context() as mp:
+                mp.setattr(pencil.DissipationBound, "exceeds", lambda self, need: False)
+                spectrum = imaginary_axis_full_rank(E, A, B)
+            assert ok == spectrum[0], trial
+            assert_spectra_match(wit, spectrum[1], atol=1e-12)
+            witnessed += wit not in ([], [0j])
+        assert decided >= 10 and witnessed >= 10, (decided, witnessed)
+
+    def test_svds_of_the_split(self, cold_e_svd, cold_report, cold_analysis, svd_calls,
+                               eigvals_calls, cholesky_calls):
+        # The exit's 1 x 1 block A22, ||A||_2 and the 24 x 1 stack; the rest
+        # has no kernel of E left, so its exit takes no SVD.  The condition
+        # then proves the rest clear of the axis by Cholesky, with no
+        # eigensolve.
+        sys = random_ph(12, 2, 0, force_singular=True)
+        pencil_report(sys.E, sys.A)
+        assert [a.shape for a, _ in svd_calls] == [(1, 1), (12, 12), (24, 1)]
+        assert stabilizability_rank_condition(sys) == (True, [])
+        assert (11, 11) in [a.shape for a in cholesky_calls]
+        assert eigvals_calls == []
+
+    def test_large_singular_plant_condition_takes_no_eigensolve(
+            self, cold_e_svd, cold_report, cold_analysis, route_log, eigvals_calls):
+        sys = random_ph(300, 30, 0, force_singular=True)
+        assert stabilizability_rank_condition(sys) == (True, [])
+        assert _routes(route_log) == [("common-kernel split", 1)]
+        assert eigvals_calls == []
+
+    def test_tight_cutoff_reads_left_minimal_indices_zero(self, cold_report, cold_analysis,
+                                                          route_log):
+        # At rank_rtol = 1e-17 the staircase read a left minimal index 1 on
+        # this plant and refused it with HypothesisViolated; the split's
+        # stack drops its roundoff value and keeps the other far above.
+        tol = ToleranceConfig(rank_rtol=1e-17)
+        sys = random_ph(3, 2, 1, force_singular=True)
+        r = pencil_report(sys.E, sys.A, tol)
+        assert _routes(route_log) == [("common-kernel split", 1)]
+        assert (r.right_minimal_indices, r.left_minimal_indices) == ((0,), (0,))
+        F, _ = synthesize_stabilizing(sys, tol)
+        assert certify_closed_loop(sys, F, "stabilize", tol).overall
 
 
 class TestUndampedBlockConditions:
@@ -1226,11 +1369,16 @@ class TestInvariance:
     @pytest.mark.parametrize("family", FAMILIES)
     def test_pencil_and_feedback_conditions(self, route_log, cold_report, family, change):
         assert _changed_verdicts(family, change, _pencil_and_feedback_verdicts) == []
-        # Each system and its change take one fresh report, both by one
-        # route: the singular family's by the staircase, the others' by the
-        # index-one exit.
-        route = "staircase" if family == "singular" else "index-one exit"
-        assert [x for x, _ in _routes(route_log)] == [route] * (2 * len(INVARIANCE_GRID))
+        # Each system and its change take one fresh report: the singular
+        # family's by the common-kernel split, but after the orthogonal
+        # change, whose E is not bitwise symmetric, by the staircase; the
+        # others' by the index-one exit.
+        route, changed = "index-one exit", "index-one exit"
+        if family == "singular":
+            route = changed = "common-kernel split"
+            if change == "orthogonal":
+                changed = "staircase"
+        assert [x for x, _ in _routes(route_log)] == [route, changed] * len(INVARIANCE_GRID)
 
     @pytest.mark.parametrize("change", ["orthogonal", "scale-1e-6", "scale-1e6"])
     def test_strict_passifiability(self, change):
