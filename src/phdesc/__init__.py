@@ -54,7 +54,6 @@ from .pencil import (
     PencilReport,
     StabilityClass,
     compress_feedthrough,
-    dissipation_bound,
     feedback_analysis,
     imaginary_axis_full_rank,
     index_one_rank_condition,

@@ -6,26 +6,26 @@ matrix, and re-runs the full pencil analysis.  What it shares with earlier
 analyses of the same plant comes from two memos of :mod:`phdesc.pencil`,
 which hand back the bits a fresh computation would give.  One is the
 decomposition of E, which feedback keeps: for a symmetric E one ``eigh``,
-whose factors give the staircase its SVD and whose smallest eigenvalue
-tells the dissipation bound whether E is PSD.  The other is the open-loop report of
-:func:`phdesc.pencil.pencil_report`, and only when ``B F == 0`` exactly,
-so that the closed loop's A has the same bits as the plant's.  It does not
-read :func:`phdesc.pencil.feedback_analysis`.  Every verdict is still
-reached from scratch.
+whose factors give the staircase its SVD and whose eigenvalues give the
+report's dissipation bound ``||E||_2`` and whether E is PSD.  The other is
+the open-loop report of :func:`phdesc.pencil.pencil_report`, and only when
+``B F == 0`` exactly, so that the closed loop's A has the same bits as the
+plant's.  It does not read :func:`phdesc.pencil.feedback_analysis`.  Every
+verdict is still reached from scratch.
 
 The overall verdict reads only its goal's checks, in order.  The passify
 verdict reads W and the index but no spectrum: W > 0 already forces
 asymptotic stability.  W's verdict is proved by one Cholesky factorization
 where it can (see :class:`phdesc.linalg.Definiteness`); its eigenvalues,
 the reported ``lambda_min_w`` and band, are computed when first read.  The
-stabilize verdict reads no spectrum either when
-:func:`phdesc.pencil.dissipation_bound` keeps every eigenvalue of the
-regular loop more than ten times ``stability_margin`` inside the left half
-plane, the case for a loop with R~ > 0 and E PSD; otherwise it reads the
-closed loop's stability class.  The closed loop's spectrum is computed when
-:meth:`CertReport.to_dict` (or a caller) first reads it, so a spectrum-stage
-refusal rises there and not in :func:`certify_closed_loop` when the bound
-decided.
+stabilize verdict reads no spectrum either when the closed loop's
+:attr:`phdesc.pencil.PencilReport.dissipation_bound` keeps every
+eigenvalue of the regular loop more than ten times ``stability_margin``
+inside the left half plane, the case for a loop with R~ > 0 and E PSD;
+otherwise it reads the closed loop's stability class.  The closed loop's
+spectrum is computed when :meth:`CertReport.to_dict` (or a caller) first
+reads it, so a spectrum-stage refusal rises there and not in
+:func:`certify_closed_loop` when the bound decided.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from functools import partial
 from .fileio import complex_pairs, finite_or_none
 from .linalg import DEFAULT_TOL, Definiteness, ToleranceConfig
 from .model import PHSystem, apply_feedback, dissipation_matrix
-from .pencil import PencilReport, StabilityClass, dissipation_bound, pencil_report
+from .pencil import PencilReport, StabilityClass, pencil_report
 
 GOALS = ("stabilize", "passify")
 
@@ -73,9 +73,10 @@ class CertReport:
     """Per-property verdicts for a closed loop, read off its pencil report
     and the definiteness of its dissipation matrix W.
 
-    ``stable_by_bound`` is True when :func:`phdesc.pencil.dissipation_bound`
-    alone decided asymptotic stability (goal "stabilize" only); the
-    stability check then reads no spectrum.
+    ``stable_by_bound`` is True when the dissipation bound of ``pencil``
+    (:attr:`PencilReport.dissipation_bound`) alone decided asymptotic
+    stability (goal "stabilize" only); the stability check then reads no
+    spectrum.
     """
 
     goal: str
@@ -112,8 +113,8 @@ def certify_closed_loop(
     For goal "stabilize" the overall verdict requires the closed-loop
     dissipation matrix PSD, regularity, index at most one, and all finite
     eigenvalues at least ``stability_margin`` inside the left half plane.
-    A regular loop with W PSD whose :func:`phdesc.pencil.dissipation_bound`
-    lies in the left half plane and exceeds ``10 * stability_margin`` is
+    A regular loop with W PSD whose report's dissipation bound lies in the
+    left half plane and exceeds ``10 * stability_margin`` is
     asymptotically stable without an eigensolve; any other loop reads its
     stability class.  For goal "passify" it requires the dissipation matrix
     positive definite together with regularity and index at most one
@@ -127,10 +128,9 @@ def certify_closed_loop(
     # W is formed again from the closed loop when read, not kept.
     w = Definiteness(partial(dissipation_matrix, closed), tol)
     rep = pencil_report(closed.E, A, tol)
-    stable = False
-    if goal == "stabilize" and rep.regular and w.is_semidefinite:
-        bound = dissipation_bound(closed.E, A, tol)
-        stable = (bound is not None and bound.left_half_plane
-                  and bound.exceeds(10.0 * tol.stability_margin))
+    bound = rep.dissipation_bound
+    stable = (goal == "stabilize" and rep.regular and w.is_semidefinite
+              and bound is not None and bound.left_half_plane
+              and bound.exceeds(10.0 * tol.stability_margin))
     return CertReport(goal=goal, closed_loop=closed, pencil=rep, w=w, tol=tol,
                       stable_by_bound=stable)

@@ -98,6 +98,8 @@ def _parse_vector(text: str | None, length: int, name: str) -> np.ndarray:
         raise ValueError(f"could not parse {name}: {text!r}") from exc
     if vec.shape[0] != length:
         raise ValueError(f"{name} has {vec.shape[0]} entries, expected {length}")
+    if not np.all(np.isfinite(vec)):
+        raise ValueError(f"{name} has a non-finite entry")
     return vec
 
 

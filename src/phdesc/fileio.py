@@ -34,11 +34,13 @@ def complex_pairs(values) -> list[list[float]]:
 
 
 def _dimensions(doc: dict, kind: str, first: str, second: str) -> tuple[int, int]:
-    try:
-        return int(doc[first]), int(doc[second])
-    except (KeyError, TypeError, ValueError) as exc:
+    """The two dimension fields of doc, each a JSON integer: a float, a
+    string or a boolean is refused, not converted."""
+    dims = tuple(doc.get(name) if isinstance(doc, dict) else None for name in (first, second))
+    if not all(isinstance(d, int) and not isinstance(d, bool) for d in dims):
         raise ValueError(f"{kind} document must carry integer fields "
-                         f"{first!r} and {second!r}") from exc
+                         f"{first!r} and {second!r}")
+    return dims
 
 
 def _matrix_field(doc: dict, kind: str, name: str, rows: int, cols: int) -> np.ndarray:

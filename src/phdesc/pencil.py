@@ -94,21 +94,26 @@ class PencilReport:
     """Kronecker structure and stability class of the pencil ``s E - A`` of
     shape rows x cols; a rectangular pencil is singular.
 
-    The block sizes are decided, and the regular part made read-only, when
-    the report is made.  The finite spectrum (``eigensolve`` on the regular
-    part, dropped after its one use) and the stability class are each
-    computed when first read, and then kept.  A spectrum-stage :class:`NumericalBreakdown` rises at the first
-    read of the spectrum, and the :class:`ToleranceBreakdown` of an axis
-    eigenvalue's multiplicity, which only the class decides, at the first
-    read of the class.
+    The block sizes, the read-only regular part and the dissipation bound
+    are decided when the report is made.  The finite spectrum
+    (``eigensolve`` on the regular part) and the stability class are each
+    computed when first read, and then kept.  A spectrum-stage
+    :class:`NumericalBreakdown` rises at the first read of the spectrum,
+    and the :class:`ToleranceBreakdown` of an axis eigenvalue's
+    multiplicity, which only the class decides, at the first read of the
+    class.
 
     ``kernel_E`` (cols x (cols - rank_E)) and ``cokernel_E``
     (rows x (rows - rank_E)) are orthonormal bases of the kernel and the
     cokernel of E at ``rank_E``: read-only views of the trailing columns of
     V and U in the SVD of E that the report was decided on.
 
-    ``_rest_bound`` is the :class:`DissipationBound` of the regular rest of
-    a common-kernel split (see :func:`_split_common_kernel`), else None.
+    ``dissipation_bound`` is the :class:`DissipationBound` of a square
+    pencil with ``E == E^T`` bitwise: the whole pencil's when the report is
+    regular, and on a common-kernel split that of the regular rest
+    ``Q^T (s E - A) Q`` (see :func:`_split_common_kernel`), whose -H is
+    ``-Q^T H Q``, with the whole E's ``norm_e`` and ``left_half_plane``,
+    which bound those of ``Q^T E Q``.  Otherwise it is None.
     """
 
     rows: int
@@ -118,11 +123,11 @@ class PencilReport:
     left_minimal_indices: tuple[int, ...]   # eta value per left singular block
     regular_A: np.ndarray = field(repr=False)
     regular_E: np.ndarray = field(repr=False)
-    eigensolve: Callable[[], np.ndarray] | None = field(repr=False, compare=False)
+    eigensolve: Callable[[], np.ndarray] = field(repr=False, compare=False)
     tol: ToleranceConfig = field(repr=False)
     kernel_E: np.ndarray = field(repr=False)
     cokernel_E: np.ndarray = field(repr=False)
-    _rest_bound: DissipationBound | None = field(default=None, repr=False, compare=False)
+    dissipation_bound: DissipationBound | None = field(repr=False, compare=False)
 
     def __post_init__(self):
         _freeze(self.regular_A, self.regular_E, self.kernel_E, self.cokernel_E)
@@ -133,20 +138,10 @@ class PencilReport:
     def finite_eigenvalues(self) -> np.ndarray:
         """Complex eigenvalues of the regular part, read-only, sorted by real
         then imaginary part: equal spectra read the same on either route."""
-        # From Python 3.12 cached_property takes no lock, so first reads in
-        # two threads can overlap: the value is stored before the solver's
-        # factors (up to two n x n) are let go, and a read that finds the
-        # solver gone returns it.
-        solve = self.eigensolve
-        if solve is None:
-            return vars(self)["finite_eigenvalues"]
-        finite = solve() if self.n_regular else np.zeros(0, dtype=complex)
+        finite = self.eigensolve() if self.n_regular else np.zeros(0, dtype=complex)
         if not np.all(np.isfinite(finite)):
             raise NumericalBreakdown("non-finite eigenvalues in the deflated regular part")
-        finite = _freeze(np.sort(finite))[0]
-        object.__setattr__(self, "finite_eigenvalues", finite)
-        object.__setattr__(self, "eigensolve", None)
-        return finite
+        return _freeze(np.sort(finite))[0]
 
     @cached_property
     def stability_class(self) -> StabilityClass:
@@ -367,8 +362,8 @@ def _eigen_signs(u, vh):
     return d if np.array_equal(u, vh.T * d) else None
 
 
-def _split_common_kernel(Ah, P, s, thr_a: float, psd_e: bool, tol: ToleranceConfig):
-    """``(k, exit, rest_bound)`` of a square pencil ``s E - A`` with E
+def _split_common_kernel(Ah, P, s, thr_a: float, tol: ToleranceConfig):
+    """``(k, exit, congruence)`` of a square pencil ``s E - A`` with E
     symmetric, split on the common kernel of E, A and A^T, of dimension
     k > 0; else None.
 
@@ -381,9 +376,8 @@ def _split_common_kernel(Ah, P, s, thr_a: float, psd_e: bool, tol: ToleranceConf
     an orthonormal basis of the rest of E's kernel, the rest of the pencil
     lives on ``Q = [V_r, Z N]``.  The exit reads it on the left in
     ``[U_r, Z N]``, where its E is ``diag(s, 0)``; a rest that fails the
-    exit gives None.  ``rest_bound`` is the :class:`DissipationBound` of the
-    congruence ``Q^T (s E - A) Q``: ``-Q^T H Q``, which is R on Q for
-    port-Hamiltonian data, over ``||E||_2``; ``psd_e`` is whether E is PSD.
+    exit gives None.  ``congruence`` is ``Q^T A Q``, the A of the
+    congruence ``Q^T (s E - A) Q`` that the rest's dissipation bound reads.
     """
     r = s.size
     _, sv, nh = np.linalg.svd(np.vstack([P[:, r:], P[r:, :].T]), full_matrices=False)
@@ -399,10 +393,7 @@ def _split_common_kernel(Ah, P, s, thr_a: float, psd_e: bool, tol: ToleranceConf
     exit_ = _index_one_exit(rest, s, np.linalg.norm(rest), tol)
     if exit_ is None:
         return None
-    congruence = np.block([[P[:r, :r], P[:r, r:] @ N], low])
-    bound = DissipationBound(Definiteness(lambda: -congruence, tol),
-                             float(s[0]) if r else 0.0, psd_e)
-    return k, exit_, bound
+    return k, exit_, np.block([[P[:r, :r], P[:r, r:] @ N], low])
 
 
 def remembered(slot, args: tuple, compute):
@@ -495,7 +486,10 @@ def _staircase(E, A, tol: ToleranceConfig) -> PencilReport:
     p, q = A.shape
     maxdim = max(p, q)
     u_e, s_e, vh_e, w = _e_factors(E)
-    thr_e = tol.rank_rtol * maxdim * (float(s_e[0]) if s_e.size else 0.0)
+    norm_e = float(s_e[0]) if s_e.size else 0.0
+    thr_e = tol.rank_rtol * maxdim * norm_e
+    # Whether E is PSD, read off its eigenvalues before the SVD may take over.
+    psd_e = w is not None and (not w.size or float(w[0]) > -thr_e / 10.0)
     if w is not None and np.any((s_e > thr_e / 10.0) & (s_e < 10.0 * thr_e)):
         # An eigenvalue near the cutoff: eigh's roundoff ones need not sit
         # where the SVD's do, so the SVD decides, as for any other E.
@@ -519,16 +513,21 @@ def _staircase(E, A, tol: ToleranceConfig) -> PencilReport:
                 signs = _eigen_signs(u_e, vh_e)
                 P = Ah * signs[:, None] if signs is not None else (vh_e @ u_e) @ Ah
                 thr_a = tol.rank_rtol * maxdim * spectral_norm(A)
-                split = _split_common_kernel(Ah, P, s_e[:r], thr_a,
-                                             float(w[0]) > -thr_e / 10.0, tol)
+                split = _split_common_kernel(Ah, P, s_e[:r], thr_a, tol)
+
+    def report(blocks, exit_, bounded):
+        # bounded is the A whose -H bounds the regular part's spectrum.
+        bound = None if w is None or bounded is None else DissipationBound(
+            Definiteness(lambda: -bounded, tol), norm_e, psd_e)
+        return PencilReport(p, q, *blocks, *exit_, tol, *kernels, bound)
+
     if exit_ is not None:
         log("index-one exit", q - r)
-        return PencilReport(p, q, (1,) * (q - r), (), (), *exit_, tol, *kernels)
+        return report(((1,) * (q - r), (), ()), exit_, A)
     if split is not None:
-        k, exit_, bound = split
+        k, exit_, congruence = split
         log("common-kernel split", k)
-        return PencilReport(p, q, (1,) * (q - r - k), (0,) * k, (0,) * k, *exit_, tol,
-                            *kernels, bound)
+        return report(((1,) * (q - r - k), (0,) * k, (0,) * k), exit_, congruence)
     log("staircase", q - r)
     if thr_a is None:
         thr_a = tol.rank_rtol * maxdim * spectral_norm(A)
@@ -550,25 +549,32 @@ def _staircase(E, A, tol: ToleranceConfig) -> PencilReport:
     A_reg, E_reg = A2t.T, E2t.T
     if A_reg.shape[0] != A_reg.shape[1]:
         raise NumericalBreakdown("regular part is not square after deflation")
-    return PencilReport(p, q, tuple(infinite_sizes), tuple(right_minimal), tuple(left_minimal),
-                        A_reg, E_reg, partial(_regular_eigenvalues, A_reg, E_reg, svd_e2t), tol,
-                        *kernels)
+    return report((tuple(infinite_sizes), tuple(right_minimal), tuple(left_minimal)),
+                  (A_reg, E_reg, partial(_regular_eigenvalues, A_reg, E_reg, svd_e2t)),
+                  None if right_minimal or left_minimal else A)
 
 
 @dataclass(frozen=True)
 class DissipationBound:
-    """What the dissipation alone says of the finite eigenvalues lam of
-    ``s E - A`` (see :func:`dissipation_bound`).
+    """Where the dissipation puts the finite eigenvalues lam of a square
+    pencil ``s E - A`` with ``E == E^T``, without an eigensolve (see
+    :attr:`PencilReport.dissipation_bound`).
 
-    ``minus_h`` is the definiteness of ``-H = -(A + A^T) / 2`` and
-    ``norm_e`` is ``||E||_2``.  ``axis_distance``, a lower bound on
+    An eigenvector x of lam has ``Re lam * x^H E x = x^H H x`` when E is
+    symmetric, with ``H = (A + A^T) / 2``, so ``|Re lam| >= lambda_min(-H)
+    / ||E||_2`` when -H is positive definite, and ``Re lam < 0`` when also
+    E is PSD (Mehl, Mehrmann & Wojtylak, SIMAX 2018).  For port-Hamiltonian
+    data -H is R.
+
+    ``minus_h`` is the definiteness of -H (see :class:`Definiteness`) and
+    ``norm_e`` is ``||E||_2 = max |w|``, with w the remembered eigenvalues
+    of E (see :func:`_e_factors`).  ``axis_distance``, a lower bound on
     ``|Re lam|``, is ``lambda_min(-H) / ||E||_2`` when -H is positive
     definite (infinite for E = 0) and 0 otherwise; it takes one ``eigvalsh``
     of H on first read.  ``left_half_plane`` is whether E is PSD at the
     rank a report of the pencil keeps: ``lambda_min(E) > -thr_e / 10``,
-    with thr_e that report's cutoff for E and lambda_min(E) read off the
-    remembered eigenvalues of E (see :func:`_e_factors`).  Then every lam
-    has ``Re lam < 0``.
+    with ``thr_e = rank_rtol * n * ||E||_2``.  Then every lam has
+    ``Re lam < 0``.
     """
 
     minus_h: Definiteness = field(repr=False)
@@ -591,32 +597,6 @@ class DissipationBound:
         axis_distance decides."""
         return (self.minus_h.proves(need * self.norm_e * (1.0 + 1e-12))
                 or self.axis_distance > need)
-
-
-def dissipation_bound(E, A, tol: ToleranceConfig = DEFAULT_TOL) -> DissipationBound | None:
-    """Where the dissipation puts the finite spectrum of the square pencil
-    ``s E - A``, without an eigensolve; None (undecided) unless
-    ``E == E^T`` bitwise.
-
-    An eigenvector x of lam has ``Re lam * x^H E x = x^H H x`` when E is
-    symmetric, so ``|Re lam| >= lambda_min(-H) / ||E||_2`` when
-    ``-H = -(A + A^T) / 2`` is positive definite (decided as by
-    :func:`classify_definiteness`), and ``Re lam < 0`` when also E is PSD
-    (Mehl, Mehrmann & Wojtylak, SIMAX 2018).  For port-Hamiltonian data -H
-    is R.  ||E||_2 and lambda_min(E) are read off the remembered
-    eigenvalues of E, so after a report of the pencil a bound that
-    :meth:`DissipationBound.exceeds` a need costs one Cholesky
-    factorization of H.
-    """
-    E = as_matrix(E)
-    A = as_matrix(A)
-    if not np.array_equal(E, E.T):
-        return None
-    _, s, _, w = _e_factors(E)
-    norm_e = float(s[0]) if s.size else 0.0
-    thr_e = tol.rank_rtol * max(E.shape) * norm_e
-    return DissipationBound(Definiteness(lambda: -A, tol), norm_e,
-                            not w.size or float(w[0]) > -thr_e / 10.0)
 
 
 def _axis_eigenvalues_semisimple(evs, A_reg, E_reg, tol: ToleranceConfig) -> bool:
@@ -675,25 +655,23 @@ def imaginary_axis_full_rank(E, A, B, tol: ToleranceConfig = DEFAULT_TOL) -> tup
     Returns the verdict and the offending points: each eigenvalue of
     ``s E - A`` within ``tol.axis_tol`` of the axis where the rank drops,
     with its conjugate, or ``[0j]`` for a singular pencil whose rank drops
-    everywhere.  A regular pencil whose :func:`dissipation_bound` exceeds
-    ``10 * tol.axis_tol`` has no such eigenvalue, and returns
-    ``(True, [])`` without reading the report's spectrum; so does a
-    common-kernel split whose rest's bound does, after its test at s = 0.
-    Raises :class:`ToleranceBreakdown` when a PBH test has no tenfold
-    margin, and :class:`HypothesisViolated` for a singular pencil with a
-    positive left minimal index (never port-Hamiltonian).
+    everywhere.  A pencil whose report's ``dissipation_bound`` exceeds
+    ``10 * tol.axis_tol`` has no such eigenvalue, and returns ``(True, [])``
+    without reading the report's spectrum; on a common-kernel split that is
+    the rest's bound, read after the test at s = 0.  Raises
+    :class:`ToleranceBreakdown` when a PBH test has no tenfold margin, and
+    :class:`HypothesisViolated` for a singular pencil with a positive left
+    minimal index (never port-Hamiltonian).
     """
     E, A, B = _pencil_and_inputs(E, A, B, "imaginary_axis_full_rank")
     rep = pencil_report(E, A, tol)
-    if rep.regular:
-        bound = dissipation_bound(E, A, tol)
-    else:
+    if not rep.regular:
         if any(rep.left_minimal_indices):
             raise HypothesisViolated("singular pencil with a positive left minimal index: "
                                      "the rank of [s E - A, B] can drop off its spectrum")
         if _pbh_deficiency(E, A, B, 0j, tol):
             return False, [0j]
-        bound = rep._rest_bound
+    bound = rep.dissipation_bound
     if bound is not None and bound.exceeds(10.0 * tol.axis_tol):
         return True, []
     evs = rep.finite_eigenvalues

@@ -236,7 +236,9 @@ class TestCommandSurface:
         ("--x0=1,2", "--x0 has 2 entries, expected 5"),
         ("--x0=1,a", "could not parse --x0: '1,a'"),
         ("--u=1 2 3", "--u has 3 entries, expected 2"),
-        ("--u=0.5,x", "could not parse --u: '0.5,x'")])
+        ("--u=0.5,x", "could not parse --u: '0.5,x'"),
+        ("--x0=nan,0,0,0,0", "--x0 has a non-finite entry"),
+        ("--u=inf,0", "--u has a non-finite entry")])
     def test_bad_vector_exits_two_naming_the_flag(self, tmp_path, capsys, argument, message):
         sys_path = tmp_path / "sys.json"
         run("gen", "--n", 5, "--m", 2, "--output", sys_path)

@@ -80,6 +80,17 @@ class TestSystemRoundTrip:
         with pytest.raises((ValueError, KeyError)):
             system_from_dict(doc)
 
+    @pytest.mark.parametrize("field, value", [("n", 2.9), ("m", 1.7), ("n", "2"), ("m", True)])
+    def test_dimension_must_be_a_json_integer(self, field, value):
+        # int() would read each of these as a valid dimension of this system.
+        doc = system_to_dict(random_ph(2, 1, 0))
+        doc[field] = value
+        with pytest.raises(ValueError, match="integer fields 'n' and 'm'"):
+            system_from_dict(doc)
+        feedback = {"m": 1, "n": 2, "F": [[0.0, 0.0]], field: value}
+        with pytest.raises(ValueError, match="integer fields 'm' and 'n'"):
+            feedback_from_dict(feedback)
+
 
 class TestFeedbackRoundTrip:
     def test_bit_exact(self):

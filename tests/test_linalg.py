@@ -25,7 +25,7 @@ from phdesc.linalg import (
     sym_skew_split,
 )
 from phdesc.model import PHSystem, validate
-from phdesc.pencil import compress_feedthrough, dissipation_bound
+from phdesc.pencil import DissipationBound, compress_feedthrough, pencil_report
 
 finite_elems = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
 
@@ -292,12 +292,12 @@ class TestCholeskyProof:
         assert eigvalsh_calls == [] and cholesky_calls == []
 
     def test_singular_dissipation_bound_takes_one_cholesky(
-            self, cold_e_svd, eigvalsh_calls, cholesky_calls):
+            self, cold_e_svd, cold_report, eigvalsh_calls, cholesky_calls):
         # R is singular with a positive diagonal, so the proof of the bound
         # is tried and fails; the one eigvalsh then decides, with no second
         # factorization.
         J = np.array([[0.0, 1.0], [-1.0, 0.0]])
-        bound = dissipation_bound(np.eye(2), J - np.ones((2, 2)))
+        bound = pencil_report(np.eye(2), J - np.ones((2, 2))).dissipation_bound
         assert not bound.exceeds(1e-7)
         assert len(cholesky_calls) == 1 and len(eigvalsh_calls) == 1
         assert bound.axis_distance == 0.0
@@ -364,8 +364,10 @@ class TestCholeskyProof:
             # at scale, so that the band psd_tol ||R||_2 leads at 1e3.
             R = _planted(Qr, np.concatenate([[c * need * norm_e], scale * rest]))
             A = J - R
-            expected = dissipation_bound(E, A).axis_distance > need
-            assert dissipation_bound(E, A).exceeds(need) == expected, (need, scale, c)
+            # Two fresh bounds: one that has read its eigenvalues proves nothing.
+            fresh = lambda: DissipationBound(Definiteness(lambda: -A), norm_e, True)  # noqa: E731
+            expected = fresh().axis_distance > need
+            assert fresh().exceeds(need) == expected, (need, scale, c)
 
 
 def _above_rayleigh_quotient(H, x) -> float:

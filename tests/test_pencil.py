@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from phdesc import certify, pencil
+from phdesc import pencil
 from phdesc.certify import certify_closed_loop
 from phdesc.errors import ConditionsNotMet, HypothesisViolated, NotPSD, ToleranceBreakdown
 from phdesc.generators import random_ph
@@ -521,19 +521,20 @@ class TestDissipationBound:
     and the stabilize certification decide without an eigensolve."""
 
     def test_bound_verdicts_equal_the_spectrum_route(self, monkeypatch):
-        undecided = lambda *args: None  # noqa: E731
+        undecided = lambda self, need: False  # noqa: E731
         decided = {"condition": 0, "certification": 0}
         grid = itertools.product(FAMILIES, (None, 0, 1), range(3, 13), range(1, 4), range(4))
         for family, rank_w, n, m, seed in grid:
             sys = random_ph(n, m, seed, rank_w=rank_w, **FAMILIES[family])
             B = np.hstack(feedback_analysis(sys).input_blocks)
-            bound = pencil.dissipation_bound(sys.E, sys.A)
-            if (pencil_report(sys.E, sys.A).regular and bound is not None
+            rep = pencil_report(sys.E, sys.A)
+            bound = rep.dissipation_bound
+            if (rep.regular and bound is not None
                     and bound.axis_distance > 10.0 * DEFAULT_TOL.axis_tol):
                 decided["condition"] += 1
                 assert imaginary_axis_full_rank(sys.E, sys.A, B) == (True, [])
                 with monkeypatch.context() as mp:
-                    mp.setattr(pencil, "dissipation_bound", undecided)
+                    mp.setattr(pencil.DissipationBound, "exceeds", undecided)
                     assert imaginary_axis_full_rank(sys.E, sys.A, B) == (True, [])
             try:
                 F, _ = synthesize_stabilizing(sys)
@@ -543,7 +544,7 @@ class TestDissipationBound:
             if cert.stable_by_bound:
                 decided["certification"] += 1
                 with monkeypatch.context() as mp:
-                    mp.setattr(certify, "dissipation_bound", undecided)
+                    mp.setattr(pencil.DissipationBound, "exceeds", undecided)
                     again = certify_closed_loop(sys, F)
                 assert not again.stable_by_bound
                 assert again.overall == cert.overall
@@ -554,17 +555,46 @@ class TestDissipationBound:
         sys = random_ph(12, 2, 0)
         E = sys.E.copy()
         E[0, 1] = np.nextafter(E[0, 1], np.inf)  # one ulp off symmetric
-        assert pencil.dissipation_bound(sys.E, sys.A) is not None
-        assert pencil.dissipation_bound(E, sys.A) is None
+        assert pencil_report(sys.E, sys.A).dissipation_bound is not None
+        assert pencil_report(E, sys.A).dissipation_bound is None
         assert imaginary_axis_full_rank(E, sys.A, sys.B) == (True, [])
         assert len(eigvals_calls) == 1
+
+    @pytest.mark.parametrize("case", ["one ulp off symmetric", "rectangular", "staircase",
+                                      "exit-index-0", "exit-index-1", "split"])
+    def test_report_bound_on_each_route(self, cold_e_svd, cold_report, route_log, case):
+        # The whole pencil's bound on the exit and the rest's on the split,
+        # with the whole E's norm and definiteness; none on the other routes.
+        kwargs, route, _ = LAZY_ROUTES.get(case, ({}, None, None))
+        sys = random_ph(12, 2, 0, **kwargs)
+        E, A = sys.E.copy(), sys.A
+        if case == "one ulp off symmetric":
+            E[0, 1] = np.nextafter(E[0, 1], np.inf)
+        elif case == "rectangular":
+            E, A = E[:-1], A[:-1]
+        bound = pencil_report(E, A).dissipation_bound
+        if route is not None:
+            assert [r for r, _ in _routes(route_log)] == [route]
+        if route in (None, "staircase"):
+            assert bound is None
+            return
+        w = pencil._e_factors(E)[3]
+        assert bound.norm_e == np.abs(w).max()
+        assert bound.left_half_plane == (w[0] > -DEFAULT_TOL.rank_rtol * 12 * bound.norm_e / 10)
+        R = sys.R
+        if case == "split":
+            Q = nullspace_basis(nullspace_basis(np.vstack([sys.E, sys.J, sys.R])).T)
+            R = Q.T @ R @ Q
+            assert bound.axis_distance > 0.0
+        lo = np.linalg.eigvalsh(R)[0]
+        assert bound.minus_h.min_eigenvalue == pytest.approx(lo, abs=1e-12 * np.abs(R).max())
 
     def test_indefinite_e_fails_the_stabilize_certification(self):
         # -H = R = I bounds |Re lam| by 1, but E = diag(1, -1) puts the
         # eigenvalues at -1 and +1.
         sys = PHSystem(E=np.diag([1.0, -1.0]), J=np.zeros((2, 2)), R=np.eye(2),
                        G=np.zeros((2, 1)), P=np.zeros((2, 1)), S=[[0.0]], N=[[0.0]])
-        bound = pencil.dissipation_bound(sys.E, sys.A)
+        bound = pencil_report(sys.E, sys.A).dissipation_bound
         assert bound.axis_distance == pytest.approx(1.0) and not bound.left_half_plane
         assert stabilizability_rank_condition(sys) == (True, [])
         cert = certify_closed_loop(sys, np.zeros((1, 2)), "stabilize")
@@ -580,7 +610,7 @@ class TestDissipationBound:
         J = np.zeros((3, 3))
         J[0, 1] = 1.5
         sys = _port_hamiltonian(J - J.T, r * np.eye(3), np.array([[0.0], [0.0], [1.0]]))
-        assert pencil.dissipation_bound(sys.E, sys.A).axis_distance == pytest.approx(r)
+        assert pencil_report(sys.E, sys.A).dissipation_bound.axis_distance == pytest.approx(r)
         ok, wit = stabilizability_rank_condition(sys)
         assert not ok
         assert_spectra_match(wit, [-r + 1.5j, -r - 1.5j], atol=1e-12)
@@ -870,7 +900,7 @@ class TestLazySpectrum:
             evs[0] = 0.0
         # A memo hit hands back the same report and the same spectrum object.
         assert pencil_report(sys.E.copy(), sys.A.copy()) is r
-        assert r.finite_eigenvalues is evs and r.eigensolve is None
+        assert r.finite_eigenvalues is evs
         r.stability_class, r.spectral_abscissa, r.to_dict()
         assert len(eigvals_calls) == 1
 
@@ -990,7 +1020,7 @@ class TestCommonKernelSplit:
             if _routes(route_log) != [("common-kernel split", 1)]:
                 continue
             rep = pencil_report(E, A)
-            bound = rep._rest_bound
+            bound = rep.dissipation_bound
             decided += bound.exceeds(10.0 * DEFAULT_TOL.axis_tol)
             with monkeypatch.context() as mp:
                 mp.setattr(pencil.DissipationBound, "exceeds", lambda self, need: False)
