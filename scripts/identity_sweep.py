@@ -195,18 +195,22 @@ def _report(rep) -> dict:
 
 
 def _synthesis(phdesc, s, goal, tol) -> dict:
+    """The feedback's SHA-256 and certification, then, for the stabilizing
+    synthesis, the block sizes ``mu`` read off its trace under their own
+    guard, so that a refusal on that read is recorded apart from the
+    feedback."""
     try:
         if goal == "stabilize":
             F, trace = phdesc.synthesize_stabilizing(s, tol)
-            out = {"mu": list(trace.mu)}
         else:
             F = phdesc.synthesize_passifying(s, tol)
-            out = {}
     except phdesc.ConditionsNotMet as exc:
         return {**_error(exc), "witnesses": _hex(exc.witnesses)}
     cert = phdesc.certify_closed_loop(s, F, goal, tol)
-    out.update(feedback_sha256=_sha(F), overall=bool(cert.overall),
-               certification=_report(cert.pencil), checks=cert.to_dict()["checks"])
+    out = {"feedback_sha256": _sha(F), "overall": bool(cert.overall),
+           "certification": _report(cert.pencil), "checks": cert.to_dict()["checks"]}
+    if goal == "stabilize":
+        out["mu"] = _guarded(lambda: list(trace.mu))
     return out
 
 

@@ -155,6 +155,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_synthesize(args) -> int:
+    if args.goal == "stabilize" and not (np.isfinite(args.margin) and args.margin > 0):
+        raise ValueError(f"--margin must be finite and positive, got {args.margin}")
     sys_ = load_system(args.input)
     tol = _tol_from_args(args)
     doc: dict = {"kind": "synthesis", "goal": args.goal}

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from phdesc import pencil
+from phdesc import cli, pencil
 from phdesc.cli import main
 from phdesc.fileio import load_feedback, load_system, save_system
 from phdesc.generators import random_ph
@@ -247,6 +247,18 @@ class TestCommandSurface:
         assert run("simulate", "--input", sys_path, argument, "--output", csv_path) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not csv_path.exists()
+
+    @pytest.mark.parametrize("margin", ["nan", "inf", "0", "-1"])
+    def test_bad_margin_exits_two_naming_the_flag(self, monkeypatch, tmp_path, capsys, margin):
+        # Refused before the synthesis runs: calling it would raise TypeError.
+        monkeypatch.setattr(cli, "synthesize_stabilizing", None)
+        sys_path, report = tmp_path / "sys.json", tmp_path / "r.json"
+        save_system(sys_path, scalar_system(E=1, G=1))
+        assert run("stabilize", "--input", sys_path, f"--margin={margin}",
+                   "--report", report) == 2
+        assert capsys.readouterr().err == (
+            f"error: --margin must be finite and positive, got {float(margin)}\n")
+        assert not report.exists()
 
     def test_simulate_defaults_to_zero_state_and_input(self, tmp_path):
         sys_path = tmp_path / "sys.json"

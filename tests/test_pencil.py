@@ -1542,14 +1542,19 @@ class TestFeedbackAnalysis:
 
     def test_stabilizing_synthesis_after_the_conditions(self, monkeypatch, cold_analysis,
                                                         cold_report, svd_calls):
-        # Only the state compression's SVDs, of B3 (n x m3) and of the rows
-        # of B1 S11^(1/2) below it (at most n x m1): no PBH test and no
-        # SVD of [E, A Z_E, B1, B3].
+        # S + N is invertible (m3 = 0), so the feedback reads no block of
+        # the state compression and the call takes no SVD at all: no PBH
+        # test and no SVD of [E, A Z_E, B1, B3].  A later read of the trace
+        # takes only the compression's SVDs, of B3 (n x m3) and of the rows
+        # of B1 S11^(1/2) below it (at most n x m1).
         sys = random_ph(60, 6, 0, rank_w=1)
         assert stabilizability_rank_condition(sys)[0] and index_reduction_rank_condition(sys)
         strict_passifiability_condition(sys)
         svd_calls.clear()
-        F, _ = synthesize_stabilizing(sys)
+        F, trace = synthesize_stabilizing(sys)
+        assert trace.compression.m3 == 0
+        assert svd_calls == []
+        assert sum(trace.mu) == sys.n
         assert svd_calls and all(a.shape[1] <= sys.m for a, _ in svd_calls), \
             [a.shape for a, _ in svd_calls]
         monkeypatch.setattr(pencil, "_ANALYSIS", None)

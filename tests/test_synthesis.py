@@ -1,6 +1,10 @@
+import sys as sys_module
+import threading
+
 import numpy as np
 import pytest
 
+from phdesc import pencil
 from phdesc.certify import certify_closed_loop
 from phdesc.errors import ConditionsNotMet, NotPSD, NotSkew, ToleranceBreakdown
 from phdesc.generators import random_ph
@@ -106,9 +110,31 @@ class TestSynthesizeStabilizing:
     def test_block_size_without_margin_refused(self):
         # Below roundoff, an eigenvalue of the compressed R on the remaining
         # rows sits within tenfold of the cutoff on both sides: mu3 is
-        # refused, not guessed.
+        # refused, not guessed.  S + N is invertible (m3 = 0), so the
+        # feedback does not read the compression and the refusal rises at
+        # the trace's first read.
+        _, trace = synthesize_stabilizing(random_ph(5, 1, 0, rank_w=1),
+                                          ToleranceConfig(rank_rtol=1e-17))
+        assert trace.compression.m3 == 0
         with pytest.raises(ToleranceBreakdown, match="synthesis: mu3"):
-            synthesize_stabilizing(random_ph(5, 1, 0, rank_w=1), ToleranceConfig(rank_rtol=1e-17))
+            trace.mu
+
+    def test_block_size_without_margin_refused_in_the_call_through_the_kernel(self):
+        # S = N = 0 puts the input in the feedthrough kernel (m3 = 1): the
+        # feedback reads the compression, so the call itself refuses.
+        base = random_ph(6, 1, 2, rank_w=1)
+        sys = PHSystem(E=base.E, J=base.J, R=base.R, G=base.G, P=np.zeros((6, 1)),
+                       S=ZERO, N=ZERO)
+        with pytest.raises(ToleranceBreakdown, match="synthesis: mu3"):
+            synthesize_stabilizing(sys, ToleranceConfig(rank_rtol=1e-17))
+
+    @pytest.mark.parametrize("margin", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_margin_must_be_finite_and_positive(self, margin):
+        # Refused before the conditions, whether or not the feedback would
+        # read the margin (here m3 = 0, so it would not).
+        for entry in (synthesize_stabilizing, build_stabilizing_feedback):
+            with pytest.raises(ValueError, match="margin must be finite and positive"):
+                entry(scalar_system(E=1, G=1, S=1), margin=margin)
 
     def test_zero_input_column_still_certifies(self):
         # conditions hold through R alone; the construction returns a
@@ -195,6 +221,85 @@ class TestSynthesizeStabilizing:
             F, tr = synthesize_stabilizing(sys)
             assert tr.compression.m1 == 0 and tr.F1.shape[0] == 0
             assert certify_closed_loop(sys, F, goal="stabilize").overall
+
+
+def _lazy_grid():
+    """Seeded systems with S + N invertible (m3 = 0) and, with P = S = 0,
+    singular (m3 > 0)."""
+    for seed in range(12):
+        n, m = 4 + seed % 4, 1 + seed % 3
+        base = random_ph(n, m, seed, rank_w=seed % 2 + 1)
+        yield base
+        yield PHSystem(E=base.E, J=base.J, R=base.R, G=base.G, P=np.zeros((n, m)),
+                       S=np.zeros((m, m)), N=base.N)
+
+
+class TestLazyCompression:
+    def test_feedback_and_blocks_equal_an_eager_build(self, monkeypatch, cold_analysis):
+        kernels = set()
+        for sys in _lazy_grid():
+            ok1, _ = stabilizability_rank_condition(sys)
+            if not (ok1 and index_reduction_rank_condition(sys)):
+                continue
+            F, tr = synthesize_stabilizing(sys)
+            dc = tr.compression
+            # The construction with the compression built up front: F reads
+            # its F3 rows, which are empty when m3 = 0.
+            eager = tr._build()
+            stacked = np.vstack([tr.F1, np.zeros((dc.m2, sys.n)), eager["F3"]])
+            assert np.array_equal(F, dc.U @ np.linalg.solve(dc.dhat, stacked))
+            for name, block in eager.items():
+                assert np.array_equal(getattr(tr, name), block), name
+            # A cold call whose trace is read at once gives the same bits.
+            monkeypatch.setattr(pencil, "_ANALYSIS", None)
+            F_read, tr_read = synthesize_stabilizing(sys)
+            assert tr_read.mu == tr.mu
+            assert np.array_equal(F_read, F)
+            kernels.add(dc.m3 > 0)
+        assert kernels == {False, True}
+
+    def test_large_synthesis_takes_no_svd_and_one_small_eigh(self, svd_calls, eigh_calls):
+        sys = random_ph(300, 30, 0)
+        assert stabilizability_rank_condition(sys)[0] and index_reduction_rank_condition(sys)
+        svd_calls.clear()
+        eigh_calls.clear()
+        _, trace = synthesize_stabilizing(sys)
+        m1 = trace.compression.m1
+        assert trace.compression.m3 == 0 < m1
+        assert svd_calls == []
+        assert [a.shape for a in eigh_calls] == [(m1, m1)]
+
+    def test_concurrent_first_reads(self):
+        # No lock: overlapping first reads may each build the blocks, with
+        # the same bits.
+        _, trace = synthesize_stabilizing(random_ph(60, 6, 0, rank_w=1))
+        eager = trace._build()
+        start, seen = threading.Barrier(8), []
+
+        def read(name):
+            start.wait(timeout=10)
+            seen.append((name, getattr(trace, name)))
+
+        interval = sys_module.getswitchinterval()
+        sys_module.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read, args=(name,))
+                       for name in ("Z", "mu", "R11", "P13", "Phat14", "F31", "F3", "B12")]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys_module.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and len(seen) == 8
+        assert all(np.array_equal(block, eager[name]) for name, block in seen)
+
+    def test_unknown_name_builds_nothing(self, monkeypatch):
+        # A name that is neither a field nor a block is missing without a
+        # build: the builder is gone, so a build would raise TypeError.
+        _, trace = synthesize_stabilizing(random_ph(6, 2, 1))
+        monkeypatch.setattr(trace, "_build", None)
+        assert not hasattr(trace, "mu3") and not hasattr(trace, "_blocks_")
 
 
 FAMILIES = {
