@@ -55,7 +55,7 @@ def main():
         save_feedback(out / "F_stabilize.json", F)
         write_report(out / "cert_stabilize.json", cert.to_dict())
         print(f"stabilize: certified={cert.overall}, abscissa={cert.pencil.spectral_abscissa:.4f}, "
-              f"block sizes mu={trace.mu}")
+              f"block sizes mu={trace.blocks()['mu']}")
         rng = np.random.default_rng(args.seed)
         traj = simulate_closed_loop(sys_, F, rng.normal(size=sys_.n),
                                     u=rng.normal(size=sys_.m), T=2.0, dt=1e-3)

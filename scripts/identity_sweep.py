@@ -196,9 +196,9 @@ def _report(rep) -> dict:
 
 def _synthesis(phdesc, s, goal, tol) -> dict:
     """The feedback's SHA-256 and certification, then, for the stabilizing
-    synthesis, the block sizes ``mu`` read off its trace under their own
-    guard, so that a refusal on that read is recorded apart from the
-    feedback."""
+    synthesis, the block sizes ``mu`` from its trace's ``blocks()`` under
+    their own guard, so that a refusal on that call is recorded apart from
+    the feedback."""
     try:
         if goal == "stabilize":
             F, trace = phdesc.synthesize_stabilizing(s, tol)
@@ -210,7 +210,7 @@ def _synthesis(phdesc, s, goal, tol) -> dict:
     out = {"feedback_sha256": _sha(F), "overall": bool(cert.overall),
            "certification": _report(cert.pencil), "checks": cert.to_dict()["checks"]}
     if goal == "stabilize":
-        out["mu"] = _guarded(lambda: list(trace.mu))
+        out["mu"] = _guarded(lambda: list(trace.blocks()["mu"]))
     return out
 
 

@@ -692,31 +692,16 @@ class DCompression:
     S+N, U2 the rest.  In these coordinates S+N becomes
     ``[[D11, D12, 0], [-D12^T, D22, 0], [0, 0, 0]]`` with the leading
     (m1+m2) group nonsingular, D22 skew, and ``S11 = U1^T S U1 > 0``.
+    ``dhat`` is that form with the identity on the kernel block, the
+    nonsingular right factor ``[[D11, D12, 0], [-D12^T, D22, 0], [0, 0, I]]``.
     """
 
     U: np.ndarray
     m1: int
     m2: int
     m3: int
-    D11: np.ndarray
-    D12: np.ndarray
-    D22: np.ndarray
     S11: np.ndarray
-
-    @property
-    def block_form(self) -> np.ndarray:
-        """The compressed feedthrough assembled from the stored blocks."""
-        k = self.m1 + self.m2
-        T = np.zeros((k + self.m3, k + self.m3))
-        T[:k, :k] = np.block([[self.D11, self.D12], [-self.D12.T, self.D22]])
-        return T
-
-    @property
-    def dhat(self) -> np.ndarray:
-        """Nonsingular right factor: the leading group bordered by identity."""
-        T = self.block_form
-        T[self.m1 + self.m2 :, self.m1 + self.m2 :] = np.eye(self.m3)
-        return T
+    dhat: np.ndarray
 
     def input_blocks(self, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``(B1, B3)``: the columns of ``B U dhat^{-1}`` split at m1 and m1+m2.
@@ -765,14 +750,13 @@ def compress_feedthrough(S, N, tol: ToleranceConfig = DEFAULT_TOL) -> DCompressi
     T = U.T @ D @ U
     S11 = U1.T @ S @ U1
     S11 = (S11 + S11.T) / 2.0
-    D22 = T[m1 : m1 + m2, m1 : m1 + m2]
-    return DCompression(
-        U=U, m1=m1, m2=m2, m3=m3,
-        D11=T[:m1, :m1],
-        D12=T[:m1, m1 : m1 + m2],
-        D22=(D22 - D22.T) / 2.0,
-        S11=S11,
-    )
+    k = m1 + m2
+    dhat = np.eye(m)
+    dhat[:k, :k] = T[:k, :k]
+    dhat[m1:k, :m1] = -T[:m1, m1:k].T
+    D22 = T[m1:k, m1:k]
+    dhat[m1:k, m1:k] = (D22 - D22.T) / 2.0
+    return DCompression(U=U, m1=m1, m2=m2, m3=m3, S11=S11, dhat=dhat)
 
 
 @dataclass(frozen=True, eq=False)
@@ -787,7 +771,7 @@ class FeedbackAnalysis:
     @cached_property
     def compression(self) -> DCompression:
         dc = compress_feedthrough(self.sys.S, self.sys.N, self.tol)
-        _freeze(dc.U, dc.D11, dc.D12, dc.D22, dc.S11)
+        _freeze(dc.U, dc.S11, dc.dhat)
         return dc
 
     @cached_property

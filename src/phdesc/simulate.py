@@ -108,12 +108,13 @@ def simulate_closed_loop(
     Each step solves ``(E - dt*(J~-R~)) x_next = E x + dt*(G~-P~) u_k`` as
     ``x_next = Phi x + Gam u_k``, with ``[Phi, Gam]`` from one solve against
     ``[E, dt*(G~-P~)]``; the step matrix must have full numerical rank.  The
-    output is ``y = (G~+P~)^T x + (S+N) u``.
+    output is ``y = (G~+P~)^T x + (S+N) u``.  Raises ValueError, before any
+    other work, unless T and dt are finite, dt > 0 and T >= dt.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if T < dt:
-        raise ValueError("T must be at least dt")
+    if not (np.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be finite and positive, got {dt}")
+    if not (np.isfinite(T) and T >= dt):
+        raise ValueError(f"T must be finite and at least dt, got {T}")
     closed = apply_feedback(sys, F)
     _require_index_one(closed, tol)
     n, m = closed.n, closed.m

@@ -25,9 +25,9 @@ through the feedthrough kernel with a free diagonal gain ``-2*beta*I`` on
 the mu1 block, where beta absorbs any indefiniteness plus the requested
 margin.  Only the m3-part reads the state compression Z, so the compression
 runs in the call when the kernel is nontrivial (m3 > 0), and otherwise on
-the first read of one of its blocks from the :class:`SynthesisTrace`, which
-records the blocks that audit the construction numerically.  A block-size
-decision without margin ("synthesis: mu1".."mu3") is refused with
+the first call of the :class:`SynthesisTrace`'s ``blocks()``, which returns
+the blocks that audit the construction numerically.  A block-size decision
+without margin ("synthesis: mu1".."mu3") is refused with
 ``ToleranceBreakdown`` wherever the compression runs.
 """
 
@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, partial
 
 import numpy as np
 
@@ -45,41 +45,24 @@ from .model import PHSystem
 from .pencil import DCompression, feedback_analysis
 
 
-# The blocks of the state compression, with the m3-part F3 of the feedback.
-_BLOCK_NAMES = ("Z", "mu", "R11", "R22", "B12", "P12", "P13", "P14", "Phat11", "Phat14",
-                "F31", "F3")
-
-
-@dataclass
+@dataclass(frozen=True)
 class SynthesisTrace:
     """The blocks of the stabilizing construction that its identities
     (transformed P, block form of the closed-loop dissipation) are checked on.
 
-    The feedthrough split, the input blocks, P2, P3 and F1 are fields.  The
-    blocks of the state compression (``Z``, ``mu``, ``R11``, ``R22``, ``B12``,
-    ``P12``, ``P13``, ``P14``, ``Phat11``, ``Phat14``, ``F31`` and ``F3``) read
-    as attributes too, and are built together on the first read of any of
-    them, unless the feedback already needed them (m3 > 0); a block-size
-    refusal then rises at that read.  Two overlapping first reads may both
-    build them, with the same bits."""
+    The feedthrough split, the input blocks and F1 are fields.  ``blocks()``
+    returns the blocks of the state compression by name (``Z``, ``mu``,
+    ``R11``, ``R22``, ``B12``, ``P12``, ``P13``, ``P14``, ``Phat11``,
+    ``Phat14``, ``F31`` and ``F3``), built on its first call unless the
+    feedback already needed them (m3 > 0), and the same objects on every
+    later call; a block-size refusal then rises at that call.  Two
+    overlapping first calls may both build them, with the same bits."""
 
     compression: DCompression
     B1: np.ndarray
     B3: np.ndarray
-    P2: np.ndarray
-    P3: np.ndarray
     F1: np.ndarray
-    _build: Callable[[], dict] = field(repr=False)
-
-    @cached_property
-    def _blocks(self) -> dict:
-        return self._build()
-
-    def __getattr__(self, name: str):
-        # Reached only for names that are not fields.
-        if name not in _BLOCK_NAMES:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        return self._blocks[name]
+    blocks: Callable[[], dict] = field(repr=False)
 
 
 def _pd_sqrt_invsqrt(S11: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -156,7 +139,7 @@ def _state_compression(B3, B1_shalf, R, tol):
 def _compression_blocks(sys: PHSystem, tol: ToleranceConfig, margin: float, B1, B3, P1,
                         S11_half, S11_invhalf) -> dict:
     """The state compression and the m3-part F3 of the feedback, by the
-    names of ``_BLOCK_NAMES``."""
+    names that :class:`SynthesisTrace` lists."""
     n, m3 = sys.n, B3.shape[1]
     Z, V3, V1, mu, B12 = _state_compression(B3, B1 @ S11_half, sys.R, tol)
     mu1, mu2, mu3, mu4 = mu
@@ -187,8 +170,8 @@ def _compression_blocks(sys: PHSystem, tol: ToleranceConfig, margin: float, B1, 
         np.zeros((m3 - mu1, n)),
     ])
     F3 = V3 @ np.linalg.solve(Z, F3_rows.T).T
-    return dict(zip(_BLOCK_NAMES, (Z, mu, R11, R22, B12, P12, P13, P14, Phat11, Phat14,
-                                   F31, F3)))
+    return dict(Z=Z, mu=mu, R11=R11, R22=R22, B12=B12, P12=P12, P13=P13, P14=P14,
+                Phat11=Phat11, Phat14=Phat14, F31=F31, F3=F3)
 
 
 def _check_margin(margin: float):
@@ -208,31 +191,21 @@ def build_stabilizing_feedback(
 
     The state compression runs here only when the feedthrough kernel is
     nontrivial (m3 > 0); otherwise F is ``U dhat^{-1} [F1; 0]`` and the
-    compression waits for the first read of one of the trace's blocks, where
+    compression waits for the first call of the trace's ``blocks()``, where
     a block-size refusal then rises.  Raises ValueError unless ``margin`` is
     finite and positive."""
     _check_margin(margin)
     analysis = feedback_analysis(sys, tol)
     sys, dc = analysis.sys, analysis.compression
     B1, B3 = analysis.input_blocks
-    n = sys.n
-    m1, m2, m3 = dc.m1, dc.m2, dc.m3
-    U = dc.U
-    PU = sys.P @ U
-    P1, P2, P3 = PU[:, :m1], PU[:, m1 : m1 + m2], PU[:, m1 + m2 :]
-
+    P1 = (sys.P @ dc.U)[:, : dc.m1]
     F1 = -2.0 * (B1 @ dc.S11 + P1).T
-
-    S11_half, S11_invhalf = _pd_sqrt_invsqrt(dc.S11)
-    trace = SynthesisTrace(
-        compression=dc, B1=B1, B3=B3, P2=P2, P3=P3, F1=F1,
-        _build=lambda: _compression_blocks(sys, tol, margin, B1, B3, P1,
-                                           S11_half, S11_invhalf),
-    )
-    F3 = trace.F3 if m3 else np.zeros((0, n))
-    stacked = np.vstack([F1, np.zeros((m2, n)), F3])
-    F = U @ np.linalg.solve(dc.dhat, stacked)
-    return F, trace
+    blocks = cache(partial(_compression_blocks, sys, tol, margin, B1, B3, P1,
+                           *_pd_sqrt_invsqrt(dc.S11)))
+    F3 = blocks()["F3"] if dc.m3 else np.zeros((0, sys.n))
+    stacked = np.vstack([F1, np.zeros((dc.m2, sys.n)), F3])
+    F = dc.U @ np.linalg.solve(dc.dhat, stacked)
+    return F, SynthesisTrace(compression=dc, B1=B1, B3=B3, F1=F1, blocks=blocks)
 
 
 def synthesize_stabilizing(
@@ -248,7 +221,7 @@ def synthesize_stabilizing(
     can then achieve all four properties, and raises ValueError unless
     ``margin`` is finite and positive.  A block-size refusal of the state
     compression rises here when S + N is singular (m3 > 0), else on the
-    first read of a compression block from the trace, such as ``trace.mu``;
+    first call of the trace's ``blocks()``, such as ``trace.blocks()["mu"]``;
     see :func:`build_stabilizing_feedback`.
     """
     _check_margin(margin)

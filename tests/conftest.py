@@ -1,4 +1,6 @@
+import logging
 import os
+import re
 
 import numpy as np
 import pytest
@@ -169,6 +171,25 @@ def singular_common_nullspace(sys) -> bool:
     stack ``[E; J; R]`` that ``phdesc analyze`` reports.  For valid
     port-Hamiltonian data this is equivalent to ``s E - (J - R)`` being singular."""
     return nullspace_basis(np.vstack([sys.E, sys.J, sys.R])).shape[1] > 0
+
+
+def logged_routes(caplog):
+    """(route, k) of each pencil report logged since the last clear: k is
+    n - rank E, or on the common-kernel split the dimension split off."""
+    routes = []
+    for rec in caplog.records:
+        m = re.fullmatch(r"pencil \d+x\d+: (index-one exit|staircase|common-kernel split), "
+                         r"k = (\d+)", rec.getMessage())
+        if rec.name == "phdesc.pencil" and m:
+            routes.append((m[1], int(m[2])))
+    return routes
+
+
+@pytest.fixture
+def route_log(caplog):
+    """``caplog`` recording the DEBUG route line of each fresh pencil report."""
+    caplog.set_level(logging.DEBUG, logger="phdesc.pencil")
+    return caplog
 
 
 @pytest.fixture(autouse=True)

@@ -248,6 +248,18 @@ class TestCommandSurface:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not csv_path.exists()
 
+    @pytest.mark.parametrize("argument, message", [
+        ("--T=inf", "T must be finite and at least dt, got inf"),
+        ("--T=nan", "T must be finite and at least dt, got nan"),
+        ("--dt=nan", "dt must be finite and positive, got nan")], ids=["T=inf", "T=nan", "dt=nan"])
+    def test_non_finite_horizon_or_step_exits_two(self, tmp_path, capsys, argument, message):
+        sys_path = tmp_path / "sys.json"
+        save_system(sys_path, scalar_system(E=1, G=1))
+        csv_path = tmp_path / "t.csv"
+        assert run("simulate", "--input", sys_path, argument, "--output", csv_path) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not csv_path.exists()
+
     @pytest.mark.parametrize("margin", ["nan", "inf", "0", "-1"])
     def test_bad_margin_exits_two_naming_the_flag(self, monkeypatch, tmp_path, capsys, margin):
         # Refused before the synthesis runs: calling it would raise TypeError.

@@ -1,6 +1,4 @@
 import itertools
-import logging
-import re
 import sys as sys_module
 import threading
 
@@ -35,6 +33,7 @@ from phdesc.pencil import (
 from phdesc.synthesis import synthesize_passifying, synthesize_stabilizing
 from conftest import (
     assert_spectra_match,
+    logged_routes,
     brute_force_rank_on_axis,
     random_dissipative_pencil,
     singular_common_nullspace,
@@ -178,24 +177,6 @@ class TestRegularEigenvalues:
         assert_spectra_match(s.finite_eigenvalues, [-1.0, -4.0, -3.0 * c], atol=1e-12)
 
 
-def _routes(caplog):
-    """(route, k) of each pencil report logged since the last clear: k is
-    n - rank E, or on the common-kernel split the dimension split off."""
-    routes = []
-    for rec in caplog.records:
-        m = re.fullmatch(r"pencil \d+x\d+: (index-one exit|staircase|common-kernel split), "
-                         r"k = (\d+)", rec.getMessage())
-        if rec.name == "phdesc.pencil" and m:
-            routes.append((m[1], int(m[2])))
-    return routes
-
-
-@pytest.fixture
-def route_log(caplog):
-    caplog.set_level(logging.DEBUG, logger="phdesc.pencil")
-    return caplog
-
-
 class TestIndexOneExit:
     """Square pencils of index at most one leave after the SVD of E."""
 
@@ -211,7 +192,7 @@ class TestIndexOneExit:
             r = pencil_report(E, A)
             Z = nullspace_basis(E)
             k = Z.shape[1]
-            assert _routes(route_log) == [("index-one exit", k)]
+            assert logged_routes(route_log) == [("index-one exit", k)]
             # Index at most one exactly when Z^T A Z is nonsingular.
             assert numerical_rank(Z.T @ A @ Z) == k
             assert r.regular and r.index == min(k, 1)
@@ -229,7 +210,7 @@ class TestIndexOneExit:
         A[n - k:, n - k:] = 0.0
         Q = np.linalg.qr(rng.normal(size=(n, n)))[0]
         r = pencil_report(Q.T @ E @ Q, Q.T @ A @ Q)
-        assert _routes(route_log) == [("staircase", k)]
+        assert logged_routes(route_log) == [("staircase", k)]
         assert r.regular and r.index == 2
         assert r.infinite_block_sizes == (2,) * k and r.rank_E == n - k
 
@@ -247,7 +228,7 @@ class TestIndexOneExit:
         # E takes one eigh and no SVD on either route.
         a = factor * np.sqrt(2.0 / (pencil._QZ_COND ** 2 - 1.0))
         r = pencil_report(np.diag([1.0, 1.0, 0.0]), -np.diag([1.0, 1.0, a]))
-        assert _routes(route_log) == [(route, 1)]
+        assert logged_routes(route_log) == [(route, 1)]
         assert [x.shape for x in eigh_calls] == [(3, 3)]
         assert [x.shape for x, _ in svd_calls] == shapes
         assert r.regular and r.index == 1 and r.rank_E == 2
@@ -278,7 +259,7 @@ class TestIndexOneExit:
             assert r.index == (2 if r.regular else None)
             assert r.right_minimal_indices == (() if r.regular else (0,))
         route = "common-kernel split" if verdict == "singular" else "staircase"
-        assert [x for x, _ in _routes(route_log)] == [route]
+        assert [x for x, _ in logged_routes(route_log)] == [route]
 
     def test_only_a_fresh_report_logs(self, route_log, cold_report):
         for case in ("staircase", "split"):
@@ -287,7 +268,7 @@ class TestIndexOneExit:
             route_log.clear()
             pencil_report(sys.E, sys.A)
             pencil_report(sys.E.copy(), sys.A.copy())
-            assert _routes(route_log) == [(route, k)]
+            assert logged_routes(route_log) == [(route, k)]
 
 
 class TestPencilReport:
@@ -574,7 +555,7 @@ class TestDissipationBound:
             E, A = E[:-1], A[:-1]
         bound = pencil_report(E, A).dissipation_bound
         if route is not None:
-            assert [r for r, _ in _routes(route_log)] == [route]
+            assert [r for r, _ in logged_routes(route_log)] == [route]
         if route in (None, "staircase"):
             assert bound is None
             return
@@ -817,7 +798,7 @@ class TestRememberedReport:
         kwargs, route, k = LAZY_ROUTES[case]
         sys = random_ph(12, 2, 0, **kwargs)
         r = pencil_report(sys.E, sys.A)
-        assert _routes(route_log) == [(route, k)]
+        assert logged_routes(route_log) == [(route, k)]
         for a in (r.regular_A, r.regular_E):
             assert a.size and not a.flags.writeable
 
@@ -887,7 +868,7 @@ class TestLazySpectrum:
         kwargs, route, k = LAZY_ROUTES[case]
         sys = random_ph(12, 2, 0, **kwargs)
         r = pencil_report(sys.E, sys.A)
-        assert _routes(route_log) == [(route, k)]
+        assert logged_routes(route_log) == [(route, k)]
         exit_ = case.startswith("exit")
         assert (r.regular, r.rank_E) == (exit_, 12 - k)
         assert r.index == (min(k, 1) if exit_ else None)
@@ -980,7 +961,7 @@ class TestCommonKernelSplit:
             self._forget(monkeypatch)
             route_log.clear()
             r, cond = pencil_report(sys.E, sys.A), stabilizability_rank_condition(sys)
-            if _routes(route_log) != [("common-kernel split", 1)]:
+            if logged_routes(route_log) != [("common-kernel split", 1)]:
                 continue
             split += 1
             with monkeypatch.context() as mp:
@@ -1017,7 +998,7 @@ class TestCommonKernelSplit:
                 ok, wit = imaginary_axis_full_rank(E, A, B)
             except ToleranceBreakdown:
                 continue
-            if _routes(route_log) != [("common-kernel split", 1)]:
+            if logged_routes(route_log) != [("common-kernel split", 1)]:
                 continue
             rep = pencil_report(E, A)
             bound = rep.dissipation_bound
@@ -1047,7 +1028,7 @@ class TestCommonKernelSplit:
             self, cold_e_svd, cold_report, cold_analysis, route_log, eigvals_calls):
         sys = random_ph(300, 30, 0, force_singular=True)
         assert stabilizability_rank_condition(sys) == (True, [])
-        assert _routes(route_log) == [("common-kernel split", 1)]
+        assert logged_routes(route_log) == [("common-kernel split", 1)]
         assert eigvals_calls == []
 
     def test_tight_cutoff_reads_left_minimal_indices_zero(self, cold_report, cold_analysis,
@@ -1058,7 +1039,7 @@ class TestCommonKernelSplit:
         tol = ToleranceConfig(rank_rtol=1e-17)
         sys = random_ph(3, 2, 1, force_singular=True)
         r = pencil_report(sys.E, sys.A, tol)
-        assert _routes(route_log) == [("common-kernel split", 1)]
+        assert logged_routes(route_log) == [("common-kernel split", 1)]
         assert (r.right_minimal_indices, r.left_minimal_indices) == ((0,), (0,))
         F, _ = synthesize_stabilizing(sys, tol)
         assert certify_closed_loop(sys, F, "stabilize", tol).overall
@@ -1408,7 +1389,7 @@ class TestInvariance:
             route = changed = "common-kernel split"
             if change == "orthogonal":
                 changed = "staircase"
-        assert [x for x, _ in _routes(route_log)] == [route, changed] * len(INVARIANCE_GRID)
+        assert [x for x, _ in logged_routes(route_log)] == [route, changed] * len(INVARIANCE_GRID)
 
     @pytest.mark.parametrize("change", ["orthogonal", "scale-1e-6", "scale-1e6"])
     def test_strict_passifiability(self, change):
@@ -1537,16 +1518,16 @@ class TestFeedbackAnalysis:
     def test_stored_arrays_are_read_only(self, cold_analysis):
         a = feedback_analysis(random_ph(6, 3, 0, rank_w=1))
         dc = a.compression
-        for arr in (*a.input_blocks, dc.U, dc.D11, dc.D12, dc.D22, dc.S11, a.sys.E):
+        for arr in (*a.input_blocks, dc.U, dc.S11, dc.dhat, a.sys.E):
             assert not arr.flags.writeable
 
     def test_stabilizing_synthesis_after_the_conditions(self, monkeypatch, cold_analysis,
                                                         cold_report, svd_calls):
         # S + N is invertible (m3 = 0), so the feedback reads no block of
         # the state compression and the call takes no SVD at all: no PBH
-        # test and no SVD of [E, A Z_E, B1, B3].  A later read of the trace
-        # takes only the compression's SVDs, of B3 (n x m3) and of the rows
-        # of B1 S11^(1/2) below it (at most n x m1).
+        # test and no SVD of [E, A Z_E, B1, B3].  A later call of the
+        # trace's blocks() takes only the compression's SVDs, of B3
+        # (n x m3) and of the rows of B1 S11^(1/2) below it (at most n x m1).
         sys = random_ph(60, 6, 0, rank_w=1)
         assert stabilizability_rank_condition(sys)[0] and index_reduction_rank_condition(sys)
         strict_passifiability_condition(sys)
@@ -1554,7 +1535,7 @@ class TestFeedbackAnalysis:
         F, trace = synthesize_stabilizing(sys)
         assert trace.compression.m3 == 0
         assert svd_calls == []
-        assert sum(trace.mu) == sys.n
+        assert sum(trace.blocks()["mu"]) == sys.n
         assert svd_calls and all(a.shape[1] <= sys.m for a, _ in svd_calls), \
             [a.shape for a, _ in svd_calls]
         monkeypatch.setattr(pencil, "_ANALYSIS", None)

@@ -179,6 +179,19 @@ class TestSimulateClosedLoop:
         with pytest.raises(ShapeMismatch):
             simulate_closed_loop(sys, [[-2.0]], [1.0], u=np.ones((7, 2)), T=1.0, dt=0.1)
 
+    @pytest.mark.parametrize("T, dt, message", [
+        (float("inf"), 1e-3, "T must be finite and at least dt, got inf"),
+        (float("nan"), 1e-3, "T must be finite and at least dt, got nan"),
+        (1.0, float("nan"), "dt must be finite and positive, got nan"),
+        (1.0, float("inf"), "dt must be finite and positive, got inf")],
+        ids=["T=inf", "T=nan", "dt=nan", "dt=inf"])
+    def test_non_finite_horizon_or_step_refused_first(self, monkeypatch, T, dt, message):
+        # Refused before any other work: forming the closed loop would
+        # raise TypeError.
+        monkeypatch.setattr(simulate, "apply_feedback", None)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            simulate_closed_loop(scalar_system(E=1, G=1), [[-2.0]], [1.0], T=T, dt=dt)
+
     def test_energy_decays_without_input(self):
         for seed in (1, 4, 11):
             sys = random_ph(5, 2, seed)

@@ -61,7 +61,7 @@ class TestCompressFeedthrough:
         N = np.array([[0.0, 1.0], [-1.0, 0.0]])
         dc = compress_feedthrough(np.zeros((2, 2)), N)
         assert (dc.m1, dc.m2, dc.m3) == (0, 2, 0)
-        assert np.allclose(dc.D22, dc.U[:, :2].T @ N @ dc.U[:, :2])
+        assert np.allclose(dc.dhat, dc.U[:, :2].T @ N @ dc.U[:, :2])
 
     def test_rejects_bad_structure(self):
         with pytest.raises(NotPSD):
@@ -84,9 +84,11 @@ class TestCompressFeedthrough:
             U, D = dc.U, S + N
             assert np.allclose(U.T @ U, np.eye(m), atol=1e-13)
             assert spectral_norm(U @ (U.T @ D @ U) @ U.T - D) <= 1e-12 * max(1.0, spectral_norm(D))
-            assert spectral_norm(U.T @ D @ U - dc.block_form) <= 1e-12 * max(1.0, spectral_norm(D))
-            group = dc.block_form[: dc.m1 + dc.m2, : dc.m1 + dc.m2]
-            assert numerical_rank(group) == dc.m1 + dc.m2
+            k = dc.m1 + dc.m2
+            block_form = dc.dhat.copy()
+            block_form[k:, k:] = 0.0
+            assert spectral_norm(U.T @ D @ U - block_form) <= 1e-12 * max(1.0, spectral_norm(D))
+            assert numerical_rank(dc.dhat[:k, :k]) == k
             if dc.m1:
                 assert classify_definiteness(dc.S11).is_definite
 
@@ -96,7 +98,7 @@ class TestSynthesizeStabilizing:
         sys = scalar_system(E=1, G=1)
         F, trace = synthesize_stabilizing(sys, margin=1.0)
         assert np.allclose(F, [[-2.0]], rtol=0, atol=1e-12)
-        assert trace.mu == (1, 0, 0, 0)
+        assert trace.blocks()["mu"] == (1, 0, 0, 0)
         closed = apply_feedback(sys, F)
         assert closed.R[0, 0] == pytest.approx(2.0)
         rep = pencil_report(closed.E, closed.A)
@@ -112,12 +114,12 @@ class TestSynthesizeStabilizing:
         # rows sits within tenfold of the cutoff on both sides: mu3 is
         # refused, not guessed.  S + N is invertible (m3 = 0), so the
         # feedback does not read the compression and the refusal rises at
-        # the trace's first read.
+        # the first call of the trace's blocks().
         _, trace = synthesize_stabilizing(random_ph(5, 1, 0, rank_w=1),
                                           ToleranceConfig(rank_rtol=1e-17))
         assert trace.compression.m3 == 0
         with pytest.raises(ToleranceBreakdown, match="synthesis: mu3"):
-            trace.mu
+            trace.blocks()
 
     def test_block_size_without_margin_refused_in_the_call_through_the_kernel(self):
         # S = N = 0 puts the input in the feedthrough kernel (m3 = 1): the
@@ -160,18 +162,21 @@ class TestSynthesizeStabilizing:
             if not (ok1 and index_reduction_rank_condition(sys)):
                 continue
             F, tr = build_stabilizing_feedback(sys)
-            mu1, mu2, mu3, mu4 = tr.mu
+            b = tr.blocks()
+            mu1, mu2, mu3, mu4 = b["mu"]
+            m1, m2 = tr.compression.m1, tr.compression.m2
+            PU = sys.P @ tr.compression.U
             scale = max(1.0, spectral_norm(sys.P))
             # the transformed P loses its m2 and m3 blocks
-            assert spectral_norm(tr.P2) <= 1e-10 * scale
-            assert spectral_norm(tr.P3) <= 1e-10 * scale
+            assert spectral_norm(PU[:, m1 : m1 + m2]) <= 1e-10 * scale
+            assert spectral_norm(PU[:, m1 + m2 :]) <= 1e-10 * scale
             # trailing blocks of the compressed cross term vanish
-            assert spectral_norm(tr.B12 @ tr.Phat14) <= 1e-8 * scale
-            assert spectral_norm(tr.P14) <= 1e-8 * scale
+            assert spectral_norm(b["B12"] @ b["Phat14"]) <= 1e-8 * scale
+            assert spectral_norm(b["P14"]) <= 1e-8 * scale
             # the mu2/mu3 core is positive definite with full rank
             core = np.block([
-                [tr.R22 + tr.P12 + tr.P12.T + 2 * np.eye(mu2), tr.P13],
-                [tr.P13.T, np.eye(mu3)],
+                [b["R22"] + b["P12"] + b["P12"].T + 2 * np.eye(mu2), b["P13"]],
+                [b["P13"].T, np.eye(mu3)],
             ])
             if core.size:
                 assert classify_definiteness(core).is_definite
@@ -182,16 +187,16 @@ class TestSynthesizeStabilizing:
             rank_rbb = numerical_rank(np.hstack([sys.R, tr.B1, tr.B3]), DEFAULT_TOL)
             assert rank_r_cl == mu1 + mu2 + mu3 == rank_rbb
             # block form of the transformed closed-loop dissipation
-            Zr = tr.Z @ closed.R @ tr.Z.T
+            Zr = b["Z"] @ closed.R @ b["Z"].T
             expected = np.zeros_like(Zr)
-            top = (tr.R11 - 0.5 * (tr.F31 + tr.F31.T) + tr.B12 @ tr.Phat11
-                   + tr.Phat11.T @ tr.B12.T + 2 * tr.B12 @ tr.B12.T)
+            top = (b["R11"] - 0.5 * (b["F31"] + b["F31"].T) + b["B12"] @ b["Phat11"]
+                   + b["Phat11"].T @ b["B12"].T + 2 * b["B12"] @ b["B12"].T)
             expected[:mu1, :mu1] = top
-            expected[mu1:mu1 + mu2, mu1:mu1 + mu2] = (tr.R22 + tr.P12 + tr.P12.T
+            expected[mu1:mu1 + mu2, mu1:mu1 + mu2] = (b["R22"] + b["P12"] + b["P12"].T
                                                       + 2 * np.eye(mu2))
             expected[:0, :0] = 0
-            expected[mu1:mu1 + mu2, mu1 + mu2:mu1 + mu2 + mu3] = tr.P13
-            expected[mu1 + mu2:mu1 + mu2 + mu3, mu1:mu1 + mu2] = tr.P13.T
+            expected[mu1:mu1 + mu2, mu1 + mu2:mu1 + mu2 + mu3] = b["P13"]
+            expected[mu1 + mu2:mu1 + mu2 + mu3, mu1:mu1 + mu2] = b["P13"].T
             expected[mu1 + mu2:mu1 + mu2 + mu3, mu1 + mu2:mu1 + mu2 + mu3] = np.eye(mu3)
             assert spectral_norm(Zr - expected) <= 1e-7 * max(1.0, spectral_norm(Zr))
             checked += 1
@@ -243,17 +248,19 @@ class TestLazyCompression:
                 continue
             F, tr = synthesize_stabilizing(sys)
             dc = tr.compression
-            # The construction with the compression built up front: F reads
-            # its F3 rows, which are empty when m3 = 0.
-            eager = tr._build()
+            # The construction with the compression built up front, past the
+            # trace's cache: F reads its F3 rows, which are empty when m3 = 0.
+            eager = tr.blocks.__wrapped__()
             stacked = np.vstack([tr.F1, np.zeros((dc.m2, sys.n)), eager["F3"]])
             assert np.array_equal(F, dc.U @ np.linalg.solve(dc.dhat, stacked))
+            blocks = tr.blocks()
+            assert blocks.keys() == eager.keys()
             for name, block in eager.items():
-                assert np.array_equal(getattr(tr, name), block), name
+                assert np.array_equal(blocks[name], block), name
             # A cold call whose trace is read at once gives the same bits.
             monkeypatch.setattr(pencil, "_ANALYSIS", None)
             F_read, tr_read = synthesize_stabilizing(sys)
-            assert tr_read.mu == tr.mu
+            assert tr_read.blocks()["mu"] == blocks["mu"]
             assert np.array_equal(F_read, F)
             kernels.add(dc.m3 > 0)
         assert kernels == {False, True}
@@ -269,22 +276,39 @@ class TestLazyCompression:
         assert svd_calls == []
         assert [a.shape for a in eigh_calls] == [(m1, m1)]
 
+    @pytest.mark.parametrize("sys", [
+        random_ph(6, 2, 1),
+        PHSystem(E=np.eye(3), J=np.zeros((3, 3)), R=np.diag([0.0, 0.0, 1.0]),
+                 G=np.eye(3)[:, :2], P=np.zeros((3, 2)), S=np.zeros((2, 2)),
+                 N=np.zeros((2, 2)))], ids=["m3=0", "m3>0"])
+    def test_blocks_are_built_once(self, svd_calls, sys):
+        # When m3 > 0 the call itself built the blocks for F3, so reading
+        # them afterwards decomposes nothing; every call returns the same
+        # arrays.
+        _, trace = synthesize_stabilizing(sys)
+        svd_calls.clear()
+        first = trace.blocks()
+        assert (svd_calls == []) == (trace.compression.m3 > 0)
+        svd_calls.clear()
+        second = trace.blocks()
+        assert svd_calls == []
+        assert all(second[name] is block for name, block in first.items())
+
     def test_concurrent_first_reads(self):
-        # No lock: overlapping first reads may each build the blocks, with
+        # No lock: overlapping first calls may each build the blocks, with
         # the same bits.
         _, trace = synthesize_stabilizing(random_ph(60, 6, 0, rank_w=1))
-        eager = trace._build()
+        eager = trace.blocks.__wrapped__()
         start, seen = threading.Barrier(8), []
 
-        def read(name):
+        def read():
             start.wait(timeout=10)
-            seen.append((name, getattr(trace, name)))
+            seen.append(trace.blocks())
 
         interval = sys_module.getswitchinterval()
         sys_module.setswitchinterval(1e-6)
         try:
-            threads = [threading.Thread(target=read, args=(name,))
-                       for name in ("Z", "mu", "R11", "P13", "Phat14", "F31", "F3", "B12")]
+            threads = [threading.Thread(target=read) for _ in range(8)]
             for t in threads:
                 t.start()
             for t in threads:
@@ -292,14 +316,9 @@ class TestLazyCompression:
         finally:
             sys_module.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads) and len(seen) == 8
-        assert all(np.array_equal(block, eager[name]) for name, block in seen)
-
-    def test_unknown_name_builds_nothing(self, monkeypatch):
-        # A name that is neither a field nor a block is missing without a
-        # build: the builder is gone, so a build would raise TypeError.
-        _, trace = synthesize_stabilizing(random_ph(6, 2, 1))
-        monkeypatch.setattr(trace, "_build", None)
-        assert not hasattr(trace, "mu3") and not hasattr(trace, "_blocks_")
+        assert all(blocks.keys() == eager.keys() for blocks in seen)
+        assert all(np.array_equal(blocks[name], block)
+                   for blocks in seen for name, block in eager.items())
 
 
 FAMILIES = {
