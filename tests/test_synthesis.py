@@ -276,19 +276,20 @@ class TestLazyCompression:
         assert svd_calls == []
         assert [a.shape for a in eigh_calls] == [(m1, m1)]
 
-    @pytest.mark.parametrize("sys", [
-        random_ph(6, 2, 1),
-        PHSystem(E=np.eye(3), J=np.zeros((3, 3)), R=np.diag([0.0, 0.0, 1.0]),
-                 G=np.eye(3)[:, :2], P=np.zeros((3, 2)), S=np.zeros((2, 2)),
-                 N=np.zeros((2, 2)))], ids=["m3=0", "m3>0"])
-    def test_blocks_are_built_once(self, svd_calls, sys):
+    @pytest.mark.parametrize("sys, kernel", [
+        (random_ph(6, 2, 1), False),
+        (PHSystem(E=np.eye(3), J=np.zeros((3, 3)), R=np.diag([0.0, 0.0, 1.0]),
+                  G=np.eye(3)[:, :2], P=np.zeros((3, 2)), S=np.zeros((2, 2)),
+                  N=np.zeros((2, 2))), True)], ids=["m3=0", "m3>0"])
+    def test_blocks_are_built_once(self, svd_calls, sys, kernel):
         # When m3 > 0 the call itself built the blocks for F3, so reading
         # them afterwards decomposes nothing; every call returns the same
         # arrays.
         _, trace = synthesize_stabilizing(sys)
+        assert (trace.compression.m3 > 0) == kernel
         svd_calls.clear()
         first = trace.blocks()
-        assert (svd_calls == []) == (trace.compression.m3 > 0)
+        assert (svd_calls == []) == kernel
         svd_calls.clear()
         second = trace.blocks()
         assert svd_calls == []
