@@ -9,11 +9,12 @@ the three existence conditions, both syntheses with certification, and the
 smaller ones every other command, ``certify`` and ``simulate`` on the
 stabilizing and on a seeded random feedback), and writes one JSON record of
 what the importable ``phdesc`` returned: verdicts, witnesses, exception types
-and messages, the margins of ``validate``, the SHA-256 of every feedback's
-bytes, spectra as multisets, the certifications' checks, and CLI exit codes
-with their stderr and the SHA-256 of their reports (the work folder's path
-masked), and of ``analyze``'s common nullspace basis; each ``simulate``
-starts from a seeded state under a seeded constant input and adds its
+and messages, the margins of ``validate``, the group sizes ``[m1, m2, m3]``
+of the feedthrough split, the SHA-256 of every feedback's bytes (and, for
+n <= 20, its entries as ``float.hex``), spectra as multisets, the
+certifications' checks, and CLI exit codes with their stderr and the
+SHA-256 of their reports (the work folder's path masked), and of
+``analyze``'s common nullspace basis; each ``simulate`` starts from a seeded state under a seeded constant input and adds its
 power-balance residual and the SHA-256 of its trajectory CSV.  One system per family adds
 a 10 s ``simulate`` (10,001 rows) under its stabilizing feedback, or its
 open loop where there is none, so the record also pins a trajectory CSV
@@ -39,9 +40,10 @@ run whose exit code moves (as exit a->b) or that exits 2 on both sides (as
 refusal->refusal).  Every other differing value counts as verdict->verdict,
 and a key that only one record has as one side only.  A last line gives the
 largest move of the numbers the two records both hold, per kind (spectra,
-witnesses, spectral abscissas, margins, power-balance residuals), each
-relative to its scale: ``|a - b| / max(1, |a|, |b|)``, the eigenvalues of a
-spectrum or witness list paired nearest first.  Pin BLAS to one
+witnesses, spectral abscissas, margins, power-balance residuals, feedbacks),
+each relative to its scale: ``|a - b| / max(1, |a|, |b|)``, the eigenvalues
+of a spectrum or witness list paired nearest first, and a feedback's
+entries compared in place against its largest entry.  Pin BLAS to one
 thread (``OPENBLAS_NUM_THREADS=1``) on both sides, since the bits of a
 decomposition may depend on it.
 """
@@ -102,7 +104,11 @@ TOL_OVERRIDES = ["--tol", "1e-12", "--axis-tol", "1e-6", "--psd-tol", "1e-9",
 # Record keys whose numbers the compare's last line measures, by kind.
 MOVE_KINDS = {"finite_eigenvalues": "spectra", "witnesses": "witnesses",
               "spectral_abscissa": "abscissas", "lambda_min_w": "margins",
-              "validate_margins": "margins", "power_balance_residual": "residuals"}
+              "validate_margins": "margins", "power_balance_residual": "residuals",
+              "feedback": "feedbacks"}
+
+# Largest n whose in-process feedbacks are recorded entry by entry.
+FEEDBACK_ENTRIES_N = 20
 
 
 def systems():
@@ -209,6 +215,8 @@ def _synthesis(phdesc, s, goal, tol) -> dict:
     cert = phdesc.certify_closed_loop(s, F, goal, tol)
     out = {"feedback_sha256": _sha(F), "overall": bool(cert.overall),
            "certification": _report(cert.pencil), "checks": cert.to_dict()["checks"]}
+    if s.n <= FEEDBACK_ENTRIES_N:
+        out["feedback"] = [float(v).hex() for v in np.ravel(F)]
     if goal == "stabilize":
         out["mu"] = _guarded(lambda: list(trace.blocks()["mu"]))
     return out
@@ -219,11 +227,16 @@ def _chain(phdesc, s, tol) -> dict:
         ok, witnesses = phdesc.stabilizability_rank_condition(s, tol)
         return {"stabilizability": bool(ok), "witnesses": _hex(witnesses)}
 
+    def groups():
+        dc = phdesc.feedback_analysis(s, tol).compression
+        return [dc.m1, dc.m2, dc.m3]
+
     return {
         "valid": _guarded(lambda: bool(phdesc.validate(s, tol).passed)),
         "validate_margins": _guarded(
             lambda: {c.name: c.margin for c in phdesc.validate(s, tol).checks}),
         "pencil": _guarded(lambda: _report(phdesc.pencil_report(s.E, s.A, tol))),
+        "compression": _guarded(groups),
         "stabilizability": _guarded(conditions),
         "index_reducibility": _guarded(lambda: bool(phdesc.index_reduction_rank_condition(s, tol))),
         "strict_passifiability": _guarded(
@@ -400,10 +413,12 @@ def _tally(a, b, counts: collections.Counter):
 
 
 def _numbers(value) -> list[complex] | None:
-    """The numbers of a record entry: a list of hex pairs, a ``float.hex``
-    string or a JSON number; None for anything else."""
+    """The numbers of a record entry: a list of hex pairs or of ``float.hex``
+    strings, one such string or a JSON number; None for anything else."""
     if isinstance(value, list) and all(isinstance(p, list) and len(p) == 2 for p in value):
         return [complex(float.fromhex(re), float.fromhex(im)) for re, im in value]
+    if isinstance(value, list) and all(isinstance(x, str) for x in value):
+        return [complex(float.fromhex(x)) for x in value]
     if isinstance(value, str) and value.lstrip("-").startswith("0x"):
         return [complex(float.fromhex(value))]
     if isinstance(value, (int, float)) and not isinstance(value, bool):
@@ -411,9 +426,13 @@ def _numbers(value) -> list[complex] | None:
     return None
 
 
-def _largest_move(xs: list[complex], ys: list[complex]) -> float:
+def _largest_move(xs: list[complex], ys: list[complex], kind: str) -> float:
     """Largest ``|x - y| / max(1, |x|, |y|)`` with each x paired to the
-    nearest y not yet paired."""
+    nearest y not yet paired; for feedbacks, the largest ``|x_i - y_i|``
+    over ``max(1, |x_j|, |y_j|)`` of the largest entries."""
+    if kind == "feedbacks":
+        scale = max([1.0, *map(abs, xs), *map(abs, ys)])
+        return max((abs(x - y) for x, y in zip(xs, ys)), default=0.0) / scale
     ys, worst = list(ys), 0.0
     for x in xs:
         j = min(range(len(ys)), key=lambda i: abs(x - ys[i]))
@@ -431,7 +450,7 @@ def _moves(a, b, kind: str | None, worst: dict):
     elif kind is not None and a != b:
         xs, ys = _numbers(a), _numbers(b)
         if xs is not None and ys is not None and len(xs) == len(ys):
-            worst[kind] = max(worst[kind], _largest_move(xs, ys))
+            worst[kind] = max(worst[kind], _largest_move(xs, ys, kind))
 
 
 def compare(first: Path, second: Path) -> int:

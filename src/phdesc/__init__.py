@@ -33,7 +33,6 @@ from .linalg import (
     nullspace_basis,
     numerical_rank,
     pseudo_inverse,
-    range_basis,
     spectral_norm,
     sym_skew_split,
 )

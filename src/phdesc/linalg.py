@@ -5,7 +5,8 @@
   the multiplicity test anchor it to the pencil's norms instead of sigma_1).
 - Two rank rules, each refusing a value without a tenfold margin from the
   cutoff with a :class:`ToleranceBreakdown` that names the decision:
-  :func:`decide_rank` (every rank, nullspace, range and pseudo-inverse) and
+  :func:`decide_rank` (every rank, nullspace and pseudo-inverse, the
+  staircase, the feedthrough split and the synthesis's block sizes) and
   :func:`deficiency` (the PBH tests and an axis eigenvalue's multiplicity).
 - Proof before decomposition: a yes/no verdict is first put to one Cholesky
   factorization, :func:`cholesky_proves`, whose success is the answer the
@@ -275,13 +276,6 @@ def nullspace_basis(M, tol: ToleranceConfig = DEFAULT_TOL, stage: str = "nullspa
     A = as_matrix(M)
     _, s, vh = np.linalg.svd(A, full_matrices=A.shape[0] < A.shape[1])
     return vh[decide_rank(s, rank_threshold(s, A.shape, tol), stage):, :].conj().T
-
-
-def range_basis(M, tol: ToleranceConfig = DEFAULT_TOL, stage: str = "range") -> np.ndarray:
-    """Orthonormal basis of the numerical column space (rows x rank)."""
-    A = as_matrix(M)
-    u, s, _ = np.linalg.svd(A)
-    return u[:, :decide_rank(s, rank_threshold(s, A.shape, tol), stage)]
 
 
 def pseudo_inverse(M, tol: ToleranceConfig = DEFAULT_TOL,

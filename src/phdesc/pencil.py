@@ -63,9 +63,8 @@ from .linalg import (
     classify_definiteness,
     decide_rank,
     deficiency,
-    nullspace_basis,
     numerical_rank,
-    range_basis,
+    rank_threshold,
     row_deficiency,
     spectral_norm,
 )
@@ -688,12 +687,15 @@ def imaginary_axis_full_rank(E, A, B, tol: ToleranceConfig = DEFAULT_TOL) -> tup
 class DCompression:
     """Orthogonal block form of the feedthrough ``S + N``.
 
-    ``U = [U1, U2, U3]`` with U1 spanning the range of S, U3 the kernel of
-    S+N, U2 the rest.  In these coordinates S+N becomes
-    ``[[D11, D12, 0], [-D12^T, D22, 0], [0, 0, 0]]`` with the leading
-    (m1+m2) group nonsingular, D22 skew, and ``S11 = U1^T S U1 > 0``.
-    ``dhat`` is that form with the identity on the kernel block, the
-    nonsingular right factor ``[[D11, D12, 0], [-D12^T, D22, 0], [0, 0, I]]``.
+    ``U = [U1, U2, U3]`` is orthonormal, with U1 spanning the range of S,
+    U3 the kernel of S+N and U2 the rest of ker S.  In these coordinates
+    S+N becomes ``[[D11, D12, 0], [-D12^T, D22, 0], [0, 0, 0]]`` with the
+    leading (m1+m2) group nonsingular and D22 skew.  ``dhat`` is that form
+    with the identity on the kernel block, the nonsingular right factor
+    ``[[D11, D12, 0], [-D12^T, D22, 0], [0, 0, I]]``.  S11 is the diagonal
+    of S's kept singular values, which is ``U1^T S U1`` for a PSD S; an S
+    inside the PSD band can keep a negative eigenvalue above the rank
+    cutoff, which the stabilizing synthesis refuses.
     """
 
     U: np.ndarray
@@ -717,11 +719,16 @@ class DCompression:
 
 
 def compress_feedthrough(S, N, tol: ToleranceConfig = DEFAULT_TOL) -> DCompression:
-    """Orthogonal compression of the feedthrough pair (S, N).
+    """Orthogonal compression of the feedthrough pair (S, N) by two rank
+    decisions.
 
-    Requires S symmetric PSD and N skew-symmetric.  The kernel of S+N is the
-    intersection of the kernels of S and N, so the three column groups are
-    mutually orthogonal by construction.
+    Requires S symmetric PSD and N skew-symmetric.  The SVD
+    ``S = u diag(s) u^T`` decides m1 at S's own cutoff, and gives
+    ``U1 = u[:, :m1]``, ``S11 = diag(s[:m1])`` and ker S, spanned by
+    ``K = u[:, m1:]``.  Since ``x^T (S+N) x = x^T S x``, the kernel of S+N
+    is the kernel of N on ker S: the SVD of ``N K`` decides m2 at the cutoff
+    ``rank_rtol * m * ||S+N||_2``, and its right singular vectors q give
+    ``[U2, U3] = K q``.
     """
     S = as_matrix(S)
     N = as_matrix(N)
@@ -739,24 +746,22 @@ def compress_feedthrough(S, N, tol: ToleranceConfig = DEFAULT_TOL) -> DCompressi
         raise NotSkew("N must be skew-symmetric")
 
     D = S + N
-    U3 = nullspace_basis(D, tol, "feedthrough split: kernel of S + N")
-    U1 = range_basis(S, tol, "feedthrough split: range of S")
-    U2 = nullspace_basis(np.hstack([U1, U3]).T, tol, "feedthrough split: complement")
-    U = np.hstack([U1, U2, U3])
-    m1, m2, m3 = U1.shape[1], U2.shape[1], U3.shape[1]
-    if m1 + m2 + m3 != m:
-        raise NumericalBreakdown("feedthrough column groups do not span the input space")
+    u, s, _ = np.linalg.svd(S)
+    m1 = decide_rank(s, rank_threshold(s, S.shape, tol), "feedthrough split: range of S")
+    K = u[:, m1:]
+    _, t, qh = np.linalg.svd(N @ K, full_matrices=False)
+    m2 = decide_rank(t, tol.rank_rtol * m * spectral_norm(D),
+                     "feedthrough split: kernel of S + N")
+    U = np.hstack([u[:, :m1], K @ qh.T])
 
     T = U.T @ D @ U
-    S11 = U1.T @ S @ U1
-    S11 = (S11 + S11.T) / 2.0
     k = m1 + m2
     dhat = np.eye(m)
     dhat[:k, :k] = T[:k, :k]
     dhat[m1:k, :m1] = -T[:m1, m1:k].T
     D22 = T[m1:k, m1:k]
     dhat[m1:k, m1:k] = (D22 - D22.T) / 2.0
-    return DCompression(U=U, m1=m1, m2=m2, m3=m3, S11=S11, dhat=dhat)
+    return DCompression(U=U, m1=m1, m2=m2, m3=m - k, S11=np.diag(s[:m1]), dhat=dhat)
 
 
 @dataclass(frozen=True, eq=False)

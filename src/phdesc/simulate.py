@@ -109,27 +109,32 @@ def simulate_closed_loop(
     ``x_next = Phi x + Gam u_k``, with ``[Phi, Gam]`` from one solve against
     ``[E, dt*(G~-P~)]``; the step matrix must have full numerical rank.  The
     output is ``y = (G~+P~)^T x + (S+N) u``.  Raises ValueError, before any
-    other work, unless T and dt are finite, dt > 0 and T >= dt.
+    other work, unless T and dt are finite, dt > 0, T >= dt and the K + 1
+    float64 samples of t, x, u and y fit in the bytes that ``np.intp`` can
+    index; the same ValueError replaces a MemoryError from the integration,
+    whose arrays, but for one n-vector, all hold K or K + 1 rows.
     """
     if not (np.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be finite and positive, got {dt}")
     if not (np.isfinite(T) and T >= dt):
         raise ValueError(f"T must be finite and at least dt, got {T}")
+    steps = float(T) / float(dt)  # inf on overflow, with no numpy warning
+    K = max(1, round(steps)) if steps < np.inf else steps
+    too_many = f"T = {T} and dt = {dt} give {K} steps, more than a trajectory can hold"
+    if (K + 1) * (sys.n + 2 * sys.m + 1) * 8 > np.iinfo(np.intp).max:  # an inf K too
+        raise ValueError(too_many)
     closed = apply_feedback(sys, F)
     _require_index_one(closed, tol)
     n, m = closed.n, closed.m
-    K = max(1, int(round(T / dt)))
 
-    u_steps = np.zeros((K, m)) if u is None else np.asarray(u, dtype=float)
-    if u_steps.shape == (m,):
-        u_steps = np.tile(u_steps, (K, 1))
-    elif u_steps.shape != (K, m):
+    u = np.zeros(m) if u is None else np.asarray(u, dtype=float)
+    if u.shape not in ((m,), (K, m)):
         raise ShapeMismatch(f"input samples must have shape ({m},) or ({K}, {m})")
 
     x = np.asarray(x0, dtype=float).reshape(-1)
     if x.shape[0] != n:
         raise ShapeMismatch(f"x0 has length {x.shape[0]}, expected {n}")
-    x_proj = consistent_projection(closed, x, tol, u_steps[0])
+    x_proj = consistent_projection(closed, x, tol, u if u.ndim == 1 else u[0])
     shift = float(np.linalg.norm(x_proj - x))
     if shift > 1e-9 * max(1.0, float(np.linalg.norm(x))):
         logger.info("initial state projected onto the constraint set (moved %.3e)", shift)
@@ -138,6 +143,18 @@ def simulate_closed_loop(
     if numerical_rank(step_matrix, tol, "step matrix E - dt A") < n:
         raise SolveFailure("step matrix numerically singular", t=0.0)
     prop = np.linalg.solve(step_matrix, np.hstack([closed.E, dt * closed.B]))
+    try:
+        return _euler_steps(closed, x_proj, u, prop, K, dt)
+    except MemoryError as exc:
+        raise ValueError(too_many) from exc
+
+
+def _euler_steps(closed: PHSystem, x_proj, u, prop, K: int, dt: float) -> Trajectory:
+    """The K steps from x_proj under the input u, one m-vector or K rows,
+    with the propagator ``prop = [Phi, Gam]``; every K-row array of
+    :func:`simulate_closed_loop` is made here."""
+    n = closed.n
+    u_steps = np.tile(u, (K, 1)) if u.ndim == 1 else u
     Phi, Gam = prop[:, :n], prop[:, n:]
     X = np.empty((K + 1, n))
     X[0] = x_proj

@@ -14,7 +14,11 @@ The stabilizing construction proceeds through two block compressions:
    the definite part of S (size m1), the remaining invertible skew part
    (size m2), and the kernel (size m3), from
    :func:`phdesc.pencil.compress_feedthrough`, the same split whose input
-   blocks B1 and B3 the existence conditions were decided on;
+   blocks B1 and B3 the existence conditions were decided on; its S11 is
+   the diagonal of S's kept singular values, so ``S11^(1/2)`` scales the
+   columns of B1.  An S inside the PSD band can keep a negative eigenvalue
+   above the rank cutoff, and S11 is then not ``U1^T S U1``; a Cholesky
+   factorization of ``U1^T S U1`` finds it, and it is refused;
 2. a nonsingular congruence Z of the state space, with orthogonal right
    factors V3 and V1, that staircases the transformed input blocks B3 and
    B1*S11^(1/2) against R into block sizes mu1..mu4.
@@ -63,13 +67,6 @@ class SynthesisTrace:
     B3: np.ndarray
     F1: np.ndarray
     blocks: Callable[[], dict] = field(repr=False)
-
-
-def _pd_sqrt_invsqrt(S11: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    w, V = np.linalg.eigh((S11 + S11.T) / 2.0)
-    if np.any(w <= 0):
-        raise NumericalBreakdown("definite feedthrough block lost positive definiteness")
-    return (V * np.sqrt(w)) @ V.T, (V / np.sqrt(w)) @ V.T
 
 
 def _state_compression(B3, B1_shalf, R, tol):
@@ -137,11 +134,12 @@ def _state_compression(B3, B1_shalf, R, tol):
 
 
 def _compression_blocks(sys: PHSystem, tol: ToleranceConfig, margin: float, B1, B3, P1,
-                        S11_half, S11_invhalf) -> dict:
+                        s_half) -> dict:
     """The state compression and the m3-part F3 of the feedback, by the
-    names that :class:`SynthesisTrace` lists."""
+    names that :class:`SynthesisTrace` lists; ``s_half`` is the diagonal
+    of ``S11^(1/2)``."""
     n, m3 = sys.n, B3.shape[1]
-    Z, V3, V1, mu, B12 = _state_compression(B3, B1 @ S11_half, sys.R, tol)
+    Z, V3, V1, mu, B12 = _state_compression(B3, B1 * s_half, sys.R, tol)
     mu1, mu2, mu3, mu4 = mu
     rho = mu1 + mu2
 
@@ -151,7 +149,7 @@ def _compression_blocks(sys: PHSystem, tol: ToleranceConfig, margin: float, B1, 
     R12 = Rz[:mu1, mu1:rho]
     R22 = Rz[mu1:rho, mu1:rho]
 
-    Mp = V1.T @ S11_invhalf @ P1.T @ Z.T
+    Mp = V1.T @ (P1 / s_half).T @ Z.T
     cuts = np.cumsum([mu1, mu2, mu3])
     P11, P12, P13, P14 = np.hsplit(Mp[:mu2, :], cuts)
     Phat11, Phat12, Phat13, Phat14 = np.hsplit(Mp[mu2:, :], cuts)
@@ -198,10 +196,17 @@ def build_stabilizing_feedback(
     analysis = feedback_analysis(sys, tol)
     sys, dc = analysis.sys, analysis.compression
     B1, B3 = analysis.input_blocks
+    U1 = dc.U[:, : dc.m1]
+    # An S inside the PSD band can keep a negative eigenvalue above the rank
+    # cutoff; U1^T S U1 is then indefinite and not the diagonal S11.
+    try:
+        np.linalg.cholesky(U1.T @ sys.S @ U1)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalBreakdown("definite feedthrough block lost positive definiteness") from exc
     P1 = (sys.P @ dc.U)[:, : dc.m1]
     F1 = -2.0 * (B1 @ dc.S11 + P1).T
     blocks = cache(partial(_compression_blocks, sys, tol, margin, B1, B3, P1,
-                           *_pd_sqrt_invsqrt(dc.S11)))
+                           np.sqrt(np.diagonal(dc.S11))))
     F3 = blocks()["F3"] if dc.m3 else np.zeros((0, sys.n))
     stacked = np.vstack([F1, np.zeros((dc.m2, sys.n)), F3])
     F = dc.U @ np.linalg.solve(dc.dhat, stacked)

@@ -14,9 +14,11 @@ from phdesc.linalg import (
     ToleranceConfig,
     as_matrix,
     classify_definiteness,
+    decide_rank,
     nullspace_basis,
     numerical_rank,
     pseudo_inverse,
+    rank_threshold,
     spectral_norm,
 )
 from phdesc.pencil import imaginary_axis_full_rank
@@ -68,6 +70,15 @@ def random_admissible_feedback(rng, R, B):
         K = skew(rng.normal(size=(n, n)))
         F = F + Bp @ (Pb @ K @ Pb)
     return F
+
+
+def range_basis(M, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+    """Orthonormal basis of the numerical column space (rows x rank) from
+    the full SVD, at the cutoff of ``rank_threshold``: the oracle of the
+    range of S in the paper's formula for B1."""
+    A = as_matrix(M)
+    u, s, _ = np.linalg.svd(A)
+    return u[:, :decide_rank(s, rank_threshold(s, A.shape, tol), "range")]
 
 
 def assert_spectra_match(e1, e2, atol=1e-8):

@@ -260,6 +260,20 @@ class TestCommandSurface:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not csv_path.exists()
 
+    @pytest.mark.parametrize("T, dt, steps", [("1e300", "1e-300", "inf"),
+                                              ("1e15", "1e-3", str(round(1e15 / 1e-3)))],
+                             ids=["T/dt=inf", "T/dt=1e18"])
+    def test_too_many_steps_exits_two(self, tmp_path, capsys, T, dt, steps):
+        sys_path = tmp_path / "sys.json"
+        save_system(sys_path, scalar_system(E=1, G=1))
+        csv_path = tmp_path / "t.csv"
+        assert run("simulate", "--input", sys_path, "--T", T, "--dt", dt,
+                   "--output", csv_path) == 2
+        assert capsys.readouterr().err == (
+            f"error: T = {float(T)} and dt = {float(dt)} give {steps} steps, "
+            "more than a trajectory can hold\n")
+        assert not csv_path.exists()
+
     @pytest.mark.parametrize("margin", ["nan", "inf", "0", "-1"])
     def test_bad_margin_exits_two_naming_the_flag(self, monkeypatch, tmp_path, capsys, margin):
         # Refused before the synthesis runs: calling it would raise TypeError.
@@ -306,6 +320,16 @@ class TestCommandSurface:
         assert "feedback_file" not in doc
         assert np.allclose(doc["feedback"], [[-2.0]], rtol=0, atol=1e-12)
         assert doc["certification"]["overall"] is True
+
+    def test_kept_negative_eigenvalue_of_S_exits_two_without_report(self, tmp_path, capsys):
+        sys_path = tmp_path / "sys.json"
+        report = tmp_path / "report.json"
+        I, O = np.eye(2), np.zeros((2, 2))
+        save_system(sys_path, PHSystem(E=I, J=O, R=I, G=I, P=O, S=np.diag([1.0, -1e-11]), N=O))
+        assert run("stabilize", "--input", sys_path, "--report", report) == 2
+        assert capsys.readouterr().err.startswith(
+            "numerical breakdown: definite feedthrough block lost positive definiteness")
+        assert not report.exists()
 
     def test_ambiguous_rank_decision_exits_two_without_report(self, tmp_path, capsys):
         sys_path = tmp_path / "sys.json"

@@ -1,12 +1,14 @@
 """Metamorphic relations: what theory leaves unchanged when the state basis
-is permuted or the pencil is transposed.
+is permuted, the pencil is transposed or a state feedback closes the loop.
 
 A permutation of the state basis, ``Pi^T (.) Pi``, is an orthogonal change
 that moves entries without arithmetic, so E stays bitwise symmetric and
 every route, verdict and witness count must repeat exactly.  Transposing a
 pencil swaps its left and right minimal indices and keeps its infinite
 elementary divisors and its finite spectrum (Gantmacher, *The Theory of
-Matrices*, 1959, ch. XII).
+Matrices*, 1959, ch. XII).  A state feedback through B moves no mode that
+B cannot reach (Hautus, Proc. KNAW A 72, 1969; Kailath, *Linear Systems*,
+1980).
 """
 
 import numpy as np
@@ -18,6 +20,8 @@ from phdesc.errors import ConditionsNotMet
 from phdesc.generators import random_ph
 from phdesc.model import PHSystem
 from phdesc.pencil import (
+    feedback_analysis,
+    imaginary_axis_full_rank,
     index_reduction_rank_condition,
     pencil_report,
     stabilizability_rank_condition,
@@ -106,3 +110,32 @@ def test_transposition_swaps_minimal_indices(family):
                 changed.append((n, m, seed, rank_w, E.shape))
     assert changed == []
     assert singular >= 180
+
+
+# (family, n, m, seed) of 162 plants; the 54 that fail the stabilizability
+# condition (all of them axis-mode) are each closed by three seeded normal F.
+UNREACHABLE_GRID = [(family, n, m, seed) for family in ("axis-mode", "plain", "singular")
+                    for n in range(4, 13) for m in (1, 2) for seed in range(3)]
+
+
+def test_feedback_keeps_unreachable_axis_modes():
+    # A mode that no input reaches stays an eigenvalue under every state
+    # feedback (Hautus 1969), so [s E - (A + B F), B] loses rank at the
+    # same axis points as [s E - A, B].
+    moved, plants = [], 0
+    for family, n, m, seed in UNREACHABLE_GRID:
+        sys = random_ph(n, m, seed, **FAMILIES[family])
+        B = np.hstack(feedback_analysis(sys).input_blocks)
+        ok, witnesses = imaginary_axis_full_rank(sys.E, sys.A, B)
+        if ok:
+            continue
+        plants += 1
+        rng = np.random.default_rng([seed, n, m])
+        for _ in range(3):
+            F = rng.normal(size=(B.shape[1], n))
+            loop_ok, loop_witnesses = imaginary_axis_full_rank(sys.E, sys.A + B @ F, B)
+            if loop_ok or len(loop_witnesses) != len(witnesses) or not np.allclose(
+                    loop_witnesses, witnesses, rtol=0.0, atol=1e-8):
+                moved.append((family, n, m, seed, witnesses, loop_witnesses))
+    assert moved == []
+    assert plants >= 50

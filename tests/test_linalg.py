@@ -18,7 +18,6 @@ from phdesc.linalg import (
     nullspace_basis,
     numerical_rank,
     pseudo_inverse,
-    range_basis,
     rank_threshold,
     row_deficiency,
     spectral_norm,
@@ -116,19 +115,6 @@ class TestNullspaceRange:
         assert B.shape == (2, 1)
         assert abs(abs(B[1, 0]) - 1.0) < 1e-14 and abs(B[0, 0]) < 1e-14
 
-    def test_range_identity(self):
-        Q = range_basis(np.eye(3))
-        assert Q.shape == (3, 3)
-        assert np.allclose(Q.T @ Q, np.eye(3), atol=1e-13)
-
-    def test_range_zero(self):
-        assert range_basis(np.zeros((3, 2))).shape == (3, 0)
-
-    def test_range_single_column(self):
-        Q = range_basis([[1.0], [1.0]])
-        assert Q.shape == (2, 1)
-        assert np.allclose(np.abs(Q[:, 0]), np.full(2, 1 / np.sqrt(2)), atol=1e-14)
-
     def test_nullspace_quality(self, rng):
         for _ in range(40):
             p, q = rng.integers(1, 8, size=2)
@@ -166,11 +152,11 @@ class TestNullspaceRange:
         assert all(thin) and len(thin) == 200
 
 
-# (nullspace basis, range basis) of the zero matrix of each empty shape.
+# Nullspace basis of the zero matrix of each empty shape.
 EMPTY_BASES = {
-    (0, 0): (np.zeros((0, 0)), np.zeros((0, 0))),
-    (0, 3): (np.eye(3), np.zeros((0, 0))),
-    (3, 0): (np.zeros((0, 0)), np.zeros((3, 0))),
+    (0, 0): np.zeros((0, 0)),
+    (0, 3): np.eye(3),
+    (3, 0): np.zeros((0, 0)),
 }
 
 
@@ -179,9 +165,8 @@ def test_empty_operands_exact(shape):
     # Blocks such as B1, B3 or a kernel basis are often empty; numpy's SVD
     # of an empty matrix gives identity factors, so no special case is needed.
     M = np.zeros(shape)
-    null, rng_ = EMPTY_BASES[shape]
     assert numerical_rank(M) == 0
-    for got, want in [(nullspace_basis(M), null), (range_basis(M), rng_),
+    for got, want in [(nullspace_basis(M), EMPTY_BASES[shape]),
                       (pseudo_inverse(M), np.zeros(shape[::-1]))]:
         assert got.dtype == np.float64 and got.shape == want.shape
         assert got.tobytes() == want.tobytes()

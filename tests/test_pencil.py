@@ -16,7 +16,6 @@ from phdesc.linalg import (
     nullspace_basis,
     numerical_rank,
     pseudo_inverse,
-    range_basis,
 )
 from phdesc.model import PHSystem, apply_feedback, validate
 from phdesc.pencil import (
@@ -36,6 +35,7 @@ from conftest import (
     logged_routes,
     brute_force_rank_on_axis,
     random_dissipative_pencil,
+    range_basis,
     singular_common_nullspace,
     undamped_block_nonsingularity_condition,
     undamped_block_stability_condition,
@@ -1464,8 +1464,8 @@ class TestFeedthroughSplit:
             index_reduction_rank_condition(sys)
 
     def test_exact_structure_takes_three_svds(self, svd_calls):
-        # range of S, kernel of S+N and the complement; an exactly symmetric
-        # S and an exactly skew N need no scale norm for their checks
+        # S, the norm of S+N and N on ker S; an exactly symmetric S and an
+        # exactly skew N need no scale norm for their checks
         rng = np.random.default_rng(0)
         L = rng.normal(size=(4, 2))
         S = L @ L.T

@@ -1,4 +1,5 @@
 import os
+import re
 import threading
 import time
 
@@ -191,6 +192,28 @@ class TestSimulateClosedLoop:
         monkeypatch.setattr(simulate, "apply_feedback", None)
         with pytest.raises(ValueError, match=f"^{message}$"):
             simulate_closed_loop(scalar_system(E=1, G=1), [[-2.0]], [1.0], T=T, dt=dt)
+
+    @pytest.mark.parametrize("T, dt, steps", [(1e300, 1e-300, "inf"),
+                                              (1e15, 1e-3, str(round(1e15 / 1e-3)))],
+                             ids=["T/dt=inf", "T/dt=1e18"])
+    def test_too_many_steps_refused_first(self, monkeypatch, T, dt, steps):
+        # Refused before any K-row array is made: forming the closed loop
+        # would raise TypeError.
+        monkeypatch.setattr(simulate, "apply_feedback", None)
+        message = f"T = {T} and dt = {dt} give {steps} steps, more than a trajectory can hold"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            simulate_closed_loop(scalar_system(E=1, G=1), [[-2.0]], [1.0], T=T, dt=dt)
+
+    def test_memory_error_of_the_steps_refused_as_too_many(self, monkeypatch):
+        # The steps' arrays are not really allocated: their maker fails.
+        def out_of_memory(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(simulate, "_euler_steps", out_of_memory)
+        with pytest.raises(ValueError, match=r"^T = 1\.0 and dt = 0\.001 give 1000 steps, "
+                                             r"more than a trajectory can hold$") as info:
+            simulate_closed_loop(scalar_system(E=1, G=1), [[-2.0]], [1.0], T=1.0, dt=1e-3)
+        assert isinstance(info.value.__cause__, MemoryError)
 
     def test_energy_decays_without_input(self):
         for seed in (1, 4, 11):

@@ -6,7 +6,13 @@ import pytest
 
 from phdesc import pencil
 from phdesc.certify import certify_closed_loop
-from phdesc.errors import ConditionsNotMet, NotPSD, NotSkew, ToleranceBreakdown
+from phdesc.errors import (
+    ConditionsNotMet,
+    NotPSD,
+    NotSkew,
+    NumericalBreakdown,
+    ToleranceBreakdown,
+)
 from phdesc.generators import random_ph
 from phdesc.linalg import (
     DEFAULT_TOL,
@@ -129,6 +135,23 @@ class TestSynthesizeStabilizing:
                        S=ZERO, N=ZERO)
         with pytest.raises(ToleranceBreakdown, match="synthesis: mu3"):
             synthesize_stabilizing(sys, ToleranceConfig(rank_rtol=1e-17))
+
+    @pytest.mark.parametrize("positive", [[1.0], [1.0, 1e-11, 1e-11, 1e-11]],
+                             ids=["alone", "sharing its singular value"])
+    def test_kept_negative_eigenvalue_of_S_refused(self, positive):
+        # -1e-11 lies inside the PSD band, so S is accepted, but above the
+        # rank cutoff, so its direction is kept in U1: S11 would not be
+        # U1^T S U1.  With positive eigenvalues of the same magnitude the
+        # SVD may mix their directions, so no kept column need be flipped.
+        w = np.array(positive + [-1e-11])
+        m = w.size
+        Q, _ = np.linalg.qr(np.random.default_rng(19).normal(size=(m, m)))
+        S = Q @ np.diag(w) @ Q.T
+        I, O = np.eye(m), np.zeros((m, m))
+        sys = PHSystem(E=I, J=O, R=I, G=I, P=O, S=(S + S.T) / 2.0, N=O)
+        assert compress_feedthrough(sys.S, sys.N).m1 == m
+        with pytest.raises(NumericalBreakdown, match="lost positive definiteness"):
+            synthesize_stabilizing(sys)
 
     @pytest.mark.parametrize("margin", [float("nan"), float("inf"), 0.0, -1.0])
     def test_margin_must_be_finite_and_positive(self, margin):
@@ -265,16 +288,15 @@ class TestLazyCompression:
             kernels.add(dc.m3 > 0)
         assert kernels == {False, True}
 
-    def test_large_synthesis_takes_no_svd_and_one_small_eigh(self, svd_calls, eigh_calls):
+    def test_large_synthesis_takes_no_svd_and_no_eigh(self, svd_calls, eigh_calls):
         sys = random_ph(300, 30, 0)
         assert stabilizability_rank_condition(sys)[0] and index_reduction_rank_condition(sys)
         svd_calls.clear()
         eigh_calls.clear()
         _, trace = synthesize_stabilizing(sys)
-        m1 = trace.compression.m1
-        assert trace.compression.m3 == 0 < m1
+        assert trace.compression.m3 == 0 < trace.compression.m1
         assert svd_calls == []
-        assert [a.shape for a in eigh_calls] == [(m1, m1)]
+        assert eigh_calls == []
 
     @pytest.mark.parametrize("sys, kernel", [
         (random_ph(6, 2, 1), False),
